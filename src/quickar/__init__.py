@@ -16,11 +16,12 @@ from .nouns import NounOracle, default_noun_oracle
 from .reformulate import (
     CandidateScore,
     KeywordSet,
+    Params,
     QueryRecord,
     Reformulation,
     reformulate,
 )
-from .rocchio import RocchioConfig, rocchio_expand
+from .rocchio import rocchio_expand
 from .search import SearchHit, Searcher, rank_of_first_relevant, search
 from .textprep import StopList, TermSequence, Token, default_stoplist, preprocess
 
@@ -35,12 +36,12 @@ __all__ = [
     "KeywordSet",
     "MwuResult",
     "NounOracle",
+    "Params",
     "QueryEmptyError",
     "QueryRecord",
     "QuickarError",
     "RankSummary",
     "Reformulation",
-    "RocchioConfig",
     "SearchHit",
     "Searcher",
     "StopList",

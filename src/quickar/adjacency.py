@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import CorruptFileError, DataError
@@ -223,26 +223,6 @@ def build(
     return AdjacencyDatabase(entries=entries, meta=meta)
 
 
-def merge(parts: Iterable[AdjacencyDatabase]) -> AdjacencyDatabase:
-    """Merge databases built from partitions of one stream.
-
-    Counts sum; the result is independent of partitioning and order, which is
-    what makes parallel builds deterministic. Metadata must agree.
-    """
-    merged: dict[str, dict[str, int]] = {}
-    meta: DbMeta | None = None
-    for part in parts:
-        if meta is None:
-            meta = part.meta
-        elif replace(part.meta, source=meta.source) != meta:
-            raise DataError(f"cannot merge databases with differing meta: {part.meta} vs {meta}")
-        for word, nbrs in part.entries.items():
-            slot = merged.setdefault(word, {})
-            for nbr, count in nbrs.items():
-                slot[nbr] = slot.get(nbr, 0) + count
-    return AdjacencyDatabase(entries=merged, meta=meta if meta is not None else DbMeta())
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -256,6 +236,8 @@ def merge(parts: Iterable[AdjacencyDatabase]) -> AdjacencyDatabase:
 #   #pairs=<total unordered pair count>             (trailing checksum)
 
 def save(db: AdjacencyDatabase, path) -> None:
+    if "\n" in db.meta.source:
+        raise DataError(f"cannot record source {db.meta.source!r}: it holds a line feed")
     try:
         with atomic_write(path) as fh:
             fh.write(f"#window={db.meta.window}\n")
@@ -272,8 +254,8 @@ def save(db: AdjacencyDatabase, path) -> None:
 
 def load(path) -> AdjacencyDatabase:
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            lines = fh.read().removesuffix("\n").split("\n")
     except OSError as exc:
         raise DataError(f"cannot read database {path}: {exc}") from exc
 

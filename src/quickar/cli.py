@@ -1,8 +1,8 @@
 """Command-line entry point: build-db, index, search, reformulate, evaluate.
 
 Every subcommand is a pure function of its inputs and configuration:
-re-running any of them reproduces byte-identical artifacts, whatever the
-worker count. Exit codes: 0 success, 1 usage error, 2 data error.
+re-running any of them reproduces byte-identical artifacts. Exit codes:
+0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ import json
 import logging
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import __version__, adjacency, corpus as corpus_mod, evaluate as eval_mod
 from .errors import DataError, QuickarError
 from .nouns import default_noun_oracle
-from .reformulate import MODES, MODE_ALL, MODE_REDUCE, QueryRecord, reformulate
-from .rocchio import RocchioConfig, rocchio_expand
+from .reformulate import MODES, MODE_ALL, MODE_REDUCE, Params, QueryRecord, reformulate
+from .rocchio import rocchio_expand
 from .search import searcher_for
 from .textprep import SPLIT_AND_KEEP_WHOLE, load_language_keywords, load_stoplist, preprocess
-from .util import map_ordered
 
 log = logging.getLogger("quickar")
 
@@ -33,20 +33,19 @@ DATA_ERROR = 2
 @dataclass
 class Config:
     """Shared tool configuration; flags override file values override these
-    defaults (window 2, top 5 documents, top 5 candidates, 10-term budget)."""
+    defaults. `params` is read from the keys top_docs, top_k and
+    query_budget."""
 
     stoplist_path: str | None = None
     keywords_path: str | None = None
     window: int = adjacency.DEFAULT_WINDOW
-    top_docs: int = 5
-    top_k: int = 5
-    query_budget: int = 10
+    params: Params = Params()
     mode: str = MODE_ALL
 
     def validate(self) -> None:
         if self.window < 2:
             raise DataError(f"window must be >= 2, got {self.window}")
-        if min(self.top_docs, self.top_k, self.query_budget) < 1:
+        if min(self.params.top_docs, self.params.top_k, self.params.budget) < 1:
             raise DataError("top_docs, top_k and query_budget must be >= 1")
         if self.mode not in MODES:
             raise DataError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -66,9 +65,11 @@ def load_config(path: str | None) -> Config:
     cfg.stoplist_path = section.get("stoplist_path", cfg.stoplist_path)
     cfg.keywords_path = section.get("keywords_path", cfg.keywords_path)
     cfg.window = section.getint("window", cfg.window)
-    cfg.top_docs = section.getint("top_docs", cfg.top_docs)
-    cfg.top_k = section.getint("top_k", cfg.top_k)
-    cfg.query_budget = section.getint("query_budget", cfg.query_budget)
+    cfg.params = Params(
+        top_docs=section.getint("top_docs", cfg.params.top_docs),
+        top_k=section.getint("top_k", cfg.params.top_k),
+        budget=section.getint("query_budget", cfg.params.budget),
+    )
     cfg.mode = section.get("mode", cfg.mode)
     return cfg
 
@@ -102,7 +103,6 @@ def build_parser() -> _Parser:
     p.add_argument("--stoplist", default=None, metavar="FILE")
     p.add_argument("--binary", action="store_true",
                    help="count each word pair at most once per title")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("index", help="index a source tree into a method-level corpus")
     p.add_argument("--src", metavar="DIR", help="source tree to split into methods")
@@ -115,7 +115,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ext", action="append", default=None, metavar=".java",
                    help="source extension to index (repeatable, default .java)")
     p.add_argument("--strip-comments", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("search", help="run a TF-IDF cosine search against an index")
     p.add_argument("--index", required=True, metavar="FILE")
@@ -143,7 +142,6 @@ def build_parser() -> _Parser:
                    help="exclude unretrieved queries from bucket percentages")
     p.add_argument("--stoplist", default=None, metavar="FILE")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -161,19 +159,8 @@ def _cmd_build_db(args, cfg: Config) -> int:
     if args.limit is not None:
         records = itertools.islice(records, args.limit)
     titles = list(records)
-    source = f"{_basename(args.dump)}:{args.tag}"
-
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(titles) < 2 * jobs:
-        db = adjacency.build(titles, stops, window=window, source=source, binary=args.binary)
-    else:
-        chunk = (len(titles) + jobs - 1) // jobs
-        parts = [titles[i:i + chunk] for i in range(0, len(titles), chunk)]
-        built = map_ordered(
-            lambda part: adjacency.build(part, stops, window=window,
-                                         source=source, binary=args.binary),
-            parts, jobs)
-        db = adjacency.merge(built)
+    source = f"{Path(args.dump).name}:{args.tag}"
+    db = adjacency.build(titles, stops, window=window, source=source, binary=args.binary)
     adjacency.save(db, args.out)
     if stats.malformed:
         print(f"warning: skipped {stats.malformed} malformed record(s)", file=sys.stderr)
@@ -188,15 +175,12 @@ def _cmd_index(args, cfg: Config) -> int:
     stops = load_stoplist(args.stoplist or cfg.stoplist_path)
     keywords = load_language_keywords(args.keywords or cfg.keywords_path)
     stats = corpus_mod.IngestStats()
-    jobs = max(1, args.jobs)
     if args.pre_split:
-        built = corpus_mod.build_corpus_presplit(args.pre_split, stops, keywords,
-                                                 jobs=jobs, stats=stats)
+        built = corpus_mod.build_corpus_presplit(args.pre_split, stops, keywords, stats=stats)
     else:
         extensions = tuple(args.ext) if args.ext else corpus_mod.DEFAULT_EXTENSIONS
         built = corpus_mod.build_corpus(args.src, stops, keywords, extensions=extensions,
-                                        strip_comments=args.strip_comments,
-                                        jobs=jobs, stats=stats)
+                                        strip_comments=args.strip_comments, stats=stats)
     corpus_mod.save(built, args.out)
     if stats.skipped:
         print(f"warning: skipped {stats.skipped} unreadable file(s)", file=sys.stderr)
@@ -223,10 +207,9 @@ def _warn_meta_mismatch(db_meta, corpus_meta, stops) -> None:
             and db_meta.stoplist_sha != corpus_meta.stoplist_sha:
         print("warning: adjacency database and index were built with different "
               "stop lists", file=sys.stderr)
-    if stops.sha not in (db_meta.stoplist_sha, ""):
-        if db_meta.stoplist_sha and stops.sha != db_meta.stoplist_sha:
-            print("warning: active stop list differs from the one the adjacency "
-                  "database was built with", file=sys.stderr)
+    if db_meta.stoplist_sha and stops.sha != db_meta.stoplist_sha:
+        print("warning: active stop list differs from the one the adjacency "
+              "database was built with", file=sys.stderr)
 
 
 def _cmd_reformulate(args, cfg: Config) -> int:
@@ -239,13 +222,10 @@ def _cmd_reformulate(args, cfg: Config) -> int:
     mode = args.mode if args.mode is not None else cfg.mode
 
     if args.strategy == "rocchio":
-        ref = rocchio_expand(query, index,
-                             RocchioConfig(top_docs=cfg.top_docs, budget=cfg.query_budget),
-                             stops=stops)
+        ref = rocchio_expand(query, index, cfg.params, stops=stops)
     else:
         ref = reformulate(query, index, db, mode=mode, stops=stops, oracle=oracle,
-                          top_docs=cfg.top_docs, top_k=cfg.top_k,
-                          budget=cfg.query_budget)
+                          params=cfg.params)
 
     if args.as_json:
         payload = {
@@ -284,12 +264,9 @@ def _cmd_evaluate(args, cfg: Config) -> int:
     if unknown:
         raise DataError(f"unknown strategies: {', '.join(unknown)}")
     queries = eval_mod.parse_queries_tsv(args.queries)
-    run_cfg = eval_mod.EvalConfig(top_docs=cfg.top_docs, top_k=cfg.top_k,
-                                  budget=cfg.query_budget, strict=args.strict,
-                                  jobs=max(1, args.jobs))
     report = eval_mod.run_evaluation(queries, index, db, strategies,
                                      stops=stops, oracle=default_noun_oracle(),
-                                     cfg=run_cfg)
+                                     params=cfg.params, strict=args.strict)
     text_path, json_path = eval_mod.emit_report(report, args.out)
     print(eval_mod.render_report_text(report))
     print(f"report written to {text_path} and {json_path}")
@@ -320,11 +297,6 @@ def main(argv=None) -> int:
     except QuickarError as exc:
         print(f"quickar {args.command}: error: {exc}", file=sys.stderr)
         return DATA_ERROR
-
-
-def _basename(path: str) -> str:
-    from pathlib import Path
-    return Path(path).name
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .errors import CorruptFileError, DataError
 from .textprep import SPLIT_AND_KEEP_WHOLE, StopList, TermSequence, preprocess, words_sha
-from .util import atomic_write, map_ordered
+from .util import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -345,13 +345,12 @@ def build_corpus(
     keywords: frozenset[str] = frozenset(),
     extensions: tuple[str, ...] = DEFAULT_EXTENSIONS,
     strip_comments: bool = False,
-    jobs: int = 1,
     stats: IngestStats | None = None,
 ) -> Corpus:
     """Index every matching file under `root`, one document per method.
 
     Files are processed in lexicographic path order, so rebuilding from the
-    same tree is byte-identical regardless of `jobs`.
+    same tree is byte-identical.
     """
     root = Path(root)
     if not root.is_dir():
@@ -362,13 +361,9 @@ def build_corpus(
         for p in root.rglob("*")
         if p.is_file() and p.suffix in extensions
     )
-
-    def work(rel: str) -> tuple[list[Document], bool] | None:
-        return _file_documents(root, rel, stops, keywords, strip_comments)
-
-    per_file = map_ordered(work, rels, jobs)
     documents: list[Document] = []
-    for result in per_file:
+    for rel in rels:
+        result = _file_documents(root, rel, stops, keywords, strip_comments)
         if result is None:
             stats.skipped += 1
             continue
@@ -384,7 +379,6 @@ def build_corpus_presplit(
     root,
     stops: StopList,
     keywords: frozenset[str] = frozenset(),
-    jobs: int = 1,
     stats: IngestStats | None = None,
 ) -> Corpus:
     """Index a directory of already-split documents, one file per document.
@@ -398,23 +392,17 @@ def build_corpus_presplit(
         raise DataError(f"pre-split directory not found: {root}")
     stats = stats if stats is not None else IngestStats()
     rels = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
-
-    def work(rel: str) -> Document | None:
+    documents = []
+    for rel in rels:
         try:
             text = (root / rel).read_text(encoding="utf-8", errors="replace")
         except OSError as exc:
             log.warning("skipping unreadable file %s: %s", root / rel, exc)
-            return None
-        terms = preprocess(text, stops, SPLIT_AND_KEEP_WHOLE, source_id=rel, extra_drop=keywords)
-        return Document.from_terms(rel, terms)
-
-    documents = []
-    for doc in map_ordered(work, rels, jobs):
-        if doc is None:
             stats.skipped += 1
             continue
+        terms = preprocess(text, stops, SPLIT_AND_KEEP_WHOLE, source_id=rel, extra_drop=keywords)
         stats.files += 1
-        documents.append(doc)
+        documents.append(Document.from_terms(rel, terms))
     meta = CorpusMeta(source=root.name, stoplist_sha=stops.sha, keywords_sha=words_sha(keywords))
     return Corpus(documents, meta=meta)
 
@@ -434,6 +422,11 @@ _HEADER_KEYS = ("source", "stoplist_sha", "keywords_sha")
 
 
 def save(corpus: Corpus, path) -> None:
+    # A line feed in the source name or a document id would end its line
+    # early; every other character, "\r" and "\t" included, reads back.
+    for name in (corpus.meta.source, *(doc.doc_id for doc in corpus.documents)):
+        if "\n" in name:
+            raise DataError(f"cannot index {name!r}: its path holds a line feed")
     total_terms = sum(doc.length for doc in corpus.documents)
     try:
         with atomic_write(path) as fh:
@@ -452,8 +445,8 @@ def save(corpus: Corpus, path) -> None:
 
 def load(path) -> Corpus:
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            lines = fh.read().removesuffix("\n").split("\n")
     except OSError as exc:
         raise DataError(f"cannot read index {path}: {exc}") from exc
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .adjacency import AdjacencyDatabase
@@ -19,23 +20,20 @@ from .corpus import Corpus
 from .errors import DataError, QueryEmptyError
 from .nouns import NounOracle, default_noun_oracle
 from .reformulate import (
-    DEFAULT_BUDGET,
-    DEFAULT_MAX_DF_RATIO,
-    DEFAULT_TOP_DOCS,
-    DEFAULT_TOP_K,
     MODE_ALL,
     MODE_CROWD,
     MODE_PROJECT,
     MODE_REDUCE,
+    Params,
     QueryRecord,
     collect_keywords,
     reformulate,
     render_terms,
 )
-from .rocchio import RocchioConfig, rocchio_expand
+from .rocchio import rocchio_expand
 from .search import Searcher, rank_of_first_relevant, searcher_for
 from .textprep import StopList, default_stoplist, tokenize
-from .util import map_ordered
+from .util import atomic_write
 
 # Outcome classifications.
 IMPROVED = "improved"
@@ -260,16 +258,6 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> MwuR
 # Strategy evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvalConfig:
-    top_docs: int = DEFAULT_TOP_DOCS
-    top_k: int = DEFAULT_TOP_K
-    budget: int = DEFAULT_BUDGET
-    max_df_ratio: float = DEFAULT_MAX_DF_RATIO
-    strict: bool = False
-    jobs: int = 1
-
-
 def _classify(baseline: int | None, reformulated: int | None) -> str:
     if baseline is None or reformulated is None:
         return EXCLUDED
@@ -288,7 +276,7 @@ def _strategy_terms(
     searcher: Searcher,
     stops: StopList,
     oracle: NounOracle,
-    cfg: EvalConfig,
+    params: Params,
 ) -> tuple[list[str], list[str] | None]:
     """Rendered query terms for a strategy, plus the reduction-only terms
     when the reduction-first preference applies (full pipeline only)."""
@@ -296,14 +284,10 @@ def _strategy_terms(
         keywords = collect_keywords(query, stops)
         return render_terms(keywords.tokens).normalized(), None
     if strategy == "rocchio":
-        ref = rocchio_expand(query, corpus,
-                             RocchioConfig(top_docs=cfg.top_docs, budget=cfg.budget),
-                             stops=stops, searcher=searcher)
+        ref = rocchio_expand(query, corpus, params, stops=stops, searcher=searcher)
         return ref.rendered_query.normalized(), None
     ref = reformulate(query, corpus, db, mode=_MODE_OF[strategy],
-                      stops=stops, oracle=oracle, top_docs=cfg.top_docs,
-                      top_k=cfg.top_k, budget=cfg.budget,
-                      max_df_ratio=cfg.max_df_ratio, searcher=searcher)
+                      stops=stops, oracle=oracle, params=params, searcher=searcher)
     reduced_terms = None
     if strategy == "all":
         reduced_terms = render_terms(ref.reduced_keywords.tokens).normalized()
@@ -319,7 +303,7 @@ def evaluate_strategy(
     *,
     stops: StopList,
     oracle: NounOracle,
-    cfg: EvalConfig = EvalConfig(),
+    params: Params = Params(),
     searcher: Searcher | None = None,
 ) -> StrategyResult:
     """Evaluate one strategy over an already-filtered dataset.
@@ -333,24 +317,25 @@ def evaluate_strategy(
     if searcher is None:
         searcher = searcher_for(corpus)
 
-    def work(query: QueryRecord) -> EvalOutcome:
+    outcomes = []
+    for query in queries:
         baseline = baseline_ranks.get(query.query_id)
         try:
             terms, reduced_terms = _strategy_terms(
-                query, strategy, corpus, db, searcher, stops, oracle, cfg)
+                query, strategy, corpus, db, searcher, stops, oracle, params)
         except QueryEmptyError as exc:
-            return EvalOutcome(query.query_id, baseline, None, EXCLUDED, reason=str(exc))
+            outcomes.append(EvalOutcome(query.query_id, baseline, None, EXCLUDED,
+                                        reason=str(exc)))
+            continue
         gold = set(query.gold_docs)
         rank = rank_of_first_relevant(searcher.search(terms), gold)
         if reduced_terms is not None and baseline is not None:
             reduced_rank = rank_of_first_relevant(searcher.search(reduced_terms), gold)
             if reduced_rank is not None and reduced_rank < baseline:
                 rank = reduced_rank
-        classification = _classify(baseline, rank)
         reason = "gold not retrieved" if rank is None else ""
-        return EvalOutcome(query.query_id, baseline, rank, classification, reason=reason)
-
-    outcomes = map_ordered(work, queries, cfg.jobs)
+        outcomes.append(EvalOutcome(query.query_id, baseline, rank,
+                                    _classify(baseline, rank), reason=reason))
     counts = {bucket: 0 for bucket in BUCKETS}
     for outcome in outcomes:
         counts[outcome.classification] += 1
@@ -373,10 +358,12 @@ def run_evaluation(
     *,
     stops: StopList | None = None,
     oracle: NounOracle | None = None,
-    cfg: EvalConfig = EvalConfig(),
+    params: Params = Params(),
+    strict: bool = False,
 ) -> EvalReport:
     """Filter the dataset, evaluate every strategy, run the strategy-pair
-    Mann-Whitney tests, and assemble the report."""
+    Mann-Whitney tests, and assemble the report. With `strict`, the bucket
+    percentages leave out the queries whose gold document was not retrieved."""
     stops = stops if stops is not None else default_stoplist()
     oracle = oracle if oracle is not None else default_noun_oracle()
     searcher = searcher_for(corpus)
@@ -388,16 +375,13 @@ def run_evaluation(
             "dropped_low_rank": len(filtered.dropped_low_rank),
             "dropped_not_retrieved": len(filtered.dropped_not_retrieved),
         },
-        strict=cfg.strict,
-        params={
-            "top_docs": cfg.top_docs, "top_k": cfg.top_k, "budget": cfg.budget,
-            "max_df_ratio": cfg.max_df_ratio, "threshold": POOR_RANK_THRESHOLD,
-        },
+        strict=strict,
+        params={**asdict(params), "threshold": POOR_RANK_THRESHOLD},
     )
     for strategy in strategies:
         report.strategies[strategy] = evaluate_strategy(
             filtered.kept, corpus, db, strategy, filtered.baseline_ranks,
-            stops=stops, oracle=oracle, cfg=cfg, searcher=searcher)
+            stops=stops, oracle=oracle, params=params, searcher=searcher)
 
     anchor = "all" if "all" in report.strategies else (strategies[0] if strategies else None)
     if anchor is not None:
@@ -544,19 +528,18 @@ def emit_report(report: EvalReport, out_dir) -> tuple[str, str]:
     """Write report.txt and report.json into `out_dir`; returns the paths.
 
     Output is byte-deterministic for fixed inputs: no timestamps, no
-    absolute paths, sorted JSON keys.
+    absolute paths, sorted JSON keys. Each file is replaced only once it is
+    completely written.
     """
-    from pathlib import Path
-
     out_dir = Path(out_dir)
+    text_path = out_dir / "report.txt"
+    json_path = out_dir / "report.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        text_path = out_dir / "report.txt"
-        json_path = out_dir / "report.json"
-        text_path.write_text(render_report_text(report), encoding="utf-8")
-        json_path.write_text(
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        with atomic_write(text_path) as fh:
+            fh.write(render_report_text(report))
+        with atomic_write(json_path) as fh:
+            fh.write(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise DataError(f"cannot write report to {out_dir}: {exc}") from exc
     return str(text_path), str(json_path)

@@ -43,10 +43,16 @@ MODES = (MODE_ALL, MODE_PROJECT, MODE_CROWD, MODE_REDUCE)
 SOURCE_PROJECT = "project"
 SOURCE_CROWD = "crowd"
 
-DEFAULT_TOP_DOCS = 5     # retrieved documents mined for project candidates
-DEFAULT_TOP_K = 5        # candidates kept per source before merging
-DEFAULT_BUDGET = 10      # total query term budget, pre-rendering
-DEFAULT_MAX_DF_RATIO = 0.25
+
+@dataclass(frozen=True)
+class Params:
+    """The parameters shared by reformulation, the Rocchio baseline and the
+    evaluation; the defaults are the paper's."""
+
+    top_docs: int = 5            # retrieved documents mined for candidates
+    top_k: int = 5               # candidates kept per source before merging
+    budget: int = 10             # total query term budget, pre-rendering
+    max_df_ratio: float = 0.25   # keywords in a larger share of documents are dropped
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,7 @@ def reduce_keywords(
     keywords: KeywordSet,
     corpus: Corpus,
     oracle: NounOracle,
-    max_df_ratio: float = DEFAULT_MAX_DF_RATIO,
+    max_df_ratio: float = Params.max_df_ratio,
 ) -> KeywordSet:
     """Drop non-nominal keywords and those occurring in more than
     `max_df_ratio` of the documents; if that empties the set, the original
@@ -163,7 +169,7 @@ def reduce_keywords(
 def project_candidates(
     keywords: KeywordSet,
     searcher: Searcher,
-    top_docs: int = DEFAULT_TOP_DOCS,
+    top_docs: int = Params.top_docs,
 ) -> dict[str, str]:
     """Candidate terms mined from the top retrieved documents.
 
@@ -252,7 +258,7 @@ def select_and_combine(
     r_project: list[CandidateScore],
     r_crowd: list[CandidateScore],
     oracle: NounOracle,
-    top_k: int = DEFAULT_TOP_K,
+    top_k: int = Params.top_k,
 ) -> list[CandidateScore]:
     """Merge the per-source shortlists into one expansion ranking.
 
@@ -301,18 +307,15 @@ def reformulate(
     *,
     stops: StopList,
     oracle: NounOracle,
-    top_docs: int = DEFAULT_TOP_DOCS,
-    top_k: int = DEFAULT_TOP_K,
-    budget: int = DEFAULT_BUDGET,
-    max_df_ratio: float = DEFAULT_MAX_DF_RATIO,
+    params: Params = Params(),
     searcher: Searcher | None = None,
 ) -> Reformulation:
     """Run the full reformulation pipeline for one query in the given mode."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     keywords = collect_keywords(query, stops)
-    reduced = reduce_keywords(keywords, corpus, oracle, max_df_ratio=max_df_ratio)
-    need = max(0, budget - len(reduced))
+    reduced = reduce_keywords(keywords, corpus, oracle, max_df_ratio=params.max_df_ratio)
+    need = max(0, params.budget - len(reduced))
 
     expansions: list[CandidateScore] = []
     if mode != MODE_REDUCE and need > 0:
@@ -321,12 +324,13 @@ def reformulate(
         scored_project: list[CandidateScore] = []
         scored_crowd: list[CandidateScore] = []
         if mode in (MODE_ALL, MODE_PROJECT):
-            candidates = project_candidates(reduced, searcher, top_docs=top_docs)
+            candidates = project_candidates(reduced, searcher, top_docs=params.top_docs)
             scored_project = score_project_candidates(candidates, reduced, db)
         if mode in (MODE_ALL, MODE_CROWD):
             candidates_so = crowd_candidates(reduced, db)
             scored_crowd = score_crowd_candidates(candidates_so, reduced, db)
-        combined = select_and_combine(scored_project, scored_crowd, oracle, top_k=top_k)
+        combined = select_and_combine(scored_project, scored_crowd, oracle,
+                                      top_k=params.top_k)
         expansions = combined[:need]
 
     rendered = render_terms(

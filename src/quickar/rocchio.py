@@ -8,15 +8,11 @@ reduction step: this baseline expands, nothing more.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .corpus import Corpus
 from .reformulate import (
     CandidateScore,
-    DEFAULT_BUDGET,
-    DEFAULT_TOP_DOCS,
     KeywordSet,
+    Params,
     QueryRecord,
     Reformulation,
     collect_keywords,
@@ -30,18 +26,10 @@ MODE_ROCCHIO = "rocchio"
 SOURCE_FEEDBACK = "feedback"
 
 
-@dataclass(frozen=True)
-class RocchioConfig:
-    top_docs: int = DEFAULT_TOP_DOCS
-    # None: fill up to the shared 10-term query budget.
-    expansion_count: int | None = None
-    budget: int = DEFAULT_BUDGET
-
-
 def rank_feedback_terms(
     keywords: KeywordSet,
     searcher: Searcher,
-    top_docs: int = DEFAULT_TOP_DOCS,
+    top_docs: int = Params.top_docs,
 ) -> list[CandidateScore]:
     """Candidate terms of the top documents ranked by summed tf'*idf.
 
@@ -55,10 +43,9 @@ def rank_feedback_terms(
     surfaces: dict[str, str] = {}
     for hit in hits:
         doc = by_id[hit.doc_id]
-        for term, count in sorted(doc.term_counts.items()):
+        for term, weight in searcher.tf_idf(doc.term_counts).items():
             if term in exclude:
                 continue
-            weight = (1.0 + math.log(count)) * searcher.idf(term)
             totals[term] = totals.get(term, 0.0) + weight
             surfaces.setdefault(term, doc.surfaces[term])
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -71,12 +58,13 @@ def rank_feedback_terms(
 def rocchio_expand(
     query: QueryRecord,
     corpus: Corpus,
-    cfg: RocchioConfig = RocchioConfig(),
+    params: Params = Params(),
     *,
     stops: StopList,
     searcher: Searcher | None = None,
 ) -> Reformulation:
-    """Expand a query with the strongest terms of its top retrieved documents.
+    """Expand a query with the strongest terms of its top retrieved documents,
+    up to the query budget.
 
     An empty retrieval returns the keyword query unchanged. Raises
     QueryEmptyError when the title has no usable keywords at all.
@@ -84,10 +72,8 @@ def rocchio_expand(
     if searcher is None:
         searcher = searcher_for(corpus)
     keywords = collect_keywords(query, stops)
-    count = cfg.expansion_count
-    if count is None:
-        count = max(0, cfg.budget - len(keywords))
-    expansions = rank_feedback_terms(keywords, searcher, top_docs=cfg.top_docs)[:count]
+    count = max(0, params.budget - len(keywords))
+    expansions = rank_feedback_terms(keywords, searcher, top_docs=params.top_docs)[:count]
     rendered = render_terms(
         list(keywords.tokens) + [Token.from_surface(c.surface, WHOLE) for c in expansions]
     )

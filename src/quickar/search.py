@@ -34,11 +34,10 @@ class SearchHit:
 class Searcher:
     """Inverted-index retriever bound to one immutable corpus."""
 
-    def __init__(self, corpus: Corpus, drop_unknown: bool = False):
+    def __init__(self, corpus: Corpus):
         if corpus.n_docs == 0:
             raise DataError("cannot search an empty corpus")
         self.corpus = corpus
-        self.drop_unknown = drop_unknown
         n = corpus.n_docs
         self._idf = {
             term: math.log((n + 1) / (df + 1)) + 1.0
@@ -51,32 +50,30 @@ class Searcher:
         for index, doc in enumerate(corpus.documents):
             if not doc.term_counts:
                 continue
-            weights = {
-                term: (1.0 + math.log(count)) * self._idf[term]
-                for term, count in sorted(doc.term_counts.items())
-            }
+            weights = self.tf_idf(doc.term_counts)
             norm = math.sqrt(sum(w * w for w in weights.values()))
             for term, weight in weights.items():
                 self._postings.setdefault(term, []).append((index, weight / norm))
 
-    def idf(self, term: str) -> float:
-        return self._idf.get(term, self._unknown_idf)
+    def tf_idf(self, counts: dict[str, int]) -> dict[str, float]:
+        """tf'*idf weight of each term of a document's or a query's term
+        counts, in ascending term order."""
+        idf, unknown = self._idf, self._unknown_idf
+        return {
+            term: (1.0 + math.log(count)) * idf.get(term, unknown)
+            for term, count in sorted(counts.items())
+        }
 
     def query_vector(self, terms: Sequence[str]) -> dict[str, float]:
         """L2-normalized tf'*idf weights of a term query.
 
         Unknown terms keep their smoothed idf and only affect normalization
-        (they match nothing); with drop_unknown they are removed entirely.
+        (they match nothing).
         """
         counts: dict[str, int] = {}
         for term in terms:
-            if self.drop_unknown and term not in self._idf:
-                continue
             counts[term] = counts.get(term, 0) + 1
-        weights = {
-            term: (1.0 + math.log(count)) * self.idf(term)
-            for term, count in sorted(counts.items())
-        }
+        weights = self.tf_idf(counts)
         norm = math.sqrt(sum(w * w for w in weights.values()))
         if norm == 0.0:
             return {}
@@ -107,12 +104,11 @@ def _as_terms(query_terms) -> list[str]:
     return list(query_terms)
 
 
-def searcher_for(corpus: Corpus, drop_unknown: bool = False) -> Searcher:
+def searcher_for(corpus: Corpus) -> Searcher:
     """Searcher for `corpus`, cached on the corpus object."""
     cached = getattr(corpus, "_searcher", None)
-    if cached is None or cached.drop_unknown != drop_unknown:
-        cached = Searcher(corpus, drop_unknown=drop_unknown)
-        corpus._searcher = cached
+    if cached is None:
+        cached = corpus._searcher = Searcher(corpus)
     return cached
 
 

@@ -4,21 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-
-def map_ordered(func, items, jobs: int = 1) -> list:
-    """Order-preserving map, on a thread pool when jobs > 1.
-
-    Work functions must be pure; results are collected in input order, so
-    output never depends on the worker count.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items))
 
 
 @contextlib.contextmanager

@@ -16,7 +16,6 @@ from quickar.adjacency import (
     cosine_similarity,
     filter_titles,
     load,
-    merge,
     parse_title_line,
     read_title_dump,
     save,
@@ -172,22 +171,6 @@ def test_neighbor_count_sum_matches_oracle_slots(stops):
         assert sum(nbrs.values()) == slots
 
 
-def test_merge_equals_single_build(stops):
-    titles = synthetic_titles(90, seed=21)
-    whole = build(titles, stops, source="s")
-    for cut1, cut2 in [(30, 60), (1, 89), (45, 45)]:
-        parts = [titles[:cut1], titles[cut1:cut2], titles[cut2:]]
-        merged = merge(build(p, stops, source="s") for p in parts)
-        assert merged == whole
-
-
-def test_merge_rejects_mismatched_meta(stops):
-    a = build(synthetic_titles(5, seed=1), stops, window=2)
-    b = build(synthetic_titles(5, seed=2), stops, window=3)
-    with pytest.raises(DataError):
-        merge([a, b])
-
-
 def test_cosine_similarity_basics(trio_db):
     memory = trio_db.neighbors("memory")
     assert cosine_similarity(memory, memory, trio_db) == pytest.approx(1.0)
@@ -248,5 +231,5 @@ def test_save_is_sorted_and_deterministic(stops, tmp_path):
     titles = synthetic_titles(40, seed=13)
     p1, p2 = tmp_path / "a.db", tmp_path / "b.db"
     save(build(titles, stops), p1)
-    save(merge([build(titles[:17], stops), build(titles[17:], stops)]), p2)
+    save(build(titles[::-1], stops), p2)
     assert p1.read_bytes() == p2.read_bytes()

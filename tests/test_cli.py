@@ -3,6 +3,8 @@ and the strip-comments extraction mode."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from quickar import corpus
@@ -73,3 +75,110 @@ def test_index_strip_comments_golden(tmp_path, flags, lines):
     index = tmp_path / "index.txt"
     assert main(["index", "--src", str(src), "--out", str(index), *flags]) == 0
     assert index.read_text(encoding="utf-8").splitlines()[3:] == lines
+
+
+EVAL_DATA = Path(__file__).parent / "data" / "evaluate"
+
+
+def test_evaluate_golden(tmp_path, capsys):
+    # Three Java files, a title dump with one malformed line, and 17 queries:
+    # 3 dropped at rank <= 10 (one exactly at 10), 1 never retrieved, 13 kept.
+    db, index, out = tmp_path / "db.txt", tmp_path / "index.txt", tmp_path / "out"
+    assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db)]) == 0
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--index", str(index), "--db", str(db),
+                 "--queries", str(EVAL_DATA / "queries.tsv"), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    golden_text = (EVAL_DATA / "report.txt").read_text(encoding="utf-8")
+    assert captured.err == ""
+    assert captured.out == (f"{golden_text}\n"
+                            f"report written to {out / 'report.txt'} and {out / 'report.json'}\n")
+    assert (out / "report.txt").read_bytes() == (EVAL_DATA / "report.txt").read_bytes()
+    assert (out / "report.json").read_bytes() == (EVAL_DATA / "report.json").read_bytes()
+
+
+# Characters str.splitlines() breaks on besides "\n"; a document id holding
+# one of them must read back whole.
+@pytest.mark.parametrize("char", ["\r", "\x0c", "\x1c", "\x85", "\u2028"],
+                         ids=["cr", "ff", "fs", "nel", "ls"])
+def test_index_then_search_with_line_break_in_directory(tmp_path, capsys, char):
+    directory = f"gen{char}src"
+    src = write_tree(tmp_path / "src", {
+        f"{directory}/Gen.java": "class Gen { void parseToken() { } }",
+        "Main.java": "class Main { void run() { } }",
+    })
+    index = tmp_path / "index.txt"
+    assert main(["index", "--src", str(src), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--query", "parse token"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"1\t{directory}/Gen.java#1:parseToken\t")
+    assert captured.out.count("\n") == 1
+
+
+DB_WARNING = ("warning: adjacency database and index were built with different "
+              "stop lists\n")
+ACTIVE_WARNING = ("warning: active stop list differs from the one the adjacency "
+                  "database was built with\n")
+
+
+@pytest.mark.parametrize("db_stops, index_stops, warnings", [
+    (False, False, ""),
+    (False, True, DB_WARNING),
+    (True, True, ACTIVE_WARNING),
+    (True, False, DB_WARNING + ACTIVE_WARNING),
+], ids=["none", "db-vs-index", "active-vs-db", "both"])
+def test_stop_list_mismatch_warnings(tmp_path, capsys, db_stops, index_stops, warnings):
+    # Each artifact is built with the bundled stop list or a custom one;
+    # `reformulate` always runs with the bundled list.
+    custom = tmp_path / "stops.txt"
+    custom.write_text("the\nof\n", encoding="utf-8")
+    custom_flag = ["--stoplist", str(custom)]
+    db, index = tmp_path / "db.txt", tmp_path / "index.txt"
+    assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db),
+                 *(custom_flag if db_stops else [])]) == 0
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index),
+                 *(custom_flag if index_stops else [])]) == 0
+    capsys.readouterr()
+    assert main(["reformulate", "--index", str(index), "--db", str(db),
+                 "--query", "Validate order cart fails"]) == 0
+    assert capsys.readouterr().err == warnings
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-db", "--dump", "d.tsv", "--out", "db.txt"],
+    ["index", "--src", "src", "--out", "index.txt"],
+    ["evaluate", "--index", "i", "--db", "d", "--queries", "q", "--out", "o"],
+], ids=["build-db", "index", "evaluate"])
+def test_jobs_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "2"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --jobs 2\n")
+
+
+# A line feed would end an artifact line early: in a document id, in the
+# source directory name of an index, in the dump name of a database.
+@pytest.mark.parametrize("argv, tree, name", [
+    (["index", "--src", "src"], {"src/gen\nsrc/Gen.java": "class Gen { void f() { } }"},
+     "gen\nsrc/Gen.java"),
+    (["index", "--src", "root\nx"], {"root\nx/A.java": "class A { void run() { } }"},
+     "root\nx"),
+    (["build-db", "--dump", "du\nmp.tsv"], {"du\nmp.tsv": "1\tparse token\tjava\n"},
+     "du\nmp.tsv"),
+], ids=["document-id", "index-source", "database-source"])
+def test_line_feed_in_recorded_name_keeps_previous_artifact(
+        tmp_path, monkeypatch, capsys, argv, tree, name):
+    monkeypatch.chdir(tmp_path)
+    write_tree(tmp_path, tree)
+    previous = tmp_path / "artifact.txt"
+    previous.write_bytes(b"previous artifact\n")
+    assert main([*argv, "--out", "artifact.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"quickar {argv[0]}: error: cannot ")
+    assert repr(name)[1:-1] in captured.err and "holds a line feed" in captured.err
+    assert previous.read_bytes() == b"previous artifact\n"
+    assert len(list(tmp_path.iterdir())) == 2  # the tree and the artifact, no temporary file

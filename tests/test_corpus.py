@@ -211,15 +211,15 @@ def test_missing_directory(stops):
         build_corpus("/no/such/tree", stops)
 
 
-def test_rebuild_and_jobs_are_byte_identical(fixture_tree, stops, tmp_path):
+def test_rebuild_is_byte_identical(fixture_tree, stops, tmp_path):
     keywords = default_language_keywords()
     paths = []
-    for jobs in (1, 1, 8):
-        corpus = build_corpus(fixture_tree, stops, keywords, jobs=jobs)
+    for _ in range(2):
+        corpus = build_corpus(fixture_tree, stops, keywords)
         out = tmp_path / f"index{len(paths)}.txt"
         save(corpus, out)
         paths.append(out.read_bytes())
-    assert paths[0] == paths[1] == paths[2]
+    assert paths[0] == paths[1]
 
 
 def test_presplit_ingestion(tmp_path, stops):

@@ -1,0 +1,205 @@
+"""Evaluation harness: rank statistics against the oracles and scipy, the
+dataset filter's boundaries, the reduction-first rule, the percentage
+denominators, and report writes that fail."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import interpolated_quartiles, mwu_statistic
+from quickar import adjacency
+from quickar.corpus import build_corpus
+from quickar.evaluate import (
+    EXCLUDED,
+    IMPROVED,
+    PRESERVED,
+    WORSENED,
+    EvalReport,
+    StrategyResult,
+    filter_dataset,
+    mann_whitney_u,
+    parse_queries_tsv,
+    report_to_dict,
+    render_report_text,
+    run_evaluation,
+    summarize_ranks,
+)
+from quickar.errors import DataError
+from quickar.reformulate import MODE_ALL, QueryRecord, reformulate
+from quickar.search import Searcher, rank_of_first_relevant, searcher_for
+from quickar.textprep import default_language_keywords
+
+from conftest import make_corpus
+
+EVAL_DATA = Path(__file__).parent / "data" / "evaluate"
+
+# Small rank values, so that ties are common.
+samples = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples, samples)
+def test_mwu_statistic_matches_pairwise_count(a, b):
+    # The oracle counts the pairs sample A wins by ranking closer to the top.
+    assert mann_whitney_u(a, b).u_statistic == len(a) * len(b) - mwu_statistic(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples, samples)
+def test_mwu_matches_scipy(a, b):
+    stats = pytest.importorskip("scipy.stats")
+    expected = stats.mannwhitneyu(a, b, alternative="two-sided",
+                                  method="asymptotic", use_continuity=True)
+    result = mann_whitney_u(a, b)
+    assert result.u_statistic == expected.statistic
+    assert result.p_value == pytest.approx(expected.pvalue, abs=1e-12)
+    assert result.mean_rank_difference == pytest.approx(sum(a) / len(a) - sum(b) / len(b))
+
+
+def test_mwu_rejects_empty_sample():
+    with pytest.raises(ValueError):
+        mann_whitney_u([], [1])
+
+
+@given(st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=40))
+def test_summarize_ranks_matches_quartile_oracle(ranks):
+    summary = summarize_ranks(ranks)
+    q1, q2, q3 = interpolated_quartiles(ranks)
+    assert (summary.q1, summary.q2, summary.q3) == pytest.approx((q1, q2, q3), rel=1e-12)
+    assert summary.count == len(ranks)
+    assert (summary.min, summary.max) == (min(ranks), max(ranks))
+    assert summary.mean == pytest.approx(sum(ranks) / len(ranks))
+
+
+def test_summarize_no_ranks():
+    assert summarize_ranks([]).count == 0 and summarize_ranks([]).q2 is None
+
+
+def test_filter_dataset_boundaries(stops):
+    # Twenty equal documents: ties break by id, so d10 ranks 10th, d11 11th.
+    corpus = make_corpus([(f"d{i:02d}", "alpha beta") for i in range(1, 21)], stops)
+    queries = [
+        QueryRecord("at10", "alpha", frozenset({"d10"})),
+        QueryRecord("at11", "alpha", frozenset({"d11"})),
+        QueryRecord("best", "alpha", frozenset({"d11", "d20"})),
+        QueryRecord("none", "zeta", frozenset({"d01"})),
+    ]
+    result = filter_dataset(queries, Searcher(corpus))
+    assert [q.query_id for q in result.kept] == ["at11", "best"]
+    assert result.baseline_ranks == {"at11": 11, "best": 11}
+    assert result.dropped_low_rank == ["at10"]
+    assert result.dropped_not_retrieved == ["none"]
+    assert result.total == 4
+
+
+def test_filter_dataset_requires_gold(stops):
+    corpus = make_corpus([("d1", "alpha")], stops)
+    with pytest.raises(DataError):
+        filter_dataset([QueryRecord("q", "alpha")], Searcher(corpus))
+
+
+@pytest.fixture(scope="module")
+def fixture_run(stops, oracle):
+    db = adjacency.build(
+        adjacency.filter_titles(adjacency.read_title_dump(EVAL_DATA / "dump.tsv"), "java"),
+        stops, source="dump.tsv:java")
+    corpus = build_corpus(EVAL_DATA / "src", stops, default_language_keywords())
+    queries = parse_queries_tsv(EVAL_DATA / "queries.tsv")
+    return corpus, db, queries
+
+
+def test_full_pipeline_keeps_a_better_reduction_only_rank(fixture_run, stops, oracle):
+    corpus, db, queries = fixture_run
+    report = run_evaluation(queries, corpus, db, ("all", "red"), stops=stops, oracle=oracle)
+    red = {o.query_id: o for o in report.strategies["red"].outcomes}
+    searcher = searcher_for(corpus)
+    applied = 0
+    for outcome in report.strategies["all"].outcomes:
+        query = next(q for q in queries if q.query_id == outcome.query_id)
+        ref = reformulate(query, corpus, db, MODE_ALL, stops=stops, oracle=oracle)
+        expanded = rank_of_first_relevant(searcher.search(ref.rendered_query),
+                                          set(query.gold_docs))
+        reduced = red[outcome.query_id].reformulated_rank
+        if reduced is not None and reduced < outcome.baseline_rank:
+            assert outcome.reformulated_rank == reduced
+            applied += reduced != expanded
+        else:
+            assert outcome.reformulated_rank == expanded
+    assert applied > 0  # the rule decides at least one outcome of the fixture
+
+
+def test_strict_changes_only_the_denominator(fixture_run, stops, oracle):
+    corpus, db, queries = fixture_run
+    golden = json.loads((EVAL_DATA / "report.json").read_text(encoding="utf-8"))
+    strict = report_to_dict(run_evaluation(queries, corpus, db, stops=stops, oracle=oracle,
+                                           strict=True))
+    assert strict["denominator"] == "retrieved_only"
+    for name, res in strict["strategies"].items():
+        counts = res["counts"]
+        retrieved = sum(counts.values()) - counts[EXCLUDED]
+        for bucket in (IMPROVED, WORSENED, PRESERVED):
+            assert res["percentages"][bucket] == pytest.approx(
+                100.0 * counts[bucket] / retrieved)
+        res["percentages"] = golden["strategies"][name]["percentages"]
+    strict["denominator"] = "all"
+    assert strict == golden
+
+
+def report_with_counts(strict: bool) -> EvalReport:
+    counts = {IMPROVED: 2, WORSENED: 1, PRESERVED: 1, EXCLUDED: 4}
+    result = StrategyResult("all", [], counts,
+                            {b: summarize_ranks([]) for b in (IMPROVED, WORSENED, PRESERVED)})
+    return EvalReport(dataset={"total": 8, "kept": 8, "dropped_low_rank": 0,
+                               "dropped_not_retrieved": 0},
+                      strategies={"all": result}, strict=strict)
+
+
+@pytest.mark.parametrize("strict, denominator, percentages", [
+    (False, "all", [25.0, 12.5, 12.5, 50.0]),
+    (True, "retrieved_only", [50.0, 25.0, 25.0, 50.0]),
+])
+def test_percentage_denominators(strict, denominator, percentages):
+    report = report_with_counts(strict)
+    as_dict = report_to_dict(report)
+    assert as_dict["denominator"] == denominator
+    pct = as_dict["strategies"]["all"]["percentages"]
+    assert [pct[b] for b in (IMPROVED, WORSENED, PRESERVED, EXCLUDED)] == percentages
+    label = "retrieved queries only" if strict else "all evaluated queries"
+    assert f"Outcomes (percent of {label})" in render_report_text(report)
+
+
+# Writes report.json, then rewrites it under a file-size limit the new
+# report exceeds, so the second write fails part-way with EFBIG.
+FAILING_WRITE = """
+import resource, signal, sys
+from quickar.errors import DataError
+from quickar.evaluate import EvalReport, emit_report
+
+out = sys.argv[1]
+dataset = dict.fromkeys(("total", "kept", "dropped_low_rank", "dropped_not_retrieved"), 0)
+emit_report(EvalReport(dataset=dataset, params={"note": "old"}), out)
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.RLIM_INFINITY))
+try:
+    emit_report(EvalReport(dataset=dataset, params={"note": "x" * 20000}), out)
+except DataError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def test_failed_report_write_keeps_previous_report(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", FAILING_WRITE, str(tmp_path)],
+                          env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout.startswith(f"cannot write report to {tmp_path}: ")
+    assert json.loads((tmp_path / "report.json").read_text())["params"] == {"note": "old"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.txt"]

@@ -8,16 +8,16 @@ import pytest
 
 from oracles import dense_cosine_ranking, rocchio_term_ranking
 from quickar.errors import QueryEmptyError
-from quickar.reformulate import QueryRecord
-from quickar.rocchio import RocchioConfig, rocchio_expand
+from quickar.reformulate import Params, QueryRecord
+from quickar.rocchio import rocchio_expand
 
 from conftest import WORD_POOL, make_corpus
 
 
 def test_single_doc_single_candidate(stops):
     corpus = make_corpus([("only", "alpha beta beta")], stops)
-    ref = rocchio_expand(QueryRecord("q", "alpha"), corpus,
-                         RocchioConfig(expansion_count=1), stops=stops)
+    # One keyword plus one expansion term.
+    ref = rocchio_expand(QueryRecord("q", "alpha"), corpus, Params(budget=2), stops=stops)
     assert ref.query_text() == "alpha beta"
 
 
@@ -52,8 +52,7 @@ def test_expansion_matches_summation_oracle(stops):
         [counts[doc_id] for doc_id in top5],
         corpus.doc_freq, corpus.n_docs, exclude={"alpha", "quartz"})
 
-    ref = rocchio_expand(query, corpus, RocchioConfig(expansion_count=len(expected)),
-                         stops=stops)
+    ref = rocchio_expand(query, corpus, Params(budget=2 + len(expected)), stops=stops)
     assert [c.term for c in ref.expansion_terms] == [t for t, _ in expected]
     for cand, (_, score) in zip(ref.expansion_terms, expected):
         assert cand.score == pytest.approx(score, abs=1e-9)
@@ -63,7 +62,7 @@ def test_expansion_terms_come_from_top_docs(stops):
     docs = [("d0", "alpha beta"), ("d1", "alpha gamma"), ("d2", "delta zeta")]
     corpus = make_corpus(docs, stops)
     ref = rocchio_expand(QueryRecord("q", "alpha"), corpus,
-                         RocchioConfig(top_docs=2), stops=stops)
+                         Params(top_docs=2), stops=stops)
     assert {c.term for c in ref.expansion_terms} <= {"beta", "gamma"}
 
 

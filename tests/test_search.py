@@ -88,15 +88,6 @@ def test_unknown_terms_affect_only_normalization():
         assert a.score < b.score
 
 
-def test_drop_unknown_flag_removes_terms():
-    corpus = random_corpus(30, seed=6)
-    dropping = Searcher(corpus, drop_unknown=True)
-    kept = Searcher(corpus)
-    a = dropping.search(["alpha", "zzzz"])
-    b = kept.search(["alpha"])
-    assert [(h.doc_id, h.score) for h in a] == [(h.doc_id, h.score) for h in b]
-
-
 def test_tie_break_by_doc_id(stops):
     corpus = make_corpus([("b", "alpha"), ("a", "alpha"), ("c", "alpha")], stops)
     hits = search(corpus, ["alpha"])
