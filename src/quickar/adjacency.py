@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from . import artifact
 from .errors import CorruptFileError, DataError
 from .textprep import SPLIT_ONLY, StopList, preprocess
-from .util import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +130,7 @@ class DumpStats:
 
 def parse_title_line(line: str) -> TitleRecord:
     """Parse one `question_id<TAB>title<TAB>tag1;tag2;...` line."""
-    parts = line.rstrip("\n").split("\t")
+    parts = line.split("\t")
     if len(parts) != 3:
         raise DataError(f"expected 3 tab-separated fields, got {len(parts)}")
     qid_text, title, tag_field = parts
@@ -147,20 +147,15 @@ def parse_title_line(line: str) -> TitleRecord:
 def read_title_dump(path, stats: DumpStats | None = None) -> Iterator[TitleRecord]:
     """Stream TitleRecords from a TSV dump, skipping malformed lines."""
     stats = stats if stats is not None else DumpStats()
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read dump {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            stats.read += 1
-            try:
-                yield parse_title_line(line)
-            except DataError as exc:
-                stats.malformed += 1
-                log.warning("skipping malformed record at %s:%d: %s", path, lineno, exc)
+    for lineno, line in enumerate(artifact.read_lines(path, "dump"), start=1):
+        if not line.strip():
+            continue
+        stats.read += 1
+        try:
+            yield parse_title_line(line)
+        except DataError as exc:
+            stats.malformed += 1
+            log.warning("skipping malformed record at %s:%d: %s", path, lineno, exc)
 
 
 def filter_titles(records: Iterable[TitleRecord], required_tag: str) -> Iterator[TitleRecord]:
@@ -226,72 +221,40 @@ def build(
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
-#
-# Plain text, human-inspectable:
-#   #window=2
-#   #stoplist_sha=<hex>
-#   #source=<id>
-#   #binary=0
-#   word<TAB>neighbor:count,neighbor:count,...      (sorted by word, neighbor)
-#   #pairs=<total unordered pair count>             (trailing checksum)
+
+_HEADER_KEYS = ("window", "stoplist_sha", "source", "binary")
+
 
 def save(db: AdjacencyDatabase, path) -> None:
-    if "\n" in db.meta.source:
-        raise DataError(f"cannot record source {db.meta.source!r}: it holds a line feed")
-    try:
-        with atomic_write(path) as fh:
-            fh.write(f"#window={db.meta.window}\n")
-            fh.write(f"#stoplist_sha={db.meta.stoplist_sha}\n")
-            fh.write(f"#source={db.meta.source}\n")
-            fh.write(f"#binary={int(db.meta.binary)}\n")
-            for word in sorted(db.entries):
-                cells = ",".join(f"{n}:{c}" for n, c in sorted(db.entries[word].items()))
-                fh.write(f"{word}\t{cells}\n")
-            fh.write(f"#pairs={db.total_pair_count}\n")
-    except OSError as exc:
-        raise DataError(f"cannot write database {path}: {exc}") from exc
+    """Write `db` in the artifact layout: one record per word, its cells
+    `neighbor:count` sorted by neighbor, and the unordered pair count as
+    the checksum."""
+    header = {key: getattr(db.meta, key) for key in _HEADER_KEYS} | {"binary": int(db.meta.binary)}
+    records = ((word, ",".join(f"{n}:{c}" for n, c in sorted(db.entries[word].items())))
+               for word in sorted(db.entries))
+    artifact.save(path, "database", header, records, {"pairs": db.total_pair_count})
 
 
 def load(path) -> AdjacencyDatabase:
-    try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            lines = fh.read().removesuffix("\n").split("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read database {path}: {exc}") from exc
-
-    header: dict[str, str] = {}
+    header, records, declared = artifact.load(path, "database", _HEADER_KEYS, ("pairs",))
     entries: dict[str, dict[str, int]] = {}
-    declared_pairs: int | None = None
     try:
-        for line in lines:
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                if key == "pairs":
-                    declared_pairs = int(value)
-                else:
-                    header[key] = value
-                continue
-            word, _, cells = line.partition("\t")
+        for word, cells in records:
             nbrs: dict[str, int] = {}
             if cells:
                 for cell in cells.split(","):
                     nbr, _, count = cell.partition(":")
                     nbrs[nbr] = int(count)
             entries[word] = nbrs
+        window = int(header["window"])
     except ValueError as exc:
         raise CorruptFileError(f"unparseable database line in {path}: {exc}") from exc
 
-    meta = DbMeta(
-        window=int(header.get("window", DEFAULT_WINDOW)),
-        stoplist_sha=header.get("stoplist_sha", ""),
-        source=header.get("source", ""),
-        binary=header.get("binary", "0") == "1",
-    )
+    meta = DbMeta(window=window, stoplist_sha=header["stoplist_sha"],
+                  source=header["source"], binary=header["binary"] == "1")
     db = AdjacencyDatabase(entries=entries, meta=meta)
-    if declared_pairs is None:
-        raise CorruptFileError(f"{path}: missing trailing #pairs line (truncated file?)")
-    if db.total_pair_count != declared_pairs:
+    if db.total_pair_count != declared["pairs"]:
         raise CorruptFileError(
-            f"{path}: checksum mismatch, file declares {declared_pairs} pairs "
+            f"{path}: checksum mismatch, file declares {declared['pairs']} pairs "
             f"but body sums to {db.total_pair_count}")
     return db

@@ -14,11 +14,10 @@ import string
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable
 
+from . import artifact
 from .errors import CorruptFileError, DataError
 from .textprep import SPLIT_AND_KEEP_WHOLE, StopList, TermSequence, preprocess, words_sha
-from .util import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -311,32 +310,34 @@ class IngestStats:
     whole_file: int = 0  # files indexed as one whole-file document
 
 
-def _file_documents(
-    root: Path,
-    rel: str,
-    stops: StopList,
-    keywords: frozenset[str],
-    strip_comments: bool,
-) -> tuple[list[Document], bool] | None:
-    """Documents of one source file, and whether it became one whole-file
-    document; None when the file cannot be read."""
-    path = root / rel
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        log.warning("skipping unreadable file %s: %s", path, exc)
-        return None
-    if strip_comments:
-        _, text = _mask_comments_and_strings(text)
-    units = split_methods(text, fallback_name=Path(rel).stem)
-    docs = []
-    for ordinal, unit in enumerate(units, start=1):
-        number = 0 if unit.whole_file else ordinal
-        doc_id = f"{rel}#{number}:{unit.name}"
-        terms = preprocess(unit.text, stops, SPLIT_AND_KEEP_WHOLE,
-                           source_id=doc_id, extra_drop=keywords)
-        docs.append(Document.from_terms(doc_id, terms))
-    return docs, units[0].whole_file
+def _ingest(root, stops: StopList, keywords: frozenset[str], stats: IngestStats | None,
+            select, units_of) -> Corpus:
+    """Index the files under `root` that `select(path)` accepts, in path
+    order so a rebuild is byte-identical. `units_of(rel, text)` gives a
+    file's `(doc_id, text)` units and whether it became one whole-file
+    document; an unreadable file is skipped and counted."""
+    root = Path(root)
+    if not root.is_dir():
+        raise DataError(f"source directory not found: {root}")
+    stats = stats if stats is not None else IngestStats()
+    rels = sorted(p.relative_to(root).as_posix()
+                  for p in root.rglob("*") if p.is_file() and select(p))
+    documents: list[Document] = []
+    for rel in rels:
+        try:
+            text = (root / rel).read_text(encoding="utf-8", errors="replace")
+        except OSError as exc:
+            log.warning("skipping unreadable file %s: %s", root / rel, exc)
+            stats.skipped += 1
+            continue
+        units, whole_file = units_of(rel, text)
+        stats.files += 1
+        stats.whole_file += whole_file
+        for doc_id, unit_text in units:
+            terms = preprocess(unit_text, stops, SPLIT_AND_KEEP_WHOLE, extra_drop=keywords)
+            documents.append(Document.from_terms(doc_id, terms))
+    meta = CorpusMeta(source=root.name, stoplist_sha=stops.sha, keywords_sha=words_sha(keywords))
+    return Corpus(documents, meta=meta)
 
 
 def build_corpus(
@@ -347,32 +348,16 @@ def build_corpus(
     strip_comments: bool = False,
     stats: IngestStats | None = None,
 ) -> Corpus:
-    """Index every matching file under `root`, one document per method.
+    """Index every matching file under `root`, one document per method."""
 
-    Files are processed in lexicographic path order, so rebuilding from the
-    same tree is byte-identical.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise DataError(f"source directory not found: {root}")
-    stats = stats if stats is not None else IngestStats()
-    rels = sorted(
-        p.relative_to(root).as_posix()
-        for p in root.rglob("*")
-        if p.is_file() and p.suffix in extensions
-    )
-    documents: list[Document] = []
-    for rel in rels:
-        result = _file_documents(root, rel, stops, keywords, strip_comments)
-        if result is None:
-            stats.skipped += 1
-            continue
-        docs, whole_file = result
-        stats.files += 1
-        stats.whole_file += whole_file
-        documents.extend(docs)
-    meta = CorpusMeta(source=root.name, stoplist_sha=stops.sha, keywords_sha=words_sha(keywords))
-    return Corpus(documents, meta=meta)
+    def methods(rel: str, text: str):
+        if strip_comments:
+            _, text = _mask_comments_and_strings(text)
+        units = split_methods(text, fallback_name=Path(rel).stem)
+        return ([(f"{rel}#{0 if unit.whole_file else ordinal}:{unit.name}", unit.text)
+                 for ordinal, unit in enumerate(units, start=1)], units[0].whole_file)
+
+    return _ingest(root, stops, keywords, stats, lambda p: p.suffix in extensions, methods)
 
 
 def build_corpus_presplit(
@@ -387,85 +372,34 @@ def build_corpus_presplit(
     file and this path skips the heuristic splitter entirely. Document ids
     are the relative file paths.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise DataError(f"pre-split directory not found: {root}")
-    stats = stats if stats is not None else IngestStats()
-    rels = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
-    documents = []
-    for rel in rels:
-        try:
-            text = (root / rel).read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            log.warning("skipping unreadable file %s: %s", root / rel, exc)
-            stats.skipped += 1
-            continue
-        terms = preprocess(text, stops, SPLIT_AND_KEEP_WHOLE, source_id=rel, extra_drop=keywords)
-        stats.files += 1
-        documents.append(Document.from_terms(rel, terms))
-    meta = CorpusMeta(source=root.name, stoplist_sha=stops.sha, keywords_sha=words_sha(keywords))
-    return Corpus(documents, meta=meta)
+    return _ingest(root, stops, keywords, stats, lambda p: True,
+                   lambda rel, text: ([(rel, text)], False))
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
-#
-# Same style as the adjacency database file:
-#   #source=<id>
-#   #stoplist_sha=<hex>
-#   #keywords_sha=<hex>
-#   doc_id<TAB>surface:count,surface:count,...   (terms sorted by normalized)
-#   #docs=<n>,terms=<total term count>           (trailing checksum)
 
 _HEADER_KEYS = ("source", "stoplist_sha", "keywords_sha")
 
 
 def save(corpus: Corpus, path) -> None:
-    # A line feed in the source name or a document id would end its line
-    # early; every other character, "\r" and "\t" included, reads back.
-    for name in (corpus.meta.source, *(doc.doc_id for doc in corpus.documents)):
-        if "\n" in name:
-            raise DataError(f"cannot index {name!r}: its path holds a line feed")
-    total_terms = sum(doc.length for doc in corpus.documents)
-    try:
-        with atomic_write(path) as fh:
-            for key in _HEADER_KEYS:
-                fh.write(f"#{key}={getattr(corpus.meta, key)}\n")
-            for doc in corpus.documents:
-                cells = ",".join(
-                    f"{doc.surfaces[term]}:{count}"
-                    for term, count in sorted(doc.term_counts.items())
-                )
-                fh.write(f"{doc.doc_id}\t{cells}\n")
-            fh.write(f"#docs={corpus.n_docs},terms={total_terms}\n")
-    except OSError as exc:
-        raise DataError(f"cannot write index {path}: {exc}") from exc
+    """Write `corpus` in the artifact layout: one record per document, its
+    cells `surface:count` sorted by normalized term, and the document and
+    term counts as the checksum."""
+    records = ((doc.doc_id, ",".join(f"{doc.surfaces[term]}:{count}"
+                                     for term, count in sorted(doc.term_counts.items())))
+               for doc in corpus.documents)
+    checksum = {"docs": corpus.n_docs, "terms": sum(doc.length for doc in corpus.documents)}
+    header = {key: getattr(corpus.meta, key) for key in _HEADER_KEYS}
+    artifact.save(path, "index", header, records, checksum)
 
 
 def load(path) -> Corpus:
-    try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            lines = fh.read().removesuffix("\n").split("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read index {path}: {exc}") from exc
-
-    # Lines are told apart by position, not by a leading "#": a document id
-    # may start with "#" (a top-level directory named "#gen", say).
-    if len(lines) <= len(_HEADER_KEYS) or not lines[-1].startswith("#docs="):
-        raise CorruptFileError(f"{path}: missing trailing #docs line (truncated file?)")
-    header: dict[str, str] = {}
-    for key, line in zip(_HEADER_KEYS, lines):
-        prefix = f"#{key}="
-        if not line.startswith(prefix):
-            raise CorruptFileError(f"{path}: expected a {prefix} header line, found {line!r}")
-        header[key] = line[len(prefix):]
-    checksum = lines[-1][1:]
-
+    header, records, declared = artifact.load(path, "index", _HEADER_KEYS, ("docs", "terms"))
     documents: list[Document] = []
     try:
-        for line in lines[len(_HEADER_KEYS):-1]:
-            doc_id, _, cells = line.rpartition("\t")  # a path may hold a tab; terms never do
+        for doc_id, cells in records:
             counts: dict[str, int] = {}
             surfaces: dict[str, str] = {}
             if cells:
@@ -478,14 +412,7 @@ def load(path) -> Corpus:
     except ValueError as exc:
         raise CorruptFileError(f"unparseable index line in {path}: {exc}") from exc
 
-    try:
-        declared = dict(part.split("=", 1) for part in checksum.split(","))
-        n_docs, n_terms = int(declared["docs"]), int(declared["terms"])
-    except (ValueError, KeyError) as exc:
-        raise CorruptFileError(f"{path}: bad checksum line #{checksum}: {exc}") from exc
-    total_terms = sum(doc.length for doc in documents)
-    if len(documents) != n_docs or total_terms != n_terms:
-        raise CorruptFileError(
-            f"{path}: checksum mismatch, declared docs={n_docs} terms={n_terms}, "
-            f"found docs={len(documents)} terms={total_terms}")
+    found = {"docs": len(documents), "terms": sum(doc.length for doc in documents)}
+    if found != declared:
+        raise CorruptFileError(f"{path}: checksum mismatch, declared {declared}, found {found}")
     return Corpus(documents, meta=CorpusMeta(**header))

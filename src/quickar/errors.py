@@ -10,7 +10,7 @@ class DataError(QuickarError):
 
 
 class CorruptFileError(DataError):
-    """A persisted artifact failed its checksum or structure check."""
+    """A file failed its encoding, structure or checksum check."""
 
 
 class QueryEmptyError(QuickarError):

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .adjacency import AdjacencyDatabase
+from .artifact import read_lines, replace_files
 from .corpus import Corpus
 from .errors import DataError, QueryEmptyError
 from .nouns import NounOracle, default_noun_oracle
@@ -33,7 +34,6 @@ from .reformulate import (
 from .rocchio import rocchio_expand
 from .search import Searcher, rank_of_first_relevant, searcher_for
 from .textprep import StopList, default_stoplist, tokenize
-from .util import atomic_write
 
 # Outcome classifications.
 IMPROVED = "improved"
@@ -111,13 +111,8 @@ class EvalReport:
 
 def parse_queries_tsv(path) -> list[QueryRecord]:
     """`query_id<TAB>title<TAB>gold1;gold2;...`, one query per line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read queries file {path}: {exc}") from exc
     queries = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path, "queries file"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -528,18 +523,18 @@ def emit_report(report: EvalReport, out_dir) -> tuple[str, str]:
     """Write report.txt and report.json into `out_dir`; returns the paths.
 
     Output is byte-deterministic for fixed inputs: no timestamps, no
-    absolute paths, sorted JSON keys. Each file is replaced only once it is
-    completely written.
+    absolute paths, sorted JSON keys. Neither file is replaced before both
+    are completely written, so a failed write keeps both previous reports.
     """
     out_dir = Path(out_dir)
     text_path = out_dir / "report.txt"
     json_path = out_dir / "report.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with atomic_write(text_path) as fh:
-            fh.write(render_report_text(report))
-        with atomic_write(json_path) as fh:
-            fh.write(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+        replace_files({
+            text_path: render_report_text(report),
+            json_path: json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
+        })
     except OSError as exc:
         raise DataError(f"cannot write report to {out_dir}: {exc}") from exc
     return str(text_path), str(json_path)

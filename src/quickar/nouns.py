@@ -8,7 +8,7 @@ as nominal by the callers regardless (identifiers name things).
 
 from __future__ import annotations
 
-from importlib import resources
+from .textprep import bundled_words
 
 NOMINAL = "nominal"
 NON_NOMINAL = "non_nominal"
@@ -43,10 +43,4 @@ class NounOracle:
 
 
 def default_noun_oracle() -> NounOracle:
-    text = resources.files("quickar.data").joinpath("non_nouns.txt").read_text(encoding="utf-8")
-    words = set()
-    for line in text.splitlines():
-        word = line.split("#", 1)[0].strip()
-        if word:
-            words.add(word.lower())
-    return NounOracle(frozenset(words))
+    return NounOracle(frozenset(bundled_words("non_nouns.txt")))

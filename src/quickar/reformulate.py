@@ -140,7 +140,7 @@ def collect_keywords(query: QueryRecord, stops: StopList) -> KeywordSet:
     Raises QueryEmptyError when every term is filtered out, which marks the
     query as unreformulatable.
     """
-    terms = preprocess(query.text, stops, SPLIT_AND_KEEP_WHOLE, source_id=query.query_id)
+    terms = preprocess(query.text, stops, SPLIT_AND_KEEP_WHOLE)
     keywords = KeywordSet.from_terms(terms)
     if not keywords.tokens:
         raise QueryEmptyError(f"query {query.query_id!r}: no keywords survive preprocessing")
@@ -333,15 +333,12 @@ def reformulate(
                                       top_k=params.top_k)
         expansions = combined[:need]
 
-    rendered = render_terms(
-        list(reduced.tokens)
-        + [Token.from_surface(c.surface, WHOLE) for c in expansions]
-    )
-    rendered.source_id = query.query_id
     return Reformulation(
         query_id=query.query_id,
         mode=mode,
         reduced_keywords=reduced,
         expansion_terms=expansions,
-        rendered_query=rendered,
+        rendered_query=render_terms(
+            list(reduced.tokens)
+            + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
     )

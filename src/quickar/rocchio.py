@@ -74,14 +74,11 @@ def rocchio_expand(
     keywords = collect_keywords(query, stops)
     count = max(0, params.budget - len(keywords))
     expansions = rank_feedback_terms(keywords, searcher, top_docs=params.top_docs)[:count]
-    rendered = render_terms(
-        list(keywords.tokens) + [Token.from_surface(c.surface, WHOLE) for c in expansions]
-    )
-    rendered.source_id = query.query_id
     return Reformulation(
         query_id=query.query_id,
         mode=MODE_ROCCHIO,
         reduced_keywords=keywords,
         expansion_terms=expansions,
-        rendered_query=rendered,
+        rendered_query=render_terms(
+            list(keywords.tokens) + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
     )

@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
+
+from .artifact import read_lines
 
 # Token origins.
 WHOLE = "whole"
@@ -19,6 +21,8 @@ CAMEL_PART = "camel_part"
 # Preprocessing modes.
 SPLIT_ONLY = "split_only"
 SPLIT_AND_KEEP_WHOLE = "split_and_keep_whole"
+
+_DATA_DIR = Path(__file__).with_name("data")
 
 _TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
 
@@ -46,7 +50,6 @@ class TermSequence:
     """Ordered token list derived from one title, query, or document."""
 
     tokens: list[Token] = field(default_factory=list)
-    source_id: str = ""
 
     def normalized(self) -> list[str]:
         return [t.normalized for t in self.tokens]
@@ -89,34 +92,28 @@ class StopList:
 
     @classmethod
     def from_file(cls, path) -> "StopList":
-        words = _read_word_file(str(path))
-        return cls(words, source_path=str(path))
+        return cls(read_words(path), source_path=str(path))
 
 
-def _read_word_file(path: str) -> set[str]:
-    """One word per line, `#` starts a comment, blank lines ignored."""
+def read_words(path) -> set[str]:
+    """The lower-cased words of a word list: one word per line, `#` starts
+    a comment, blank lines ignored."""
     words: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip()
-            if word:
-                words.add(word.lower())
-    return words
-
-
-def _bundled_words(name: str) -> set[str]:
-    ref = resources.files("quickar.data").joinpath(name)
-    words: set[str] = set()
-    for line in ref.read_text(encoding="utf-8").splitlines():
+    for line in read_lines(path, "word list"):
         word = line.split("#", 1)[0].strip()
         if word:
             words.add(word.lower())
     return words
 
 
+def bundled_words(name: str) -> set[str]:
+    """The words of the list `name` bundled with the package."""
+    return read_words(_DATA_DIR / name)
+
+
 def default_stoplist() -> StopList:
     """The bundled English stop list (does not contain direction words)."""
-    return StopList(_bundled_words("stopwords.txt"), source_path="<bundled:stopwords.txt>")
+    return StopList(bundled_words("stopwords.txt"), source_path="<bundled:stopwords.txt>")
 
 
 def load_stoplist(path: str | None) -> StopList:
@@ -128,13 +125,13 @@ def load_stoplist(path: str | None) -> StopList:
 
 def default_language_keywords() -> frozenset[str]:
     """Bundled Java reserved words, for corpus preprocessing."""
-    return frozenset(_bundled_words("java_keywords.txt"))
+    return frozenset(bundled_words("java_keywords.txt"))
 
 
 def load_language_keywords(path: str | None) -> frozenset[str]:
     if path is None:
         return default_language_keywords()
-    return frozenset(_read_word_file(str(path)))
+    return frozenset(read_words(path))
 
 
 def tokenize(text: str) -> list[str]:
@@ -174,7 +171,6 @@ def preprocess(
     text: str,
     stops: StopList,
     mode: str = SPLIT_ONLY,
-    source_id: str = "",
     extra_drop: frozenset[str] | None = None,
 ) -> TermSequence:
     """Tokenize, camel-split, and stop-filter `text` into a TermSequence.
@@ -204,4 +200,4 @@ def preprocess(
             if extra_drop and tok.normalized in extra_drop:
                 continue
             tokens.append(tok)
-    return TermSequence(tokens=tokens, source_id=source_id)
+    return TermSequence(tokens=tokens)

@@ -43,7 +43,7 @@ def trio_db(stops):
 
 
 def make_document(doc_id: str, text: str, stops) -> Document:
-    terms = preprocess(text, stops, SPLIT_AND_KEEP_WHOLE, source_id=doc_id)
+    terms = preprocess(text, stops, SPLIT_AND_KEEP_WHOLE)
     return Document.from_terms(doc_id, terms)
 
 

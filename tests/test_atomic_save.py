@@ -18,9 +18,9 @@ def broken_corpus() -> Corpus:
 
 
 def broken_db() -> adjacency.AdjacencyDatabase:
-    # A count that is not an int fails the trailing pair total, after every
-    # body line is written.
-    return adjacency.AdjacencyDatabase({"alpha": {"beta": 1}, "beta": {"alpha": "1"}})
+    # Neighbors that do not sort make save raise TypeError after the header
+    # and the first word's line are written.
+    return adjacency.AdjacencyDatabase({"alpha": {"beta": 1}, "beta": {"alpha": 1, 2: 1}})
 
 
 @pytest.mark.parametrize("module, good, bad", [

@@ -3,6 +3,7 @@ and the strip-comments extraction mode."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -182,3 +183,70 @@ def test_line_feed_in_recorded_name_keeps_previous_artifact(
     assert repr(name)[1:-1] in captured.err and "holds a line feed" in captured.err
     assert previous.read_bytes() == b"previous artifact\n"
     assert len(list(tmp_path.iterdir())) == 2  # the tree and the artifact, no temporary file
+
+
+def test_index_pre_split_then_search(tmp_path, capsys):
+    pre = write_tree(tmp_path / "pre", {"one.txt": "parseToken lexer",
+                                        "sub/two.txt": "render page"})
+    index = tmp_path / "index.txt"
+    assert main(["index", "--pre-split", str(pre), "--out", str(index)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"corpus: 2 files, 2 documents, 6 terms -> {index}\n"
+    assert main(["search", "--index", str(index), "--query", "render"]) == 0
+    assert capsys.readouterr().out.startswith("1\tsub/two.txt\t")
+
+
+# Only a line feed ends a line of a dump or a query file; any other
+# line-break character is part of the title.
+def test_build_db_keeps_a_title_holding_a_carriage_return(tmp_path, capsys):
+    dump = tmp_path / "dump.tsv"
+    dump.write_bytes(b"1\tparse\rtoken list\tjava\n2\tparse token\tjava\n")
+    assert main(["build-db", "--dump", str(dump), "--out", str(tmp_path / "db.txt")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("adjacency database: 2 titles, ")
+
+
+def test_evaluate_reads_a_query_title_holding_a_next_line(tmp_path, capsys):
+    db, index, out = tmp_path / "db.txt", tmp_path / "index.txt", tmp_path / "out"
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("q1\tValidate order\x85cart fails\tShop.java#1:validate\n", encoding="utf-8")
+    assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db)]) == 0
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--index", str(index), "--db", str(db),
+                 "--queries", str(queries), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["dataset"]["total"] == 1
+
+
+# An input file that is missing or not UTF-8 is a data error naming the
+# file (exit 2), not a traceback.
+@pytest.mark.parametrize("command, flag, content, message", [
+    ("build-db", "--dump", b"1\tparse \xff token\tjava\n", "dump {} is not UTF-8 text"),
+    ("evaluate", "--queries", b"q1\tparse \xff token\tA.java#1:f\n",
+     "queries file {} is not UTF-8 text"),
+    ("search", "--index", b"#source=\xff\n", "index {} is not UTF-8 text"),
+    ("search", "--stoplist", b"the\n\xff\n", "word list {} is not UTF-8 text"),
+    ("index", "--keywords", None, "cannot read word list {}: "),
+    ("evaluate", "--stoplist", None, "cannot read word list {}: "),
+], ids=["dump", "queries", "index", "stoplist", "missing-keywords", "missing-stoplist"])
+def test_unreadable_input_is_a_data_error(tmp_path, capsys, command, flag, content, message):
+    db, index, bad = tmp_path / "db.txt", tmp_path / "index.txt", tmp_path / "bad"
+    assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db)]) == 0
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index)]) == 0
+    capsys.readouterr()
+    if content is not None:
+        bad.write_bytes(content)
+    options = {
+        "build-db": {"--out": tmp_path / "new.db"},
+        "evaluate": {"--index": index, "--db": db, "--queries": EVAL_DATA / "queries.tsv",
+                     "--out": tmp_path / "out"},
+        "search": {"--index": index, "--query": "cart"},
+        "index": {"--src": EVAL_DATA / "src", "--out": tmp_path / "new.txt"},
+    }[command] | {flag: bad}
+    assert main([command, *(str(part) for item in options.items() for part in item)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"quickar {command}: error: {message.format(bad)}")

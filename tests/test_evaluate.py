@@ -175,20 +175,22 @@ def test_percentage_denominators(strict, denominator, percentages):
     assert f"Outcomes (percent of {label})" in render_report_text(report)
 
 
-# Writes report.json, then rewrites it under a file-size limit the new
-# report exceeds, so the second write fails part-way with EFBIG.
+OLD_DATASET = dict.fromkeys(("total", "kept", "dropped_low_rank", "dropped_not_retrieved"), 0)
+
+# Writes both reports, then rewrites them under a file-size limit that the
+# new report.json exceeds and the new report.txt does not, so the second
+# write fails part-way with EFBIG.
 FAILING_WRITE = """
 import resource, signal, sys
 from quickar.errors import DataError
 from quickar.evaluate import EvalReport, emit_report
 
-out = sys.argv[1]
-dataset = dict.fromkeys(("total", "kept", "dropped_low_rank", "dropped_not_retrieved"), 0)
+out, dataset = sys.argv[1], %r
 emit_report(EvalReport(dataset=dataset, params={"note": "old"}), out)
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.RLIM_INFINITY))
 try:
-    emit_report(EvalReport(dataset=dataset, params={"note": "x" * 20000}), out)
+    emit_report(EvalReport(dataset={**dataset, "total": 7}, params={"note": "x" * 20000}), out)
 except DataError as exc:
     print(exc)
     sys.exit(3)
@@ -197,9 +199,10 @@ except DataError as exc:
 
 def test_failed_report_write_keeps_previous_report(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-c", FAILING_WRITE, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", FAILING_WRITE % OLD_DATASET, str(tmp_path)],
                           env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout.startswith(f"cannot write report to {tmp_path}: ")
     assert json.loads((tmp_path / "report.json").read_text())["params"] == {"note": "old"}
+    assert (tmp_path / "report.txt").read_text() == render_report_text(EvalReport(OLD_DATASET))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.txt"]
