@@ -83,8 +83,7 @@ class AdjacencyDatabase:
         norm = self._norms.get(word)
         if norm is None:
             nbrs = self.entries.get(word)
-            # Sorted for order-independent float accumulation.
-            norm = math.sqrt(sum(c * c for _, c in sorted(nbrs.items()))) if nbrs else 0.0
+            norm = math.sqrt(sum(c * c for c in nbrs.values())) if nbrs else 0.0
             self._norms[word] = norm
         return norm
 
@@ -105,14 +104,15 @@ def cosine_similarity(a: AdjacencyVector, b: AdjacencyVector,
     if not a.weights or not b.weights:
         return 0.0
     small, large = (a.weights, b.weights) if len(a.weights) <= len(b.weights) else (b.weights, a.weights)
-    dot = sum(c * large[w] for w, c in sorted(small.items()) if w in large)
+    # Counts are integers: their sums are exact in any order.
+    dot = sum(c * large[w] for w, c in small.items() if w in large)
     if dot == 0:
         return 0.0
     if db is not None:
         norm_a, norm_b = db.vector_norm(a.owner), db.vector_norm(b.owner)
     else:
-        norm_a = math.sqrt(sum(c * c for _, c in sorted(a.weights.items())))
-        norm_b = math.sqrt(sum(c * c for _, c in sorted(b.weights.items())))
+        norm_a = math.sqrt(sum(c * c for c in a.weights.values()))
+        norm_b = math.sqrt(sum(c * c for c in b.weights.values()))
     return dot / (norm_a * norm_b)
 
 

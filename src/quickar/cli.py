@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, adjacency, corpus as corpus_mod, evaluate as eval_mod
-from .errors import DataError, QuickarError
+from .errors import CorruptFileError, DataError, QuickarError
 from .nouns import default_noun_oracle
 from .reformulate import MODES, MODE_ALL, MODE_REDUCE, Params, QueryRecord, reformulate
 from .rocchio import rocchio_expand
@@ -56,22 +56,45 @@ def load_config(path: str | None) -> Config:
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise DataError(f"config file not found: {path}")
-    if not parser.has_section("quickar"):
-        raise DataError(f"{path}: missing [quickar] section")
-    section = parser["quickar"]
-    cfg.stoplist_path = section.get("stoplist_path", cfg.stoplist_path)
-    cfg.keywords_path = section.get("keywords_path", cfg.keywords_path)
-    cfg.window = section.getint("window", cfg.window)
-    cfg.params = Params(
-        top_docs=section.getint("top_docs", cfg.params.top_docs),
-        top_k=section.getint("top_k", cfg.params.top_k),
-        budget=section.getint("query_budget", cfg.params.budget),
-    )
-    cfg.mode = section.get("mode", cfg.mode)
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise DataError(f"config file not found: {path}")
+        if not parser.has_section("quickar"):
+            raise DataError(f"{path}: missing [quickar] section")
+        section = parser["quickar"]
+
+        def integer(key: str, default: int) -> int:
+            value = section.get(key)
+            try:
+                return default if value is None else int(value)
+            except ValueError:
+                raise DataError(f"{path}: {key} must be an integer, got {value!r}") from None
+
+        cfg.stoplist_path = section.get("stoplist_path", cfg.stoplist_path)
+        cfg.keywords_path = section.get("keywords_path", cfg.keywords_path)
+        cfg.window = integer("window", cfg.window)
+        cfg.params = Params(
+            top_docs=integer("top_docs", cfg.params.top_docs),
+            top_k=integer("top_k", cfg.params.top_k),
+            budget=integer("query_budget", cfg.params.budget),
+        )
+        cfg.mode = section.get("mode", cfg.mode)
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    except configparser.Error as exc:
+        raise DataError(f"config file {path}: {' '.join(str(exc).split())}") from exc
     return cfg
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +121,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tag", default="java", help="keep only titles carrying this tag")
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--window", type=int, default=None, help="sliding window size (default 2)")
-    p.add_argument("--limit", type=int, default=None, metavar="N",
+    p.add_argument("--limit", type=_at_least(0), default=None, metavar="N",
                    help="use only the first N tag-filtered titles")
     p.add_argument("--stoplist", default=None, metavar="FILE")
     p.add_argument("--binary", action="store_true",
@@ -119,7 +142,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="run a TF-IDF cosine search against an index")
     p.add_argument("--index", required=True, metavar="FILE")
     p.add_argument("--query", required=True)
-    p.add_argument("--top", type=int, default=10, metavar="N")
+    p.add_argument("--top", type=_at_least(1), default=10, metavar="N")
     p.add_argument("--stoplist", default=None, metavar="FILE")
 
     p = sub.add_parser("reformulate", help="suggest reformulations for one query")

@@ -32,7 +32,7 @@ from .reformulate import (
     render_terms,
 )
 from .rocchio import rocchio_expand
-from .search import Searcher, rank_of_first_relevant, searcher_for
+from .search import Searcher, searcher_for
 from .textprep import StopList, default_stoplist, tokenize
 
 # Outcome classifications.
@@ -155,8 +155,7 @@ def filter_dataset(
     result = FilterResult(kept=[], dropped_low_rank=[], dropped_not_retrieved=[],
                           baseline_ranks={}, total=len(queries))
     for query in queries:
-        hits = searcher.search(baseline_terms(query.text))
-        rank = rank_of_first_relevant(hits, set(query.gold_docs))
+        rank = searcher.rank(baseline_terms(query.text), query.gold_docs)
         if rank is None:
             result.dropped_not_retrieved.append(query.query_id)
         elif rank <= threshold:
@@ -322,10 +321,9 @@ def evaluate_strategy(
             outcomes.append(EvalOutcome(query.query_id, baseline, None, EXCLUDED,
                                         reason=str(exc)))
             continue
-        gold = set(query.gold_docs)
-        rank = rank_of_first_relevant(searcher.search(terms), gold)
+        rank = searcher.rank(terms, query.gold_docs)
         if reduced_terms is not None and baseline is not None:
-            reduced_rank = rank_of_first_relevant(searcher.search(reduced_terms), gold)
+            reduced_rank = searcher.rank(reduced_terms, query.gold_docs)
             if reduced_rank is not None and reduced_rank < baseline:
                 rank = reduced_rank
         reason = "gold not retrieved" if rank is None else ""

@@ -178,10 +178,9 @@ def project_candidates(
     """
     hits = searcher.search(keywords.normalized(), top_n=top_docs)
     exclude = keywords.normalized_set()
-    by_id = {doc.doc_id: doc for doc in searcher.corpus.documents}
     found: dict[str, str] = {}
     for hit in hits:
-        doc = by_id[hit.doc_id]
+        doc = searcher.document(hit.doc_id)
         for term in sorted(doc.term_counts):
             if term not in exclude:
                 found.setdefault(term, doc.surfaces[term])

@@ -38,11 +38,10 @@ def rank_feedback_terms(
     """
     hits = searcher.search(keywords.normalized(), top_n=top_docs)
     exclude = keywords.normalized_set()
-    by_id = {doc.doc_id: doc for doc in searcher.corpus.documents}
     totals: dict[str, float] = {}
     surfaces: dict[str, str] = {}
     for hit in hits:
-        doc = by_id[hit.doc_id]
+        doc = searcher.document(hit.doc_id)
         for term, weight in searcher.tf_idf(doc.term_counts).items():
             if term in exclude:
                 continue

@@ -12,11 +12,12 @@ reproducible; the evaluation harness relies on that.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, Document
 from .errors import DataError
 from .textprep import TermSequence
 
@@ -47,6 +48,7 @@ class Searcher:
         # Postings hold final L2-normalized document weights.
         self._postings: dict[str, list[tuple[int, float]]] = {}
         self._doc_ids = [doc.doc_id for doc in corpus.documents]
+        self._by_id = {doc.doc_id: doc for doc in corpus.documents}
         for index, doc in enumerate(corpus.documents):
             if not doc.term_counts:
                 continue
@@ -79,23 +81,56 @@ class Searcher:
             return {}
         return {term: w / norm for term, w in weights.items()}
 
-    def search(self, query_terms, top_n: int | None = None) -> list[SearchHit]:
-        """Ranked documents for a term query; zero-overlap documents are
-        omitted, an empty query returns an empty list."""
-        terms = _as_terms(query_terms)
-        qvec = self.query_vector(terms)
+    def document(self, doc_id: str) -> Document:
+        """The corpus document with this id (the last one, should ids repeat)."""
+        return self._by_id[doc_id]
+
+    def _scores(self, query_terms) -> dict[int, float]:
+        """Cosine score of every document sharing a term with the query, by
+        document position. Terms are added in ascending order, so a score is
+        the same float whichever method asks for it."""
+        qvec = self.query_vector(_as_terms(query_terms))
         scores: dict[int, float] = {}
         for term in sorted(qvec):
             weight = qvec[term]
             for index, doc_weight in self._postings.get(term, ()):
                 scores[index] = scores.get(index, 0.0) + weight * doc_weight
-        order = sorted(scores.items(), key=lambda kv: (-kv[1], self._doc_ids[kv[0]]))
-        if top_n is not None:
-            order = order[:top_n]
+        return scores
+
+    def search(self, query_terms, top_n: int | None = None) -> list[SearchHit]:
+        """Ranked documents for a term query; zero-overlap documents are
+        omitted, an empty query returns an empty list. With `top_n`, the
+        first `top_n` of that list, picked without sorting the rest."""
+        scores = self._scores(query_terms)
+        doc_ids = self._doc_ids
+
+        def key(item):
+            return -item[1], doc_ids[item[0]]
+
+        if top_n is None:
+            order = sorted(scores.items(), key=key)
+        else:
+            order = heapq.nsmallest(top_n, scores.items(), key=key)
         return [
-            SearchHit(doc_id=self._doc_ids[index], score=score, rank=rank)
+            SearchHit(doc_id=doc_ids[index], score=score, rank=rank)
             for rank, (index, score) in enumerate(order, start=1)
         ]
+
+    def rank(self, query_terms, gold: set[str] | frozenset[str]) -> int | None:
+        """Rank of the first `gold` document in `search(query_terms)`, or
+        NOT_RETRIEVED: 1 + the number of scored documents that sort before
+        the best gold one, counted without building or sorting the hits."""
+        if not gold:
+            raise ValueError("gold document set must not be empty")
+        scores = self._scores(query_terms)
+        doc_ids = self._doc_ids
+        best = min(((-score, doc_ids[index]) for index, score in scores.items()
+                    if doc_ids[index] in gold), default=None)
+        if best is None:
+            return NOT_RETRIEVED
+        best_score, best_id = -best[0], best[1]
+        return 1 + sum(1 for index, score in scores.items()
+                       if score > best_score or (score == best_score and doc_ids[index] < best_id))
 
 
 def _as_terms(query_terms) -> list[str]:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import window_pair_counts
+from oracles import sparse_cosine, window_pair_counts
 from quickar.adjacency import (
     AdjacencyDatabase,
     DbMeta,
@@ -175,6 +177,22 @@ def test_cosine_similarity_basics(trio_db):
     memory = trio_db.neighbors("memory")
     assert cosine_similarity(memory, memory, trio_db) == pytest.approx(1.0)
     assert cosine_similarity(memory, trio_db.neighbors("quantum"), trio_db) == 0.0
+
+
+neighbor_counts = st.dictionaries(st.sampled_from(["alpha", "beta", "gamma", "delta", "kelp"]),
+                                  st.integers(1, 10**9), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=neighbor_counts, b=neighbor_counts)
+def test_cosine_similarity_equals_sparse_oracle_exactly(a, b):
+    # Integer counts sum exactly in any order, so neither the neighbours'
+    # order nor the cached norms may move the result by a single bit.
+    expected = sparse_cosine(a, b)
+    for first, second in ((a, b), (dict(reversed(a.items())), dict(reversed(b.items())))):
+        db = AdjacencyDatabase({"a": first, "b": second})
+        assert cosine_similarity(db.neighbors("a"), db.neighbors("b")) == expected
+        assert cosine_similarity(db.neighbors("a"), db.neighbors("b"), db) == expected
 
 
 # -- persistence -------------------------------------------------------------

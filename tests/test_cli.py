@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from quickar import corpus
-from quickar.cli import main
+from quickar.cli import load_config, main
 
 
 def write_tree(root, files: dict[str, str]):
@@ -250,3 +250,63 @@ def test_unreadable_input_is_a_data_error(tmp_path, capsys, command, flag, conte
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"quickar {command}: error: {message.format(bad)}")
+
+
+def test_config_file_values_are_read(tmp_path):
+    config = tmp_path / "quickar.ini"
+    config.write_text("[quickar]\nwindow = 3\ntop_docs = 4\ntop_k = 2\nquery_budget = 7\n"
+                      "mode = p\nstoplist_path = stop%%.txt\n", encoding="utf-8")
+    cfg = load_config(str(config))
+    assert (cfg.window, cfg.mode, cfg.stoplist_path) == (3, "p", "stop%.txt")
+    assert (cfg.params.top_docs, cfg.params.top_k, cfg.params.budget) == (4, 2, 7)
+
+
+# A config file quickar cannot read is a data error (exit 2) naming the
+# file, not a traceback.
+@pytest.mark.parametrize("content, message", [
+    (b"[quickar]\nmode = p\xe9\n", "config file {} is not UTF-8 text: "),
+    (b"window = 3\n", "config file {}: File contains no section headers. "),
+    (b"[quickar]\nwindow = two\n", "{}: window must be an integer, got 'two'"),
+    (b"[quickar]\ntop_docs = 2.5\n", "{}: top_docs must be an integer, got '2.5'"),
+    (b"[quickar]\ntop_k = many\n", "{}: top_k must be an integer, got 'many'"),
+    (b"[quickar]\nquery_budget =\n", "{}: query_budget must be an integer, got ''"),
+    (b"[quickar]\nstoplist_path = stop%.txt\n", "config file {}: '%' must be followed by"),
+], ids=["not-utf8", "no-section-header", "window", "top_docs", "top_k", "query_budget",
+        "bad-interpolation"])
+def test_unreadable_config_is_a_data_error(tmp_path, capsys, content, message):
+    config = tmp_path / "quickar.ini"
+    config.write_bytes(content)
+    argv = ["--config", str(config), "search", "--index", str(tmp_path / "index.txt"),
+            "--query", "cart"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"quickar search: error: {message.format(config)}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build-db", "--dump", "d.tsv", "--out", "db.txt", "--limit", "-1"],
+     "argument --limit: must be at least 0, got -1"),
+    (["search", "--index", "i.txt", "--query", "cart", "--top", "0"],
+     "argument --top: must be at least 1, got 0"),
+    (["search", "--index", "i.txt", "--query", "cart", "--top", "-2"],
+     "argument --top: must be at least 1, got -2"),
+    (["search", "--index", "i.txt", "--query", "cart", "--top", "ten"],
+     "argument --top: invalid int value: 'ten'"),
+], ids=["limit-negative", "top-zero", "top-negative", "top-not-a-number"])
+def test_out_of_range_number_flag_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_smallest_limit_and_top_are_accepted(tmp_path, capsys):
+    db, index = tmp_path / "db.txt", tmp_path / "index.txt"
+    assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db),
+                 "--limit", "0"]) == 0
+    assert capsys.readouterr().out.startswith("adjacency database: 0 titles, ")
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["search", "--index", str(index), "--query", "cart", "--top", "1"]) == 0
+    assert capsys.readouterr().out.startswith("1\t")

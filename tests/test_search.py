@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import dense_cosine_ranking
 from quickar.corpus import Corpus, Document
@@ -159,3 +161,44 @@ def test_first_relevant_absent_is_not_retrieved():
 def test_first_relevant_empty_gold_is_error():
     with pytest.raises(ValueError):
         rank_of_first_relevant([], set())
+    with pytest.raises(ValueError):
+        Searcher(random_corpus(3, seed=10)).rank(["alpha"], set())
+
+
+# -- rank by counting and the partial top-n sort ------------------------------
+
+VOCAB = ["alpha", "beta", "gamma", "kelp"]
+
+
+@st.composite
+def small_corpora(draw) -> Corpus:
+    """A few documents over a tiny vocabulary, some of them copies under
+    other ids (equal scores, so the doc-id tie-break decides), in random
+    id order."""
+    counts = draw(st.lists(st.dictionaries(st.sampled_from(VOCAB), st.integers(1, 3), max_size=3),
+                           min_size=1, max_size=10))
+    counts += [dict(counts[i]) for i in draw(st.lists(st.integers(0, len(counts) - 1), max_size=4))]
+    ids = draw(st.permutations([f"d{i:02d}" for i in range(len(counts))]))
+    return Corpus([Document(doc_id=doc_id, term_counts=c, surfaces={w: w for w in c})
+                   for doc_id, c in zip(ids, counts)])
+
+
+queries = st.lists(st.sampled_from(VOCAB + ["zzz"]), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=small_corpora(), terms=queries, data=st.data())
+def test_rank_equals_rank_of_first_relevant(corpus, terms, data):
+    searcher = Searcher(corpus)
+    ids = [doc.doc_id for doc in corpus.documents]
+    gold = data.draw(st.sets(st.sampled_from(ids + ["ghost"]), min_size=1, max_size=3))
+    assert searcher.rank(terms, gold) == rank_of_first_relevant(searcher.search(terms), gold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=small_corpora(), terms=queries)
+def test_top_n_is_a_prefix_of_the_full_ranking(corpus, terms):
+    searcher = Searcher(corpus)
+    full = searcher.search(terms)
+    for k in range(len(full) + 3):
+        assert searcher.search(terms, top_n=k) == full[:k]
