@@ -120,7 +120,8 @@ def build_parser() -> _Parser:
                    help="title dump: question_id<TAB>title<TAB>tag1;tag2;...")
     p.add_argument("--tag", default="java", help="keep only titles carrying this tag")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--window", type=int, default=None, help="sliding window size (default 2)")
+    p.add_argument("--window", type=_at_least(2), default=None,
+                   help="sliding window size (default 2)")
     p.add_argument("--limit", type=_at_least(0), default=None, metavar="N",
                    help="use only the first N tag-filtered titles")
     p.add_argument("--stoplist", default=None, metavar="FILE")
@@ -175,8 +176,6 @@ def build_parser() -> _Parser:
 def _cmd_build_db(args, cfg: Config) -> int:
     stops = load_stoplist(args.stoplist or cfg.stoplist_path)
     window = args.window if args.window is not None else cfg.window
-    if window < 2:
-        raise DataError(f"window must be >= 2, got {window}")
     stats = adjacency.DumpStats()
     records = adjacency.filter_titles(adjacency.read_title_dump(args.dump, stats), args.tag)
     if args.limit is not None:
@@ -286,6 +285,8 @@ def _cmd_evaluate(args, cfg: Config) -> int:
     unknown = [s for s in strategies if s not in eval_mod.STRATEGIES]
     if unknown:
         raise DataError(f"unknown strategies: {', '.join(unknown)}")
+    if len(set(strategies)) < len(strategies):
+        raise DataError(f"a strategy is named more than once: {','.join(strategies)}")
     queries = eval_mod.parse_queries_tsv(args.queries)
     report = eval_mod.run_evaluation(queries, index, db, strategies,
                                      stops=stops, oracle=default_noun_oracle(),

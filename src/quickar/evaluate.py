@@ -22,13 +22,13 @@ from .errors import DataError, QueryEmptyError
 from .nouns import NounOracle, default_noun_oracle
 from .reformulate import (
     MODE_ALL,
-    MODE_CROWD,
-    MODE_PROJECT,
     MODE_REDUCE,
+    MODES,
     Params,
     QueryRecord,
+    Reformulation,
     collect_keywords,
-    reformulate,
+    reformulations,
     render_terms,
 )
 from .rocchio import rocchio_expand
@@ -44,8 +44,7 @@ BUCKETS = (IMPROVED, WORSENED, PRESERVED, EXCLUDED)
 
 # Evaluation strategies. The first four are reformulation modes, "rocchio"
 # is the feedback baseline, "prep" is the preprocessed title (no expansion).
-STRATEGIES = ("all", "p", "so", "red", "rocchio", "prep")
-_MODE_OF = {"all": MODE_ALL, "p": MODE_PROJECT, "so": MODE_CROWD, "red": MODE_REDUCE}
+STRATEGIES = MODES + ("rocchio", "prep")
 
 POOR_RANK_THRESHOLD = 10
 
@@ -110,8 +109,10 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 def parse_queries_tsv(path) -> list[QueryRecord]:
-    """`query_id<TAB>title<TAB>gold1;gold2;...`, one query per line."""
+    """`query_id<TAB>title<TAB>gold1;gold2;...`, one query per line; every
+    query id is unique."""
     queries = []
+    seen: set[str] = set()
     for lineno, line in enumerate(read_lines(path, "queries file"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -119,6 +120,9 @@ def parse_queries_tsv(path) -> list[QueryRecord]:
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
         query_id, title, gold_field = parts
+        if query_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate query id {query_id!r}")
+        seen.add(query_id)
         gold = frozenset(g.strip() for g in gold_field.split(";") if g.strip())
         queries.append(QueryRecord(query_id=query_id, text=title, gold_docs=gold))
     return queries
@@ -262,32 +266,6 @@ def _classify(baseline: int | None, reformulated: int | None) -> str:
     return PRESERVED
 
 
-def _strategy_terms(
-    query: QueryRecord,
-    strategy: str,
-    corpus: Corpus,
-    db: AdjacencyDatabase,
-    searcher: Searcher,
-    stops: StopList,
-    oracle: NounOracle,
-    params: Params,
-) -> tuple[list[str], list[str] | None]:
-    """Rendered query terms for a strategy, plus the reduction-only terms
-    when the reduction-first preference applies (full pipeline only)."""
-    if strategy == "prep":
-        keywords = collect_keywords(query, stops)
-        return render_terms(keywords.tokens).normalized(), None
-    if strategy == "rocchio":
-        ref = rocchio_expand(query, corpus, params, stops=stops, searcher=searcher)
-        return ref.rendered_query.normalized(), None
-    ref = reformulate(query, corpus, db, mode=_MODE_OF[strategy],
-                      stops=stops, oracle=oracle, params=params, searcher=searcher)
-    reduced_terms = None
-    if strategy == "all":
-        reduced_terms = render_terms(ref.reduced_keywords.tokens).normalized()
-    return ref.rendered_query.normalized(), reduced_terms
-
-
 def evaluate_strategy(
     queries: Sequence[QueryRecord],
     corpus: Corpus,
@@ -297,31 +275,44 @@ def evaluate_strategy(
     *,
     stops: StopList,
     oracle: NounOracle,
+    searcher: Searcher,
+    reformulated: dict[QueryRecord, dict[str, Reformulation]],
     params: Params = Params(),
-    searcher: Searcher | None = None,
 ) -> StrategyResult:
     """Evaluate one strategy over an already-filtered dataset.
 
     For the full pipeline, a query whose reduction step alone already
     improves the baseline keeps the reduction-only result and skips the
-    expansion, mirroring the conservative reformulation policy.
+    expansion, mirroring the conservative reformulation policy. The mode
+    strategies take each query's reformulations from `reformulated`, filling
+    in those missing; share one dict across calls to reformulate once.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if searcher is None:
-        searcher = searcher_for(corpus)
 
     outcomes = []
     for query in queries:
         baseline = baseline_ranks.get(query.query_id)
+        reduced_terms = None
         try:
-            terms, reduced_terms = _strategy_terms(
-                query, strategy, corpus, db, searcher, stops, oracle, params)
+            if strategy == "prep":
+                rendered = render_terms(collect_keywords(query, stops).tokens)
+            elif strategy == "rocchio":
+                rendered = rocchio_expand(query, corpus, params, stops=stops,
+                                          searcher=searcher).rendered_query
+            else:
+                if query not in reformulated:
+                    reformulated[query] = reformulations(
+                        query, corpus, db, stops=stops, oracle=oracle, params=params,
+                        searcher=searcher)
+                rendered = reformulated[query][strategy].rendered_query
+                if strategy == MODE_ALL:
+                    reduced_terms = reformulated[query][MODE_REDUCE].rendered_query.normalized()
         except QueryEmptyError as exc:
             outcomes.append(EvalOutcome(query.query_id, baseline, None, EXCLUDED,
                                         reason=str(exc)))
             continue
-        rank = searcher.rank(terms, query.gold_docs)
+        rank = searcher.rank(rendered.normalized(), query.gold_docs)
         if reduced_terms is not None and baseline is not None:
             reduced_rank = searcher.rank(reduced_terms, query.gold_docs)
             if reduced_rank is not None and reduced_rank < baseline:
@@ -371,10 +362,12 @@ def run_evaluation(
         strict=strict,
         params={**asdict(params), "threshold": POOR_RANK_THRESHOLD},
     )
+    reformulated: dict[QueryRecord, dict[str, Reformulation]] = {}
     for strategy in strategies:
         report.strategies[strategy] = evaluate_strategy(
             filtered.kept, corpus, db, strategy, filtered.baseline_ranks,
-            stops=stops, oracle=oracle, params=params, searcher=searcher)
+            stops=stops, oracle=oracle, params=params, searcher=searcher,
+            reformulated=reformulated)
 
     anchor = "all" if "all" in report.strategies else (strategies[0] if strategies else None)
     if anchor is not None:

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from .textprep import bundled_words
 
-NOMINAL = "nominal"
-NON_NOMINAL = "non_nominal"
-
 # Nouns that would otherwise be rejected by the suffix rules.
 _ING_WHITELIST = frozenset({
     "string", "strings", "thing", "things", "nothing", "something", "anything",
@@ -37,9 +34,6 @@ class NounOracle:
         if word.endswith("ed") and len(word) >= 4 and word not in _ED_WHITELIST:
             return False
         return True
-
-    def __call__(self, word: str) -> str:
-        return NOMINAL if self.is_noun(word) else NON_NOMINAL
 
 
 def default_noun_oracle() -> NounOracle:

@@ -298,6 +298,42 @@ def render_terms(tokens: list[Token]) -> TermSequence:
     return TermSequence(tokens=out)
 
 
+def reformulations(
+    query: QueryRecord,
+    corpus: Corpus,
+    db: AdjacencyDatabase,
+    *,
+    stops: StopList,
+    oracle: NounOracle,
+    params: Params = Params(),
+    searcher: Searcher | None = None,
+) -> dict[str, Reformulation]:
+    """One query's reformulation in every mode, keyed by mode: the keywords are
+    reduced once, each pool is scored once, and the modes merge different pools."""
+    keywords = collect_keywords(query, stops)
+    reduced = reduce_keywords(keywords, corpus, oracle, max_df_ratio=params.max_df_ratio)
+    need = max(0, params.budget - len(reduced))
+
+    scored_project: list[CandidateScore] = []
+    scored_crowd: list[CandidateScore] = []
+    if need > 0:
+        if searcher is None:
+            searcher = searcher_for(corpus)
+        candidates = project_candidates(reduced, searcher, top_docs=params.top_docs)
+        scored_project = score_project_candidates(candidates, reduced, db)
+        scored_crowd = score_crowd_candidates(crowd_candidates(reduced, db), reduced, db)
+
+    pools = {MODE_ALL: (scored_project, scored_crowd), MODE_PROJECT: (scored_project, []),
+             MODE_CROWD: ([], scored_crowd), MODE_REDUCE: ([], [])}
+    out = {}
+    for mode, (r_project, r_crowd) in pools.items():
+        expansions = select_and_combine(r_project, r_crowd, oracle, top_k=params.top_k)[:need]
+        rendered = render_terms(
+            reduced.tokens + [Token.from_surface(c.surface, WHOLE) for c in expansions])
+        out[mode] = Reformulation(query.query_id, mode, reduced, expansions, rendered)
+    return out
+
+
 def reformulate(
     query: QueryRecord,
     corpus: Corpus,
@@ -309,35 +345,8 @@ def reformulate(
     params: Params = Params(),
     searcher: Searcher | None = None,
 ) -> Reformulation:
-    """Run the full reformulation pipeline for one query in the given mode."""
+    """Run the reformulation pipeline for one query in the given mode."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    keywords = collect_keywords(query, stops)
-    reduced = reduce_keywords(keywords, corpus, oracle, max_df_ratio=params.max_df_ratio)
-    need = max(0, params.budget - len(reduced))
-
-    expansions: list[CandidateScore] = []
-    if mode != MODE_REDUCE and need > 0:
-        if searcher is None:
-            searcher = searcher_for(corpus)
-        scored_project: list[CandidateScore] = []
-        scored_crowd: list[CandidateScore] = []
-        if mode in (MODE_ALL, MODE_PROJECT):
-            candidates = project_candidates(reduced, searcher, top_docs=params.top_docs)
-            scored_project = score_project_candidates(candidates, reduced, db)
-        if mode in (MODE_ALL, MODE_CROWD):
-            candidates_so = crowd_candidates(reduced, db)
-            scored_crowd = score_crowd_candidates(candidates_so, reduced, db)
-        combined = select_and_combine(scored_project, scored_crowd, oracle,
-                                      top_k=params.top_k)
-        expansions = combined[:need]
-
-    return Reformulation(
-        query_id=query.query_id,
-        mode=mode,
-        reduced_keywords=reduced,
-        expansion_terms=expansions,
-        rendered_query=render_terms(
-            list(reduced.tokens)
-            + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
-    )
+    return reformulations(query, corpus, db, stops=stops, oracle=oracle, params=params,
+                          searcher=searcher)[mode]

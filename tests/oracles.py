@@ -2,7 +2,9 @@
 
 Everything here recomputes expected values from first principles on plain
 dicts and lists: no inverted index, no cached norms, no shared code paths
-with the package internals.
+with the package internals. The two frozen references at the end are the
+exception: earlier versions of package code, kept so that a rewrite must
+return exactly what the code it replaced returned.
 """
 
 from __future__ import annotations
@@ -13,6 +15,26 @@ import math
 import re
 
 from quickar.corpus import MethodUnit
+from quickar.reformulate import (
+    MODE_ALL,
+    MODE_CROWD,
+    MODE_PROJECT,
+    MODE_REDUCE,
+    MODES,
+    CandidateScore,
+    Params,
+    Reformulation,
+    collect_keywords,
+    crowd_candidates,
+    project_candidates,
+    reduce_keywords,
+    render_terms,
+    score_crowd_candidates,
+    score_project_candidates,
+    select_and_combine,
+)
+from quickar.search import searcher_for
+from quickar.textprep import WHOLE, Token
 
 log = logging.getLogger(__name__)
 
@@ -343,3 +365,47 @@ def reference_split_methods(text: str, fallback_name: str = "file") -> list[Meth
     if not units:
         return [MethodUnit(name=fallback_name, text=text, whole_file=True)]
     return units
+
+
+# ---------------------------------------------------------------------------
+# Reference reformulation
+# ---------------------------------------------------------------------------
+
+# The mode-by-mode `reformulate`, frozen verbatim apart from its name: each
+# call reduces the keywords and scores only the candidate pools its mode
+# merges. `reformulations` computes every mode in one pass and must agree
+# with it field by field. The pipeline stages it calls are the package's.
+
+def reference_reformulate(query, corpus, db, mode=MODE_ALL, *, stops, oracle,
+                          params=Params(), searcher=None) -> Reformulation:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    keywords = collect_keywords(query, stops)
+    reduced = reduce_keywords(keywords, corpus, oracle, max_df_ratio=params.max_df_ratio)
+    need = max(0, params.budget - len(reduced))
+
+    expansions: list[CandidateScore] = []
+    if mode != MODE_REDUCE and need > 0:
+        if searcher is None:
+            searcher = searcher_for(corpus)
+        scored_project: list[CandidateScore] = []
+        scored_crowd: list[CandidateScore] = []
+        if mode in (MODE_ALL, MODE_PROJECT):
+            candidates = project_candidates(reduced, searcher, top_docs=params.top_docs)
+            scored_project = score_project_candidates(candidates, reduced, db)
+        if mode in (MODE_ALL, MODE_CROWD):
+            candidates_so = crowd_candidates(reduced, db)
+            scored_crowd = score_crowd_candidates(candidates_so, reduced, db)
+        combined = select_and_combine(scored_project, scored_crowd, oracle,
+                                      top_k=params.top_k)
+        expansions = combined[:need]
+
+    return Reformulation(
+        query_id=query.query_id,
+        mode=mode,
+        reduced_keywords=reduced,
+        expansion_terms=expansions,
+        rendered_query=render_terms(
+            list(reduced.tokens)
+            + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
+    )

@@ -293,12 +293,47 @@ def test_unreadable_config_is_a_data_error(tmp_path, capsys, content, message):
      "argument --top: must be at least 1, got -2"),
     (["search", "--index", "i.txt", "--query", "cart", "--top", "ten"],
      "argument --top: invalid int value: 'ten'"),
-], ids=["limit-negative", "top-zero", "top-negative", "top-not-a-number"])
+    (["build-db", "--dump", "d.tsv", "--out", "db.txt", "--window", "1"],
+     "argument --window: must be at least 2, got 1"),
+], ids=["limit-negative", "top-zero", "top-negative", "top-not-a-number", "window-one"])
 def test_out_of_range_number_flag_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+# A query id names one query: the baseline ranks are kept by id.
+def test_evaluate_rejects_a_repeated_query_id(tmp_path, capsys):
+    db, index, queries = tmp_path / "db.txt", tmp_path / "index.txt", tmp_path / "queries.tsv"
+    rows = [line for line in (EVAL_DATA / "queries.tsv").read_text(encoding="utf-8").split("\n")
+            if line.startswith(("Q02\t", "Q03\t"))]
+    queries.write_text(rows[0] + "\n" + rows[1].replace("Q03", "Q02", 1) + "\n",
+                       encoding="utf-8")
+    assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db)]) == 0
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--index", str(index), "--db", str(db), "--queries", str(queries),
+                 "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"quickar evaluate: error: {queries}:2: duplicate query id 'Q02'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_rejects_a_repeated_strategy(tmp_path, capsys):
+    db, index = tmp_path / "db.txt", tmp_path / "index.txt"
+    assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db)]) == 0
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--index", str(index), "--db", str(db),
+                 "--queries", str(EVAL_DATA / "queries.tsv"), "--strategies", "all,p,p",
+                 "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("quickar evaluate: error: "
+                            "a strategy is named more than once: all,p,p\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_smallest_limit_and_top_are_accepted(tmp_path, capsys):

@@ -135,6 +135,20 @@ def test_full_pipeline_keeps_a_better_reduction_only_rank(fixture_run, stops, or
     assert applied > 0  # the rule decides at least one outcome of the fixture
 
 
+@pytest.mark.parametrize("subset", [("red",), ("so", "p"), ("prep", "all")],
+                         ids=["red", "so-p", "prep-all"])
+def test_strategy_subset_gives_the_outcomes_of_the_full_run(fixture_run, stops, oracle,
+                                                            subset):
+    # The mode strategies share one reformulation per query; which strategy
+    # computes it first must not change any strategy's outcomes.
+    corpus, db, queries = fixture_run
+    full = run_evaluation(queries, corpus, db, stops=stops, oracle=oracle)
+    part = run_evaluation(queries, corpus, db, subset, stops=stops, oracle=oracle)
+    assert list(part.strategies) == list(subset)
+    for name in subset:
+        assert part.strategies[name] == full.strategies[name]
+
+
 def test_strict_changes_only_the_denominator(fixture_run, stops, oracle):
     corpus, db, queries = fixture_run
     golden = json.loads((EVAL_DATA / "report.json").read_text(encoding="utf-8"))

@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
-from oracles import dense_cosine_ranking, sparse_cosine, window_pair_counts
+from oracles import dense_cosine_ranking, reference_reformulate, sparse_cosine, window_pair_counts
+from quickar import adjacency
 from quickar.adjacency import AdjacencyDatabase, build
+from quickar.corpus import build_corpus
 from quickar.errors import QueryEmptyError
+from quickar.evaluate import parse_queries_tsv
 from quickar.reformulate import (
     CandidateScore,
     MODE_ALL,
     MODE_CROWD,
     MODE_PROJECT,
     MODE_REDUCE,
+    MODES,
+    Params,
     QueryRecord,
     SOURCE_CROWD,
     SOURCE_PROJECT,
@@ -23,13 +29,19 @@ from quickar.reformulate import (
     project_candidates,
     reduce_keywords,
     reformulate,
+    reformulations,
     render_terms,
     score_crowd_candidates,
     score_project_candidates,
     select_and_combine,
 )
 from quickar.search import searcher_for
-from quickar.textprep import SPLIT_AND_KEEP_WHOLE, preprocess, split_camel
+from quickar.textprep import (
+    SPLIT_AND_KEEP_WHOLE,
+    default_language_keywords,
+    preprocess,
+    split_camel,
+)
 
 from conftest import WORD_POOL, make_corpus, synthetic_titles
 
@@ -375,6 +387,58 @@ def test_reformulate_deterministic(stops, oracle, working_corpus, working_db):
             for _ in range(3)]
     assert runs[0].query_text() == runs[1].query_text() == runs[2].query_text()
     assert runs[0].expansion_terms == runs[1].expansion_terms
+
+
+EVAL_DATA = Path(__file__).parent / "data" / "evaluate"
+
+
+@pytest.fixture(scope="module")
+def eval_fixture(stops):
+    db = adjacency.build(
+        adjacency.filter_titles(adjacency.read_title_dump(EVAL_DATA / "dump.tsv"), "java"),
+        stops, source="dump.tsv:java")
+    corpus = build_corpus(EVAL_DATA / "src", stops, default_language_keywords())
+    return corpus, db, parse_queries_tsv(EVAL_DATA / "queries.tsv")
+
+
+# The paper's defaults; one candidate per source; fewer mined documents; a
+# budget that a single kept keyword fills, so nothing is expanded; a budget
+# that two kept keywords fill; a stricter and a looser reduction.
+EQUIVALENCE_PARAMS = [
+    Params(),
+    Params(top_k=1),
+    Params(top_docs=1, top_k=2),
+    Params(budget=1),
+    Params(budget=2, top_k=3),
+    Params(max_df_ratio=0.05, budget=6),
+    Params(max_df_ratio=1.0, top_docs=8, top_k=8, budget=20),
+]
+
+
+@pytest.mark.parametrize("params", EQUIVALENCE_PARAMS, ids=[
+    "defaults", "top_k-1", "top_docs-1", "budget-1", "budget-2", "strict-df", "loose-df"])
+def test_one_pass_matches_the_mode_by_mode_reference(eval_fixture, stops, oracle, params):
+    corpus, db, queries = eval_fixture
+    searcher = searcher_for(corpus)
+    expanded = 0
+    for query in queries:
+        every_mode = reformulations(query, corpus, db, stops=stops, oracle=oracle,
+                                    params=params, searcher=searcher)
+        assert list(every_mode) == list(MODES)
+        for mode in MODES:
+            expected = reference_reformulate(query, corpus, db, mode, stops=stops,
+                                             oracle=oracle, params=params, searcher=searcher)
+            got = every_mode[mode]
+            assert got.query_id == expected.query_id and got.mode == expected.mode == mode
+            assert got.reduced_keywords == expected.reduced_keywords
+            assert got.expansion_terms == expected.expansion_terms
+            assert got.rendered_query == expected.rendered_query
+            assert reformulate(query, corpus, db, mode, stops=stops, oracle=oracle,
+                               params=params, searcher=searcher) == expected
+        expanded += bool(every_mode[MODE_ALL].expansion_terms)
+    # Not vacuous: a budget of 1 leaves every query nothing to expand
+    # (need == 0), and every other setting expands some query.
+    assert (expanded == 0) == (params.budget == 1)
 
 
 def test_scaled_adjacency_counts_keep_selection_order(stops, oracle, working_corpus, working_db):
