@@ -15,14 +15,13 @@ from .evaluate import EvalOutcome, MwuResult, RankSummary, mann_whitney_u, run_e
 from .nouns import NounOracle, default_noun_oracle
 from .reformulate import (
     CandidateScore,
-    KeywordSet,
     Params,
     QueryRecord,
     Reformulation,
     reformulate,
 )
 from .rocchio import rocchio_expand
-from .search import SearchHit, Searcher, rank_of_first_relevant, search
+from .search import SearchHit, Searcher, rank_of_first_relevant
 from .textprep import StopList, TermSequence, Token, default_stoplist, preprocess
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "DataError",
     "Document",
     "EvalOutcome",
-    "KeywordSet",
     "MwuResult",
     "NounOracle",
     "Params",
@@ -58,6 +56,5 @@ __all__ = [
     "reformulate",
     "rocchio_expand",
     "run_evaluation",
-    "search",
     "split_methods",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import artifact
@@ -41,17 +41,6 @@ class DbMeta:
     binary: bool = False  # True: each unordered pair counted once per title
 
 
-@dataclass
-class AdjacencyVector:
-    """The stored neighbor counts of one word. Treat `weights` as read-only."""
-
-    owner: str
-    weights: dict[str, int] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return bool(self.weights)
-
-
 class AdjacencyDatabase:
     """Symmetric word -> (neighbor -> count) map with build metadata."""
 
@@ -70,9 +59,10 @@ class AdjacencyDatabase:
         # Every unordered pair is stored in both directions.
         return sum(sum(nbrs.values()) for nbrs in self.entries.values()) // 2
 
-    def neighbors(self, word: str) -> AdjacencyVector:
-        """Stored adjacency vector of `word`; empty for unknown words."""
-        return AdjacencyVector(owner=word, weights=self.entries.get(word, {}))
+    def neighbors(self, word: str) -> dict[str, int]:
+        """The stored neighbor counts of `word`, empty for unknown words.
+        Treat the row as read-only."""
+        return self.entries.get(word, {})
 
     def cooccurrence_count(self, a: str, b: str) -> int:
         """Windowed co-occurrence count of the pair, 0 when never adjacent."""
@@ -87,6 +77,19 @@ class AdjacencyDatabase:
             self._norms[word] = norm
         return norm
 
+    def cosine(self, a: str, b: str) -> float:
+        """Cosine between the adjacency vectors of two words, 0.0 if either
+        is empty; symmetric to the bit."""
+        row_a, row_b = self.entries.get(a), self.entries.get(b)
+        if not row_a or not row_b:
+            return 0.0
+        small, large = (row_a, row_b) if len(row_a) <= len(row_b) else (row_b, row_a)
+        # Counts are integers: their sums are exact in any order.
+        dot = sum(c * large[w] for w, c in small.items() if w in large)
+        if dot == 0:
+            return 0.0
+        return dot / (self.vector_norm(a) * self.vector_norm(b))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdjacencyDatabase):
             return NotImplemented
@@ -95,25 +98,6 @@ class AdjacencyDatabase:
     def __repr__(self) -> str:
         return (f"AdjacencyDatabase(vocab_size={self.vocab_size}, "
                 f"total_pair_count={self.total_pair_count}, meta={self.meta})")
-
-
-def cosine_similarity(a: AdjacencyVector, b: AdjacencyVector,
-                      db: AdjacencyDatabase | None = None) -> float:
-    """Cosine between two count-weighted adjacency vectors, 0.0 if either is
-    empty. When `db` is given its cached norms are used."""
-    if not a.weights or not b.weights:
-        return 0.0
-    small, large = (a.weights, b.weights) if len(a.weights) <= len(b.weights) else (b.weights, a.weights)
-    # Counts are integers: their sums are exact in any order.
-    dot = sum(c * large[w] for w, c in small.items() if w in large)
-    if dot == 0:
-        return 0.0
-    if db is not None:
-        norm_a, norm_b = db.vector_norm(a.owner), db.vector_norm(b.owner)
-    else:
-        norm_a = math.sqrt(sum(c * c for c in a.weights.values()))
-        norm_b = math.sqrt(sum(c * c for c in b.weights.values()))
-    return dot / (norm_a * norm_b)
 
 
 # ---------------------------------------------------------------------------

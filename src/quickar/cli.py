@@ -199,10 +199,16 @@ def _cmd_index(args, cfg: Config) -> int:
     stats = corpus_mod.IngestStats()
     if args.pre_split:
         built = corpus_mod.build_corpus_presplit(args.pre_split, stops, keywords, stats=stats)
+        wanted = f"no readable file under {args.pre_split}"
     else:
         extensions = tuple(args.ext) if args.ext else corpus_mod.DEFAULT_EXTENSIONS
         built = corpus_mod.build_corpus(args.src, stops, keywords, extensions=extensions,
                                         strip_comments=args.strip_comments, stats=stats)
+        wanted = (f"no readable file with extension {' or '.join(map(repr, extensions))} "
+                  f"under {args.src}")
+    if built.n_docs == 0:
+        # An index with no documents is one that search cannot use.
+        raise DataError(f"nothing to index: {wanted}")
     corpus_mod.save(built, args.out)
     if stats.skipped:
         print(f"warning: skipped {stats.skipped} unreadable file(s)", file=sys.stderr)
@@ -218,7 +224,7 @@ def _cmd_search(args, cfg: Config) -> int:
     stops = load_stoplist(args.stoplist or cfg.stoplist_path)
     index = corpus_mod.load(args.index)
     terms = preprocess(args.query, stops, SPLIT_AND_KEEP_WHOLE)
-    hits = searcher_for(index).search(terms, top_n=args.top)
+    hits = searcher_for(index).search(terms.normalized(), top_n=args.top)
     for hit in hits:
         print(f"{hit.rank}\t{hit.doc_id}\t{hit.score:.6f}")
     return 0
@@ -255,18 +261,18 @@ def _cmd_reformulate(args, cfg: Config) -> int:
             "strategy": args.strategy,
             "mode": ref.mode,
             "reduced_keywords": [
-                {"term": t.normalized, "surface": t.surface} for t in ref.reduced_keywords
+                {"term": t.normalized, "surface": t.surface} for t in ref.keywords
             ],
             "expansion_terms": [
                 {"term": c.term, "surface": c.surface, "source": c.source, "score": c.score}
                 for c in ref.expansion_terms
             ],
-            "reduced_query": ref.reduced_query_text(),
+            "reduced_query": ref.keyword_query_text(),
             "rendered_query": ref.query_text(),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"reduced query : {ref.reduced_query_text()}")
+        print(f"reduced query : {ref.keyword_query_text()}")
         if ref.mode != MODE_REDUCE:
             print(f"expanded query: {ref.query_text()}")
             if ref.expansion_terms:
@@ -282,6 +288,8 @@ def _cmd_evaluate(args, cfg: Config) -> int:
     db = adjacency.load(args.db)
     _warn_meta_mismatch(db.meta, index.meta, stops)
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
+    if not strategies:
+        raise DataError(f"no strategy named in --strategies {args.strategies!r}")
     unknown = [s for s in strategies if s not in eval_mod.STRATEGIES]
     if unknown:
         raise DataError(f"unknown strategies: {', '.join(unknown)}")

@@ -276,7 +276,7 @@ def evaluate_strategy(
     stops: StopList,
     oracle: NounOracle,
     searcher: Searcher,
-    reformulated: dict[QueryRecord, dict[str, Reformulation]],
+    reformulated: dict[QueryRecord, tuple[dict[str, Reformulation], dict[str, int | None]]],
     params: Params = Params(),
 ) -> StrategyResult:
     """Evaluate one strategy over an already-filtered dataset.
@@ -284,39 +284,43 @@ def evaluate_strategy(
     For the full pipeline, a query whose reduction step alone already
     improves the baseline keeps the reduction-only result and skips the
     expansion, mirroring the conservative reformulation policy. The mode
-    strategies take each query's reformulations from `reformulated`, filling
-    in those missing; share one dict across calls to reformulate once.
+    strategies take each query's reformulations, and the rank of each mode
+    already ranked, from `reformulated`, filling in those missing; share one
+    dict across calls to reformulate a query once and rank each mode once.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
 
+    def mode_rank(query: QueryRecord, mode: str) -> int | None:
+        if query not in reformulated:
+            reformulated[query] = (reformulations(query, corpus, db, stops=stops, oracle=oracle,
+                                                  params=params, searcher=searcher), {})
+        refs, ranks = reformulated[query]
+        if mode not in ranks:
+            ranks[mode] = searcher.rank(refs[mode].rendered_query.normalized(), query.gold_docs)
+        return ranks[mode]
+
     outcomes = []
     for query in queries:
         baseline = baseline_ranks.get(query.query_id)
-        reduced_terms = None
         try:
-            if strategy == "prep":
-                rendered = render_terms(collect_keywords(query, stops).tokens)
-            elif strategy == "rocchio":
-                rendered = rocchio_expand(query, corpus, params, stops=stops,
-                                          searcher=searcher).rendered_query
+            if strategy in MODES:
+                rank = mode_rank(query, strategy)
+                if strategy == MODE_ALL and baseline is not None:
+                    reduced_rank = mode_rank(query, MODE_REDUCE)
+                    if reduced_rank is not None and reduced_rank < baseline:
+                        rank = reduced_rank
             else:
-                if query not in reformulated:
-                    reformulated[query] = reformulations(
-                        query, corpus, db, stops=stops, oracle=oracle, params=params,
-                        searcher=searcher)
-                rendered = reformulated[query][strategy].rendered_query
-                if strategy == MODE_ALL:
-                    reduced_terms = reformulated[query][MODE_REDUCE].rendered_query.normalized()
+                if strategy == "prep":
+                    rendered = render_terms(collect_keywords(query, stops).tokens)
+                else:
+                    rendered = rocchio_expand(query, corpus, params, stops=stops,
+                                              searcher=searcher).rendered_query
+                rank = searcher.rank(rendered.normalized(), query.gold_docs)
         except QueryEmptyError as exc:
             outcomes.append(EvalOutcome(query.query_id, baseline, None, EXCLUDED,
                                         reason=str(exc)))
             continue
-        rank = searcher.rank(rendered.normalized(), query.gold_docs)
-        if reduced_terms is not None and baseline is not None:
-            reduced_rank = searcher.rank(reduced_terms, query.gold_docs)
-            if reduced_rank is not None and reduced_rank < baseline:
-                rank = reduced_rank
         reason = "gold not retrieved" if rank is None else ""
         outcomes.append(EvalOutcome(query.query_id, baseline, rank,
                                     _classify(baseline, rank), reason=reason))
@@ -362,7 +366,7 @@ def run_evaluation(
         strict=strict,
         params={**asdict(params), "threshold": POOR_RANK_THRESHOLD},
     )
-    reformulated: dict[QueryRecord, dict[str, Reformulation]] = {}
+    reformulated: dict[QueryRecord, tuple[dict[str, Reformulation], dict[str, int | None]]] = {}
     for strategy in strategies:
         report.strategies[strategy] = evaluate_strategy(
             filtered.kept, corpus, db, strategy, filtered.baseline_ranks,

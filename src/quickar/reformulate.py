@@ -14,9 +14,9 @@ The pipeline for one change-request title:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .adjacency import AdjacencyDatabase, cosine_similarity
+from .adjacency import AdjacencyDatabase
 from .corpus import Corpus
 from .errors import QueryEmptyError
 from .nouns import NounOracle
@@ -64,35 +64,6 @@ class QueryRecord:
     gold_docs: frozenset[str] = frozenset()
 
 
-@dataclass
-class KeywordSet:
-    """Ordered keywords, deduplicated on normalized form (first wins)."""
-
-    tokens: list[Token] = field(default_factory=list)
-
-    @classmethod
-    def from_terms(cls, terms: TermSequence) -> "KeywordSet":
-        seen: set[str] = set()
-        kept = []
-        for tok in terms:
-            if tok.normalized not in seen:
-                seen.add(tok.normalized)
-                kept.append(tok)
-        return cls(tokens=kept)
-
-    def normalized(self) -> list[str]:
-        return [t.normalized for t in self.tokens]
-
-    def normalized_set(self) -> set[str]:
-        return {t.normalized for t in self.tokens}
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-
 @dataclass(frozen=True)
 class CandidateScore:
     """A candidate expansion term with its source and accumulated score."""
@@ -107,15 +78,15 @@ class CandidateScore:
 class Reformulation:
     query_id: str
     mode: str
-    reduced_keywords: KeywordSet
+    keywords: TermSequence  # reduced, except for the Rocchio baseline
     expansion_terms: list[CandidateScore]
     rendered_query: TermSequence
 
     def query_text(self) -> str:
         return " ".join(self.rendered_query.surfaces())
 
-    def reduced_query_text(self) -> str:
-        return " ".join(render_terms(self.reduced_keywords.tokens).surfaces())
+    def keyword_query_text(self) -> str:
+        return " ".join(render_terms(self.keywords.tokens).surfaces())
 
 
 def _is_identifier(token: Token) -> bool:
@@ -134,25 +105,27 @@ def _candidate_is_nominal(cand: CandidateScore, oracle: NounOracle) -> bool:
     return oracle.is_noun(cand.term)
 
 
-def collect_keywords(query: QueryRecord, stops: StopList) -> KeywordSet:
-    """Preprocessed, order-preserving deduplicated keywords of a title.
+def collect_keywords(query: QueryRecord, stops: StopList) -> TermSequence:
+    """Preprocessed keywords of a title, deduplicated on normalized form
+    (first wins).
 
     Raises QueryEmptyError when every term is filtered out, which marks the
     query as unreformulatable.
     """
-    terms = preprocess(query.text, stops, SPLIT_AND_KEEP_WHOLE)
-    keywords = KeywordSet.from_terms(terms)
-    if not keywords.tokens:
+    first: dict[str, Token] = {}
+    for tok in preprocess(query.text, stops, SPLIT_AND_KEEP_WHOLE):
+        first.setdefault(tok.normalized, tok)
+    if not first:
         raise QueryEmptyError(f"query {query.query_id!r}: no keywords survive preprocessing")
-    return keywords
+    return TermSequence(tokens=list(first.values()))
 
 
 def reduce_keywords(
-    keywords: KeywordSet,
+    keywords: TermSequence,
     corpus: Corpus,
     oracle: NounOracle,
     max_df_ratio: float = Params.max_df_ratio,
-) -> KeywordSet:
+) -> TermSequence:
     """Drop non-nominal keywords and those occurring in more than
     `max_df_ratio` of the documents; if that empties the set, the original
     keywords are returned unchanged."""
@@ -163,11 +136,11 @@ def reduce_keywords(
     ]
     if not kept:
         return keywords
-    return KeywordSet(tokens=kept)
+    return TermSequence(tokens=kept)
 
 
 def project_candidates(
-    keywords: KeywordSet,
+    keywords: TermSequence,
     searcher: Searcher,
     top_docs: int = Params.top_docs,
 ) -> dict[str, str]:
@@ -176,8 +149,9 @@ def project_candidates(
     Returns normalized term -> representative surface, excluding the
     keywords themselves. An empty retrieval yields an empty mapping.
     """
-    hits = searcher.search(keywords.normalized(), top_n=top_docs)
-    exclude = keywords.normalized_set()
+    words = keywords.normalized()
+    hits = searcher.search(words, top_n=top_docs)
+    exclude = set(words)
     found: dict[str, str] = {}
     for hit in hits:
         doc = searcher.document(hit.doc_id)
@@ -187,27 +161,26 @@ def project_candidates(
     return found
 
 
-def crowd_candidates(keywords: KeywordSet, db: AdjacencyDatabase) -> set[str]:
+def crowd_candidates(keywords: TermSequence, db: AdjacencyDatabase) -> set[str]:
     """Union of the keywords' adjacency lists, minus the keywords."""
-    exclude = keywords.normalized_set()
+    words = keywords.normalized()
     found: set[str] = set()
-    for word in keywords.normalized():
-        found.update(db.neighbors(word).weights)
-    return found - exclude
+    for word in words:
+        found.update(db.neighbors(word))
+    return found - set(words)
 
 
 def score_project_candidates(
     candidates: dict[str, str],
-    keywords: KeywordSet,
+    keywords: TermSequence,
     db: AdjacencyDatabase,
 ) -> list[CandidateScore]:
     """Accumulated adjacency-vector cosine of each candidate against every
     keyword; candidates or keywords without adjacency entries contribute 0."""
-    keyword_vectors = [db.neighbors(word) for word in keywords.normalized()]
+    words = keywords.normalized()
     scored = []
     for term in sorted(candidates):
-        vec = db.neighbors(term)
-        score = sum(cosine_similarity(vec, kv, db) for kv in keyword_vectors)
+        score = sum(db.cosine(term, word) for word in words)
         scored.append(CandidateScore(term=term, surface=candidates[term],
                                      source=SOURCE_PROJECT, score=score))
     return scored
@@ -215,7 +188,7 @@ def score_project_candidates(
 
 def score_crowd_candidates(
     candidates: set[str],
-    keywords: KeywordSet,
+    keywords: TermSequence,
     db: AdjacencyDatabase,
 ) -> list[CandidateScore]:
     """Accumulated windowed co-occurrence count of each candidate against

@@ -11,7 +11,6 @@ from __future__ import annotations
 from .corpus import Corpus
 from .reformulate import (
     CandidateScore,
-    KeywordSet,
     Params,
     QueryRecord,
     Reformulation,
@@ -19,7 +18,7 @@ from .reformulate import (
     render_terms,
 )
 from .search import Searcher, searcher_for
-from .textprep import StopList, Token, WHOLE
+from .textprep import StopList, TermSequence, Token, WHOLE
 
 MODE_ROCCHIO = "rocchio"
 
@@ -27,7 +26,7 @@ SOURCE_FEEDBACK = "feedback"
 
 
 def rank_feedback_terms(
-    keywords: KeywordSet,
+    keywords: TermSequence,
     searcher: Searcher,
     top_docs: int = Params.top_docs,
 ) -> list[CandidateScore]:
@@ -36,8 +35,9 @@ def rank_feedback_terms(
     Uses the retriever's own weighting (tf' = 1 + ln count, smoothed idf) so
     the baseline and the retriever agree on what "important" means.
     """
-    hits = searcher.search(keywords.normalized(), top_n=top_docs)
-    exclude = keywords.normalized_set()
+    words = keywords.normalized()
+    hits = searcher.search(words, top_n=top_docs)
+    exclude = set(words)
     totals: dict[str, float] = {}
     surfaces: dict[str, str] = {}
     for hit in hits:
@@ -76,8 +76,8 @@ def rocchio_expand(
     return Reformulation(
         query_id=query.query_id,
         mode=MODE_ROCCHIO,
-        reduced_keywords=keywords,
+        keywords=keywords,
         expansion_terms=expansions,
         rendered_query=render_terms(
-            list(keywords.tokens) + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
+            keywords.tokens + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
     )

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document
 from .errors import DataError
-from .textprep import TermSequence
 
 # Sentinel rank for "the gold document never showed up in the result list".
 NOT_RETRIEVED = None
@@ -85,11 +84,11 @@ class Searcher:
         """The corpus document with this id (the last one, should ids repeat)."""
         return self._by_id[doc_id]
 
-    def _scores(self, query_terms) -> dict[int, float]:
+    def _scores(self, query_terms: Sequence[str]) -> dict[int, float]:
         """Cosine score of every document sharing a term with the query, by
         document position. Terms are added in ascending order, so a score is
         the same float whichever method asks for it."""
-        qvec = self.query_vector(_as_terms(query_terms))
+        qvec = self.query_vector(query_terms)
         scores: dict[int, float] = {}
         for term in sorted(qvec):
             weight = qvec[term]
@@ -97,10 +96,11 @@ class Searcher:
                 scores[index] = scores.get(index, 0.0) + weight * doc_weight
         return scores
 
-    def search(self, query_terms, top_n: int | None = None) -> list[SearchHit]:
-        """Ranked documents for a term query; zero-overlap documents are
-        omitted, an empty query returns an empty list. With `top_n`, the
-        first `top_n` of that list, picked without sorting the rest."""
+    def search(self, query_terms: Sequence[str], top_n: int | None = None) -> list[SearchHit]:
+        """Ranked documents for a query of normalized terms; zero-overlap
+        documents are omitted, an empty query returns an empty list. With
+        `top_n`, the first `top_n` of that list, picked without sorting the
+        rest."""
         scores = self._scores(query_terms)
         doc_ids = self._doc_ids
 
@@ -116,7 +116,7 @@ class Searcher:
             for rank, (index, score) in enumerate(order, start=1)
         ]
 
-    def rank(self, query_terms, gold: set[str] | frozenset[str]) -> int | None:
+    def rank(self, query_terms: Sequence[str], gold: set[str] | frozenset[str]) -> int | None:
         """Rank of the first `gold` document in `search(query_terms)`, or
         NOT_RETRIEVED: 1 + the number of scored documents that sort before
         the best gold one, counted without building or sorting the hits."""
@@ -133,23 +133,12 @@ class Searcher:
                        if score > best_score or (score == best_score and doc_ids[index] < best_id))
 
 
-def _as_terms(query_terms) -> list[str]:
-    if isinstance(query_terms, TermSequence):
-        return query_terms.normalized()
-    return list(query_terms)
-
-
 def searcher_for(corpus: Corpus) -> Searcher:
     """Searcher for `corpus`, cached on the corpus object."""
     cached = getattr(corpus, "_searcher", None)
     if cached is None:
         cached = corpus._searcher = Searcher(corpus)
     return cached
-
-
-def search(corpus: Corpus, query_terms, top_n: int | None = None) -> list[SearchHit]:
-    """Convenience wrapper around a cached Searcher."""
-    return searcher_for(corpus).search(query_terms, top_n=top_n)
 
 
 def rank_of_first_relevant(hits: Iterable[SearchHit], gold: set[str]) -> int | None:

@@ -76,9 +76,8 @@ def words_sha(words) -> str:
 class StopList:
     """Immutable set of stop words, matched against normalized tokens."""
 
-    def __init__(self, words: set[str], source_path: str = "<memory>"):
+    def __init__(self, words: set[str]):
         self.words = frozenset(w.lower() for w in words)
-        self.source_path = source_path
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
@@ -92,7 +91,7 @@ class StopList:
 
     @classmethod
     def from_file(cls, path) -> "StopList":
-        return cls(read_words(path), source_path=str(path))
+        return cls(read_words(path))
 
 
 def read_words(path) -> set[str]:
@@ -113,7 +112,7 @@ def bundled_words(name: str) -> set[str]:
 
 def default_stoplist() -> StopList:
     """The bundled English stop list (does not contain direction words)."""
-    return StopList(bundled_words("stopwords.txt"), source_path="<bundled:stopwords.txt>")
+    return StopList(bundled_words("stopwords.txt"))
 
 
 def load_stoplist(path: str | None) -> StopList:

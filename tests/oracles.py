@@ -403,7 +403,7 @@ def reference_reformulate(query, corpus, db, mode=MODE_ALL, *, stops, oracle,
     return Reformulation(
         query_id=query.query_id,
         mode=mode,
-        reduced_keywords=reduced,
+        keywords=reduced,
         expansion_terms=expansions,
         rendered_query=render_terms(
             list(reduced.tokens)

@@ -15,7 +15,6 @@ from quickar.adjacency import (
     DumpStats,
     TitleRecord,
     build,
-    cosine_similarity,
     filter_titles,
     load,
     parse_title_line,
@@ -75,7 +74,7 @@ def test_dump_reader_missing_file():
 # -- building ----------------------------------------------------------------
 
 def test_trio_memory_adjacency(trio_db):
-    assert set(trio_db.neighbors("memory").weights) == {"creating", "leak", "cause", "down"}
+    assert set(trio_db.neighbors("memory")) == {"creating", "leak", "cause", "down"}
 
 
 def test_single_title_single_pair(stops):
@@ -108,7 +107,7 @@ def test_neighbor_rows_match_oracle(stops):
     expected = window_pair_counts(preprocessed(titles, stops), window=2)
     for word in db.entries:
         row = {b: c for (a, b), c in expected.items() if a == word}
-        assert db.neighbors(word).weights == row
+        assert db.neighbors(word) == row
 
 
 def test_window_below_two_rejected(stops):
@@ -138,8 +137,7 @@ def test_binary_mode_counts_pairs_once_per_title(stops):
 # -- queries -----------------------------------------------------------------
 
 def test_neighbors_unknown_word_empty(trio_db):
-    vec = trio_db.neighbors("quantum")
-    assert vec.owner == "quantum" and vec.weights == {}
+    assert trio_db.neighbors("quantum") == {}
 
 
 def test_cooccurrence_trio_memory_leak(trio_db):
@@ -174,9 +172,8 @@ def test_neighbor_count_sum_matches_oracle_slots(stops):
 
 
 def test_cosine_similarity_basics(trio_db):
-    memory = trio_db.neighbors("memory")
-    assert cosine_similarity(memory, memory, trio_db) == pytest.approx(1.0)
-    assert cosine_similarity(memory, trio_db.neighbors("quantum"), trio_db) == 0.0
+    assert trio_db.cosine("memory", "memory") == pytest.approx(1.0)
+    assert trio_db.cosine("memory", "quantum") == 0.0
 
 
 neighbor_counts = st.dictionaries(st.sampled_from(["alpha", "beta", "gamma", "delta", "kelp"]),
@@ -191,8 +188,8 @@ def test_cosine_similarity_equals_sparse_oracle_exactly(a, b):
     expected = sparse_cosine(a, b)
     for first, second in ((a, b), (dict(reversed(a.items())), dict(reversed(b.items())))):
         db = AdjacencyDatabase({"a": first, "b": second})
-        assert cosine_similarity(db.neighbors("a"), db.neighbors("b")) == expected
-        assert cosine_similarity(db.neighbors("a"), db.neighbors("b"), db) == expected
+        assert db.cosine("a", "b") == expected
+        assert db.cosine("b", "a") == expected
 
 
 # -- persistence -------------------------------------------------------------

@@ -321,19 +321,44 @@ def test_evaluate_rejects_a_repeated_query_id(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_evaluate_rejects_a_repeated_strategy(tmp_path, capsys):
+@pytest.mark.parametrize("strategies, message", [
+    ("all,p,p", "a strategy is named more than once: all,p,p"),
+    (",", "no strategy named in --strategies ','"),
+], ids=["repeated", "empty"])
+def test_evaluate_rejects_a_bad_strategy_list(tmp_path, capsys, strategies, message):
     db, index = tmp_path / "db.txt", tmp_path / "index.txt"
     assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db)]) == 0
     assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index)]) == 0
     capsys.readouterr()
     assert main(["evaluate", "--index", str(index), "--db", str(db),
-                 "--queries", str(EVAL_DATA / "queries.tsv"), "--strategies", "all,p,p",
+                 "--queries", str(EVAL_DATA / "queries.tsv"), "--strategies", strategies,
                  "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("quickar evaluate: error: "
-                            "a strategy is named more than once: all,p,p\n")
+    assert captured.err == f"quickar evaluate: error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# An index without documents is one that search, reformulate and evaluate
+# cannot use, so index refuses to write it.
+@pytest.mark.parametrize("argv, message", [
+    (["--src", "src", "--ext", "java"], "no readable file with extension 'java' under src"),
+    (["--src", "docs"], "no readable file with extension '.java' under docs"),
+    (["--pre-split", "empty"], "no readable file under empty"),
+], ids=["ext-without-dot", "no-java-file", "empty-pre-split"])
+def test_index_without_documents_keeps_previous_index(
+        tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_tree(tmp_path, {"src/A.java": "class A { void run() { } }",
+                          "docs/notes.txt": "parse token"})
+    (tmp_path / "empty").mkdir()
+    previous = tmp_path / "index.txt"
+    previous.write_bytes(b"previous index\n")
+    assert main(["index", *argv, "--out", "index.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"quickar index: error: nothing to index: {message}\n"
+    assert previous.read_bytes() == b"previous index\n"
 
 
 def test_smallest_limit_and_top_are_accepted(tmp_path, capsys):

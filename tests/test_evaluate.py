@@ -18,6 +18,7 @@ from quickar import adjacency
 from quickar.corpus import build_corpus
 from quickar.evaluate import (
     EXCLUDED,
+    STRATEGIES,
     IMPROVED,
     PRESERVED,
     WORSENED,
@@ -124,7 +125,7 @@ def test_full_pipeline_keeps_a_better_reduction_only_rank(fixture_run, stops, or
     for outcome in report.strategies["all"].outcomes:
         query = next(q for q in queries if q.query_id == outcome.query_id)
         ref = reformulate(query, corpus, db, MODE_ALL, stops=stops, oracle=oracle)
-        expanded = rank_of_first_relevant(searcher.search(ref.rendered_query),
+        expanded = rank_of_first_relevant(searcher.search(ref.rendered_query.normalized()),
                                           set(query.gold_docs))
         reduced = red[outcome.query_id].reformulated_rank
         if reduced is not None and reduced < outcome.baseline_rank:
@@ -133,6 +134,23 @@ def test_full_pipeline_keeps_a_better_reduction_only_rank(fixture_run, stops, or
         else:
             assert outcome.reformulated_rank == expanded
     assert applied > 0  # the rule decides at least one outcome of the fixture
+
+
+def test_each_kept_query_is_ranked_once_per_strategy(fixture_run, stops, oracle, monkeypatch):
+    # The full pipeline's reduction-only rank is the `red` strategy's rank,
+    # so one `rank` call serves both.
+    corpus, db, queries = fixture_run
+    rank = Searcher.rank
+    calls = []
+
+    def counted(self, terms, gold):
+        calls.append(terms)
+        return rank(self, terms, gold)
+
+    monkeypatch.setattr(Searcher, "rank", counted)
+    report = run_evaluation(queries, corpus, db, stops=stops, oracle=oracle)
+    assert (report.dataset["total"], report.dataset["kept"]) == (17, 13)
+    assert len(calls) == 17 + 13 * len(STRATEGIES) == 95
 
 
 @pytest.mark.parametrize("subset", [("red",), ("so", "p"), ("prep", "all")],

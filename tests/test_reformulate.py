@@ -323,9 +323,9 @@ def test_reformulate_working_example_shape(stops, oracle, working_corpus, workin
     ref = reformulate(q, working_corpus, working_db, MODE_ALL, stops=stops, oracle=oracle)
     reduced = ["Rest", "Client", "Service", "RestClientService", "content"]
     assert ref.query_text().split()[:5] == reduced
-    assert len(ref.reduced_keywords) == 5
+    assert len(ref.keywords) == 5
     assert len(ref.expansion_terms) == 5  # 10 - M
-    assert ref.reduced_query_text() == " ".join(reduced)
+    assert ref.keyword_query_text() == " ".join(reduced)
 
 
 def test_reformulate_budget_with_large_m(stops, oracle):
@@ -337,7 +337,7 @@ def test_reformulate_budget_with_large_m(stops, oracle):
     db = AdjacencyDatabase()
     q = QueryRecord("big", " ".join(words))
     ref = reformulate(q, corpus, db, MODE_ALL, stops=stops, oracle=oracle)
-    assert len(ref.reduced_keywords) == 12
+    assert len(ref.keywords) == 12
     assert ref.expansion_terms == []
 
 
@@ -361,8 +361,8 @@ def test_reformulate_invariants(stops, oracle, working_corpus, working_db):
     q = QueryRecord("408030", WORKING_TITLE)
     for mode in (MODE_ALL, MODE_PROJECT, MODE_CROWD):
         ref = reformulate(q, working_corpus, working_db, mode, stops=stops, oracle=oracle)
-        reduced = set(ref.reduced_keywords.normalized())
-        assert len(ref.reduced_keywords) + len(ref.expansion_terms) <= 10
+        reduced = set(ref.keywords.normalized())
+        assert len(ref.keywords) + len(ref.expansion_terms) <= 10
         for c in ref.expansion_terms:
             assert c.term not in reduced
             assert c.term not in stops
@@ -430,7 +430,7 @@ def test_one_pass_matches_the_mode_by_mode_reference(eval_fixture, stops, oracle
                                              oracle=oracle, params=params, searcher=searcher)
             got = every_mode[mode]
             assert got.query_id == expected.query_id and got.mode == expected.mode == mode
-            assert got.reduced_keywords == expected.reduced_keywords
+            assert got.keywords == expected.keywords
             assert got.expansion_terms == expected.expansion_terms
             assert got.rendered_query == expected.rendered_query
             assert reformulate(query, corpus, db, mode, stops=stops, oracle=oracle,

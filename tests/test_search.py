@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import dense_cosine_ranking
 from quickar.corpus import Corpus, Document
 from quickar.errors import DataError
-from quickar.search import NOT_RETRIEVED, SearchHit, Searcher, rank_of_first_relevant, search
+from quickar.search import NOT_RETRIEVED, SearchHit, Searcher, rank_of_first_relevant
 
 from conftest import WORD_POOL, make_corpus
 
@@ -30,7 +30,7 @@ def random_corpus(n_docs: int, seed: int) -> Corpus:
 
 
 def assert_matches_oracle(corpus: Corpus, query: list[str], tol: float = 1e-9):
-    hits = search(corpus, query)
+    hits = Searcher(corpus).search(query)
     expected = dense_cosine_ranking(
         {d.doc_id: d.term_counts for d in corpus.documents}, query)
     assert [h.doc_id for h in hits] == [doc_id for doc_id, _ in expected]
@@ -41,19 +41,19 @@ def assert_matches_oracle(corpus: Corpus, query: list[str], tol: float = 1e-9):
 
 def test_single_doc_single_term(stops):
     corpus = make_corpus([("only", "alpha beta")], stops)
-    hits = search(corpus, ["alpha"])
+    hits = Searcher(corpus).search(["alpha"])
     assert len(hits) == 1
     assert hits[0].doc_id == "only" and hits[0].rank == 1
 
 
 def test_zero_overlap_returns_nothing(stops):
     corpus = make_corpus([("d1", "alpha beta"), ("d2", "gamma delta")], stops)
-    assert search(corpus, ["zzz"]) == []
+    assert Searcher(corpus).search(["zzz"]) == []
 
 
 def test_empty_query_returns_nothing(stops):
     corpus = make_corpus([("d1", "alpha")], stops)
-    assert search(corpus, []) == []
+    assert Searcher(corpus).search([]) == []
 
 
 def test_empty_corpus_is_error():
@@ -82,8 +82,8 @@ def test_query_with_repeated_terms_matches_oracle():
 
 def test_unknown_terms_affect_only_normalization():
     corpus = random_corpus(30, seed=6)
-    with_unknown = search(corpus, ["alpha", "zzzz"])
-    without = search(corpus, ["alpha"])
+    with_unknown = Searcher(corpus).search(["alpha", "zzzz"])
+    without = Searcher(corpus).search(["alpha"])
     assert [h.doc_id for h in with_unknown] == [h.doc_id for h in without]
     # Scores shrink (query norm grows) but ordering is untouched.
     for a, b in zip(with_unknown, without):
@@ -92,21 +92,21 @@ def test_unknown_terms_affect_only_normalization():
 
 def test_tie_break_by_doc_id(stops):
     corpus = make_corpus([("b", "alpha"), ("a", "alpha"), ("c", "alpha")], stops)
-    hits = search(corpus, ["alpha"])
+    hits = Searcher(corpus).search(["alpha"])
     assert [h.doc_id for h in hits] == ["a", "b", "c"]
     assert hits[0].score == hits[1].score == hits[2].score
 
 
 def test_top_n_cutoff():
     corpus = random_corpus(50, seed=7)
-    full = search(corpus, ["alpha"])
-    top5 = search(corpus, ["alpha"], top_n=5)
+    full = Searcher(corpus).search(["alpha"])
+    top5 = Searcher(corpus).search(["alpha"], top_n=5)
     assert top5 == full[:5]
 
 
 def test_determinism():
     corpus = random_corpus(60, seed=8)
-    runs = [search(corpus, ["marble", "onyx"]) for _ in range(3)]
+    runs = [Searcher(corpus).search(["marble", "onyx"]) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -129,8 +129,8 @@ def test_scaling_uniform_counts_preserves_order():
                      surfaces=dict(d.surfaces))
             for d in corpus.documents
         ])
-        base = search(corpus, ["alpha", "vertex"])
-        after = search(scaled, ["alpha", "vertex"])
+        base = Searcher(corpus).search(["alpha", "vertex"])
+        after = Searcher(scaled).search(["alpha", "vertex"])
         assert [h.doc_id for h in base] == [h.doc_id for h in after]
         for a, b in zip(base, after):
             assert a.score == pytest.approx(b.score, abs=1e-12)
