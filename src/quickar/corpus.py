@@ -408,6 +408,9 @@ def load(path) -> Corpus:
                     norm = surface.lower()
                     counts[norm] = int(count)
                     surfaces[norm] = surface
+                if min(counts.values()) < 1:
+                    term = min(counts, key=counts.__getitem__)
+                    raise ValueError(f"term {surfaces[term]!r} has count {counts[term]}, below 1")
             documents.append(Document(doc_id=doc_id, term_counts=counts, surfaces=surfaces))
     except ValueError as exc:
         raise CorruptFileError(f"unparseable index line in {path}: {exc}") from exc

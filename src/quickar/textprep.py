@@ -3,6 +3,13 @@
 Tokenization, camel-case decomposition, stop-word removal and lower-case
 normalization. No stemming, ever: reformulated queries must contain real
 words, not stems.
+
+Crowd titles and method bodies repeat the same few thousand raw tokens over
+and over, so `preprocess` expands each distinct one only once. Every
+`StopList` keeps a memo for each `(mode, extra_drop)` it is used with: raw
+token -> the tuple of `Token`s that survive splitting and filtering. The
+memo lives exactly as long as its stop list (there is no module-level
+cache), and the shared `Token`s are frozen.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .artifact import read_lines
@@ -32,7 +40,7 @@ _TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
 _CAMEL_BOUNDARY_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One preprocessed token: original surface plus lower-cased form."""
 
@@ -74,10 +82,12 @@ def words_sha(words) -> str:
 
 
 class StopList:
-    """Immutable set of stop words, matched against normalized tokens."""
+    """Immutable set of stop words, matched against normalized tokens.
+    Also owns `preprocess`'s memo (see the module docstring)."""
 
     def __init__(self, words: set[str]):
         self.words = frozenset(w.lower() for w in words)
+        self._expansions: dict[tuple[str, frozenset[str] | None], _Expansions] = {}
 
     def __contains__(self, word: str) -> bool:
         return word in self.words
@@ -166,6 +176,35 @@ def split_camel(token: str) -> list[str]:
     return _CAMEL_BOUNDARY_RE.split(token)
 
 
+class _Expansions(dict):
+    """Raw token -> the tokens `preprocess` keeps of it, for one stop list
+    and setting; a token is expanded the first time it is looked up. Holds
+    the stop words, not the `StopList`, so that no reference cycle keeps the
+    stop list alive."""
+
+    def __init__(self, stop_words: frozenset[str], mode: str, extra_drop: frozenset[str] | None):
+        super().__init__()
+        self.mode = mode
+        self.dropped = stop_words | extra_drop if extra_drop else stop_words
+
+    def __missing__(self, raw: str) -> tuple[Token, ...]:
+        parts = split_camel(raw)
+        if len(parts) == 1:
+            candidates = [(raw, WHOLE)]
+        else:
+            candidates = [(p, CAMEL_PART) for p in parts if not p.isdigit()]
+            if self.mode == SPLIT_AND_KEEP_WHOLE:
+                candidates.append((raw, WHOLE))
+        kept: list[Token] = []
+        for surface, origin in candidates:
+            norm = surface.lower()
+            if norm not in self.dropped:
+                # A lower-case surface is its own normalized form: keep one string.
+                kept.append(Token(surface, surface if norm == surface else norm, origin))
+        self[raw] = expansion = tuple(kept)
+        return expansion
+
+
 def preprocess(
     text: str,
     stops: StopList,
@@ -182,21 +221,9 @@ def preprocess(
     """
     if mode not in (SPLIT_ONLY, SPLIT_AND_KEEP_WHOLE):
         raise ValueError(f"unknown preprocessing mode: {mode!r}")
-    tokens: list[Token] = []
-    for raw in tokenize(text):
-        parts = split_camel(raw)
-        if len(parts) == 1:
-            candidates = [Token.from_surface(raw, WHOLE)]
-        else:
-            candidates = [
-                Token.from_surface(p, CAMEL_PART) for p in parts if not p.isdigit()
-            ]
-            if mode == SPLIT_AND_KEEP_WHOLE:
-                candidates.append(Token.from_surface(raw, WHOLE))
-        for tok in candidates:
-            if tok.normalized in stops:
-                continue
-            if extra_drop and tok.normalized in extra_drop:
-                continue
-            tokens.append(tok)
-    return TermSequence(tokens=tokens)
+    key = (mode, frozenset(extra_drop) if extra_drop else None)
+    memo = stops._expansions.get(key)
+    if memo is None:
+        memo = stops._expansions[key] = _Expansions(stops.words, *key)
+    expansions = map(memo.__getitem__, tokenize(text))
+    return TermSequence(tokens=list(chain.from_iterable(expansions)))

@@ -2,8 +2,8 @@
 
 Everything here recomputes expected values from first principles on plain
 dicts and lists: no inverted index, no cached norms, no shared code paths
-with the package internals. The two frozen references at the end are the
-exception: earlier versions of package code, kept so that a rewrite must
+with the package internals. The three frozen references at the end are
+the exception: earlier versions of package code, kept so that a rewrite must
 return exactly what the code it replaced returned.
 """
 
@@ -34,7 +34,17 @@ from quickar.reformulate import (
     select_and_combine,
 )
 from quickar.search import searcher_for
-from quickar.textprep import WHOLE, Token
+from quickar.textprep import (
+    CAMEL_PART,
+    SPLIT_AND_KEEP_WHOLE,
+    SPLIT_ONLY,
+    WHOLE,
+    StopList,
+    TermSequence,
+    Token,
+    split_camel,
+    tokenize,
+)
 
 log = logging.getLogger(__name__)
 
@@ -409,3 +419,49 @@ def reference_reformulate(query, corpus, db, mode=MODE_ALL, *, stops, oracle,
             list(reduced.tokens)
             + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference preprocessing
+# ---------------------------------------------------------------------------
+
+# The token-by-token `preprocess`, frozen verbatim apart from its name: it
+# splits and filters every occurrence of a raw token afresh. The package's
+# `preprocess` expands each distinct raw token once per stop list and
+# setting, and must return the same tokens. The tokenizer and camel
+# splitter it calls are the package's.
+
+def reference_preprocess(
+    text: str,
+    stops: StopList,
+    mode: str = SPLIT_ONLY,
+    extra_drop: frozenset[str] | None = None,
+) -> TermSequence:
+    """Tokenize, camel-split, and stop-filter `text` into a TermSequence.
+
+    In SPLIT_AND_KEEP_WHOLE mode every multi-part camel token also
+    contributes its whole form, right after its parts. Stop words (and any
+    `extra_drop` words, e.g. language keywords) are removed after
+    normalization, so camel parts are filtered too. Pure-digit camel parts
+    are dropped. No stemming.
+    """
+    if mode not in (SPLIT_ONLY, SPLIT_AND_KEEP_WHOLE):
+        raise ValueError(f"unknown preprocessing mode: {mode!r}")
+    tokens: list[Token] = []
+    for raw in tokenize(text):
+        parts = split_camel(raw)
+        if len(parts) == 1:
+            candidates = [Token.from_surface(raw, WHOLE)]
+        else:
+            candidates = [
+                Token.from_surface(p, CAMEL_PART) for p in parts if not p.isdigit()
+            ]
+            if mode == SPLIT_AND_KEEP_WHOLE:
+                candidates.append(Token.from_surface(raw, WHOLE))
+        for tok in candidates:
+            if tok.normalized in stops:
+                continue
+            if extra_drop and tok.normalized in extra_drop:
+                continue
+            tokens.append(tok)
+    return TermSequence(tokens=tokens)

@@ -370,3 +370,21 @@ def test_smallest_limit_and_top_are_accepted(tmp_path, capsys):
     capsys.readouterr()
     assert main(["search", "--index", str(index), "--query", "cart", "--top", "1"]) == 0
     assert capsys.readouterr().out.startswith("1\t")
+
+
+# A term count below 1 passes the index checksum when the document's other
+# counts make up the sum; tf-idf takes its logarithm, so load refuses it.
+@pytest.mark.parametrize("cells", ["bar:1,foo:0", "bar:2,foo:-1"], ids=["zero", "negative"])
+@pytest.mark.parametrize("command", ["search", "reformulate"])
+def test_index_term_count_below_one_is_a_data_error(tmp_path, capsys, command, cells):
+    db, index = tmp_path / "db.txt", tmp_path / "index.txt"
+    assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db)]) == 0
+    index.write_text("#source=src\n#stoplist_sha=\n#keywords_sha=\n"
+                     f"src/A.java#1:run\t{cells}\n#docs=1,terms=1\n", encoding="utf-8")
+    capsys.readouterr()
+    options = ["--db", str(db)] if command == "reformulate" else []
+    assert main([command, "--index", str(index), *options, "--query", "foo bar"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"quickar {command}: error: unparseable index line in {index}: term 'foo' has count ")

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import doctest
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quickar.textprep
+from oracles import reference_preprocess
 from quickar.textprep import (
     CAMEL_PART,
     SPLIT_AND_KEEP_WHOLE,
     SPLIT_ONLY,
     StopList,
+    Token,
     WHOLE,
     default_stoplist,
     preprocess,
@@ -155,3 +163,70 @@ def test_stoplist_sha_differs_per_content(tmp_path):
 def test_unknown_mode_rejected(stops):
     with pytest.raises(ValueError):
         preprocess("anything", stops, "chunk")
+
+
+def test_doctests_pass():
+    result = doctest.testmod(quickar.textprep)
+    assert result.failed == 0 and result.attempted >= 5
+
+
+# ---------------------------------------------------------------------------
+# The per-stop-list expansion memo against the frozen reference
+# ---------------------------------------------------------------------------
+
+def as_triples(seq):
+    return [(t.surface, t.normalized, t.origin) for t in seq]
+
+
+# Identifiers that hit every camel boundary and digit rule, stop words and
+# dropped words in several casings, non-ASCII letters (which split tokens),
+# and separators.
+WORDS = [
+    "XMLHttp2Request", "utf8Codec", "ABC8D", "getValue", "GetValue", "HTTPServer",
+    "parse2JSON", "Base64Encoder", "value42x", "x", "X", "a1B2c3", "CheckIn",
+    "123", "007", "42abc", "in", "In", "the", "THE", "with", "get", "public",
+    "Return", "returnValue", "café", "naïveParser", "Ünïcode", "straße", "日本",
+]
+SEPARATORS = [" ", "-", "/", ".", "_", "\t", "#", "(", ")"]
+texts = st.lists(st.one_of(st.sampled_from(WORDS), st.sampled_from(SEPARATORS),
+                           st.text(alphabet="aAbZz09é_ ", max_size=8)),
+                 max_size=20).map("".join)
+DROPS = [None, frozenset(), frozenset({"public", "return", "value"}), frozenset({"http"})]
+calls = st.lists(st.tuples(texts, st.sampled_from([SPLIT_ONLY, SPLIT_AND_KEEP_WHOLE]),
+                           st.sampled_from(DROPS)), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(calls)
+def test_preprocess_matches_reference_on_one_stop_list(sequence):
+    stops = StopList({"the", "in", "with", "get", "xml"})
+    for text, mode, drop in sequence:
+        assert as_triples(preprocess(text, stops, mode, extra_drop=drop)) == \
+            as_triples(reference_preprocess(text, stops, mode, extra_drop=drop))
+
+
+def test_each_stop_list_keeps_its_own_memo():
+    text = "getValue in XMLHttpRequest with the value"
+    one, two = StopList({"get", "in"}), StopList({"value", "xml", "the"})
+    for stops in (one, two, one, two):
+        for mode in (SPLIT_ONLY, SPLIT_AND_KEEP_WHOLE):
+            assert as_triples(preprocess(text, stops, mode)) == \
+                as_triples(reference_preprocess(text, stops, mode))
+
+
+def test_stop_list_and_its_memo_are_freed_with_the_last_reference():
+    stops = StopList({"the"})
+    preprocess("getValue of the XMLHttpRequest", stops, SPLIT_AND_KEEP_WHOLE,
+               extra_drop=frozenset({"value"}))
+    ref = weakref.ref(stops)
+    del stops
+    assert ref() is None
+
+
+def test_token_is_frozen_slotted_and_equal_by_value():
+    tok = Token("Value", "value", CAMEL_PART)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tok.surface = "Other"
+    assert tok == Token.from_surface("Value", CAMEL_PART)
+    assert len({tok, Token("Value", "value", CAMEL_PART)}) == 1
+    assert not hasattr(tok, "__dict__")
