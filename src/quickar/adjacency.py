@@ -227,10 +227,17 @@ def load(path) -> AdjacencyDatabase:
             nbrs: dict[str, int] = {}
             if cells:
                 for cell in cells.split(","):
-                    nbr, _, count = cell.partition(":")
+                    nbr, _, count = cell.rpartition(":")
                     nbrs[nbr] = int(count)
+                if "" in nbrs:
+                    raise ValueError(f"word {word!r} has a neighbor without a name")
+                if min(nbrs.values()) < 1:
+                    nbr = min(nbrs, key=nbrs.__getitem__)
+                    raise ValueError(f"neighbor {nbr!r} of {word!r} has count {nbrs[nbr]}, below 1")
             entries[word] = nbrs
         window = int(header["window"])
+        if header["binary"] not in ("0", "1"):
+            raise ValueError(f"binary must be 0 or 1, got {header['binary']!r}")
     except ValueError as exc:
         raise CorruptFileError(f"unparseable database line in {path}: {exc}") from exc
 

@@ -408,6 +408,8 @@ def load(path) -> Corpus:
                     norm = surface.lower()
                     counts[norm] = int(count)
                     surfaces[norm] = surface
+                if "" in counts:
+                    raise ValueError(f"document {doc_id!r} has a term without a name")
                 if min(counts.values()) < 1:
                     term = min(counts, key=counts.__getitem__)
                     raise ValueError(f"term {surfaces[term]!r} has count {counts[term]}, below 1")

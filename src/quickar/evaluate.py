@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,7 +19,7 @@ from .adjacency import AdjacencyDatabase
 from .artifact import read_lines, replace_files
 from .corpus import Corpus
 from .errors import DataError, QueryEmptyError
-from .nouns import NounOracle, default_noun_oracle
+from .nouns import NounOracle
 from .reformulate import (
     MODE_ALL,
     MODE_REDUCE,
@@ -33,7 +33,7 @@ from .reformulate import (
 )
 from .rocchio import rocchio_expand
 from .search import Searcher, searcher_for
-from .textprep import StopList, default_stoplist, tokenize
+from .textprep import StopList, tokenize
 
 # Outcome classifications.
 IMPROVED = "improved"
@@ -41,6 +41,8 @@ WORSENED = "worsened"
 PRESERVED = "preserved"
 EXCLUDED = "excluded"
 BUCKETS = (IMPROVED, WORSENED, PRESERVED, EXCLUDED)
+# The buckets of queries whose gold document the strategy retrieved.
+RETRIEVED_BUCKETS = (IMPROVED, WORSENED, PRESERVED)
 
 # Evaluation strategies. The first four are reformulation modes, "rocchio"
 # is the feedback baseline, "prep" is the preprocessed title (no expansion).
@@ -76,32 +78,6 @@ class MwuResult:
     # Mean of sample A's ranks minus sample B's; negative means A sits
     # closer to the top of the result list.
     mean_rank_difference: float
-
-
-@dataclass
-class StrategyResult:
-    strategy: str
-    outcomes: list[EvalOutcome]
-    counts: dict[str, int]
-    summaries: dict[str, RankSummary]
-
-
-@dataclass
-class MwuComparison:
-    strategy_a: str
-    strategy_b: str
-    n_a: int
-    n_b: int
-    result: MwuResult
-
-
-@dataclass
-class EvalReport:
-    dataset: dict[str, int]
-    strategies: dict[str, StrategyResult] = field(default_factory=dict)
-    mwu: list[MwuComparison] = field(default_factory=list)
-    strict: bool = False
-    params: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +122,9 @@ class FilterResult:
 def filter_dataset(
     queries: Sequence[QueryRecord],
     searcher: Searcher,
-    threshold: int = POOR_RANK_THRESHOLD,
 ) -> FilterResult:
-    """Keep the queries worth reformulating: baseline rank above `threshold`.
+    """Keep the queries worth reformulating: baseline rank above
+    POOR_RANK_THRESHOLD.
 
     Queries whose baseline never retrieves a gold document are dropped and
     reported separately. Queries without gold documents are an error.
@@ -162,7 +138,7 @@ def filter_dataset(
         rank = searcher.rank(baseline_terms(query.text), query.gold_docs)
         if rank is None:
             result.dropped_not_retrieved.append(query.query_id)
-        elif rank <= threshold:
+        elif rank <= POOR_RANK_THRESHOLD:
             result.dropped_low_rank.append(query.query_id)
         else:
             result.kept.append(query)
@@ -198,10 +174,13 @@ def summarize_ranks(ranks: Iterable[int]) -> RankSummary:
     )
 
 
-def _fractional_ranks(values: Sequence[float]) -> list[float]:
-    """Midrank assignment: ties share the mean of their ordinal ranks."""
+def _fractional_ranks(values: Sequence[float]) -> tuple[list[float], int]:
+    """Midrank assignment: ties share the mean of their ordinal ranks.
+    Also returns the tie term, the sum of t**3 - t over the runs of t equal
+    values."""
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
+    tie_sum = 0
     i = 0
     while i < len(order):
         j = i
@@ -210,8 +189,10 @@ def _fractional_ranks(values: Sequence[float]) -> list[float]:
         shared = (i + j) / 2.0 + 1.0
         for k in range(i, j + 1):
             ranks[order[k]] = shared
+        run = j - i + 1
+        tie_sum += run ** 3 - run
         i = j + 1
-    return ranks
+    return ranks, tie_sum
 
 
 def _normal_sf(z: float) -> float:
@@ -225,21 +206,11 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> MwuR
         raise ValueError("both samples must be non-empty")
     n1, n2 = len(sample_a), len(sample_b)
     combined = list(sample_a) + list(sample_b)
-    ranks = _fractional_ranks(combined)
+    ranks, tie_sum = _fractional_ranks(combined)
     r1 = sum(ranks[:n1])
     u1 = r1 - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
     n = n1 + n2
-
-    tie_sum = 0
-    run = 1
-    ordered = sorted(combined)
-    for i in range(1, n + 1):
-        if i < n and ordered[i] == ordered[i - 1]:
-            run += 1
-            continue
-        tie_sum += run ** 3 - run
-        run = 1
     sigma_sq = (n1 * n2 / 12.0) * ((n + 1) - tie_sum / (n * (n - 1)))
 
     if sigma_sq <= 0:
@@ -278,7 +249,7 @@ def evaluate_strategy(
     searcher: Searcher,
     reformulated: dict[QueryRecord, tuple[dict[str, Reformulation], dict[str, int | None]]],
     params: Params = Params(),
-) -> StrategyResult:
+) -> list[EvalOutcome]:
     """Evaluate one strategy over an already-filtered dataset.
 
     For the full pipeline, a query whose reduction step alone already
@@ -287,10 +258,8 @@ def evaluate_strategy(
     strategies take each query's reformulations, and the rank of each mode
     already ranked, from `reformulated`, filling in those missing; share one
     dict across calls to reformulate a query once and rank each mode once.
+    `strategy` must be one of STRATEGIES; `run_evaluation` checks its list.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-
     def mode_rank(query: QueryRecord, mode: str) -> int | None:
         if query not in reformulated:
             reformulated[query] = (reformulations(query, corpus, db, stops=stops, oracle=oracle,
@@ -324,18 +293,29 @@ def evaluate_strategy(
         reason = "gold not retrieved" if rank is None else ""
         outcomes.append(EvalOutcome(query.query_id, baseline, rank,
                                     _classify(baseline, rank), reason=reason))
-    counts = {bucket: 0 for bucket in BUCKETS}
+    return outcomes
+
+
+def strategy_report(outcomes: Sequence[EvalOutcome], strict: bool) -> dict:
+    """One strategy's entry in the report: bucket counts and percentages,
+    the rank summary of each retrieved bucket (None when it is empty), and
+    one row per outcome. With `strict`, the improved, worsened and preserved
+    percentages leave out the excluded queries."""
+    counts = dict.fromkeys(BUCKETS, 0)
     for outcome in outcomes:
         counts[outcome.classification] += 1
-    summaries = {
-        bucket: summarize_ranks(
-            o.reformulated_rank for o in outcomes
-            if o.classification == bucket and o.reformulated_rank is not None
-        )
-        for bucket in (IMPROVED, WORSENED, PRESERVED)
-    }
-    return StrategyResult(strategy=strategy, outcomes=outcomes,
-                          counts=counts, summaries=summaries)
+    total = len(outcomes)
+    denominator = total - counts[EXCLUDED] if strict else total
+    percentages = {bucket: 100.0 * counts[bucket] / denominator if denominator else 0.0
+                   for bucket in RETRIEVED_BUCKETS}
+    percentages[EXCLUDED] = 100.0 * counts[EXCLUDED] / total if total else 0.0
+    summaries = {}
+    for bucket in RETRIEVED_BUCKETS:
+        summary = summarize_ranks(o.reformulated_rank for o in outcomes
+                                  if o.classification == bucket)
+        summaries[bucket] = asdict(summary) if summary.count else None
+    return {"counts": counts, "percentages": percentages, "summaries": summaries,
+            "outcomes": [asdict(o) for o in outcomes]}
 
 
 def run_evaluation(
@@ -344,62 +324,67 @@ def run_evaluation(
     db: AdjacencyDatabase,
     strategies: Sequence[str] = STRATEGIES,
     *,
-    stops: StopList | None = None,
-    oracle: NounOracle | None = None,
+    stops: StopList,
+    oracle: NounOracle,
     params: Params = Params(),
     strict: bool = False,
-) -> EvalReport:
+) -> dict:
     """Filter the dataset, evaluate every strategy, run the strategy-pair
-    Mann-Whitney tests, and assemble the report. With `strict`, the bucket
-    percentages leave out the queries whose gold document was not retrieved."""
-    stops = stops if stops is not None else default_stoplist()
-    oracle = oracle if oracle is not None else default_noun_oracle()
+    Mann-Whitney tests, and return the report as `report.json` stores it.
+    With `strict`, the bucket percentages leave out the queries whose gold
+    document was not retrieved. An unknown or repeated strategy is a
+    DataError, raised before any query is ranked."""
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise DataError(f"unknown strategies: {', '.join(unknown)}")
+    if len(set(strategies)) < len(strategies):
+        raise DataError(f"a strategy is named more than once: {','.join(strategies)}")
     searcher = searcher_for(corpus)
     filtered = filter_dataset(queries, searcher)
-    report = EvalReport(
-        dataset={
+    reformulated: dict[QueryRecord, tuple[dict[str, Reformulation], dict[str, int | None]]] = {}
+    outcomes = {
+        strategy: evaluate_strategy(filtered.kept, corpus, db, strategy, filtered.baseline_ranks,
+                                    stops=stops, oracle=oracle, params=params,
+                                    searcher=searcher, reformulated=reformulated)
+        for strategy in strategies
+    }
+
+    mwu = []
+    anchor = "all" if "all" in outcomes else next(iter(outcomes), None)
+    for other in outcomes:
+        if other == anchor:
+            continue
+        sample_a, sample_b = _paired_ranks(outcomes[anchor], outcomes[other])
+        if not sample_a:
+            continue
+        result = mann_whitney_u(sample_a, sample_b)
+        mwu.append({"a": anchor, "b": other, "n_a": len(sample_a), "n_b": len(sample_b),
+                    "u": result.u_statistic, "p": result.p_value,
+                    "mrd": result.mean_rank_difference})
+    return {
+        "dataset": {
             "total": filtered.total,
             "kept": len(filtered.kept),
             "dropped_low_rank": len(filtered.dropped_low_rank),
             "dropped_not_retrieved": len(filtered.dropped_not_retrieved),
         },
-        strict=strict,
-        params={**asdict(params), "threshold": POOR_RANK_THRESHOLD},
-    )
-    reformulated: dict[QueryRecord, tuple[dict[str, Reformulation], dict[str, int | None]]] = {}
-    for strategy in strategies:
-        report.strategies[strategy] = evaluate_strategy(
-            filtered.kept, corpus, db, strategy, filtered.baseline_ranks,
-            stops=stops, oracle=oracle, params=params, searcher=searcher,
-            reformulated=reformulated)
-
-    anchor = "all" if "all" in report.strategies else (strategies[0] if strategies else None)
-    if anchor is not None:
-        for other in strategies:
-            if other == anchor:
-                continue
-            pair = _paired_ranks(report.strategies[anchor], report.strategies[other])
-            if pair is None:
-                continue
-            sample_a, sample_b = pair
-            report.mwu.append(MwuComparison(
-                strategy_a=anchor, strategy_b=other,
-                n_a=len(sample_a), n_b=len(sample_b),
-                result=mann_whitney_u(sample_a, sample_b)))
-    return report
+        "denominator": "retrieved_only" if strict else "all",
+        "params": {**asdict(params), "threshold": POOR_RANK_THRESHOLD},
+        "strategies": {name: strategy_report(o, strict) for name, o in outcomes.items()},
+        "mwu": mwu,
+    }
 
 
-def _paired_ranks(a: StrategyResult, b: StrategyResult) -> tuple[list[int], list[int]] | None:
+def _paired_ranks(a: Sequence[EvalOutcome],
+                  b: Sequence[EvalOutcome]) -> tuple[list[int], list[int]]:
     """Reformulated ranks of the queries both strategies retrieved."""
-    ranks_b = {o.query_id: o.reformulated_rank for o in b.outcomes}
+    ranks_b = {o.query_id: o.reformulated_rank for o in b}
     sample_a, sample_b = [], []
-    for outcome in a.outcomes:
+    for outcome in a:
         other = ranks_b.get(outcome.query_id)
         if outcome.reformulated_rank is not None and other is not None:
             sample_a.append(outcome.reformulated_rank)
             sample_b.append(other)
-    if not sample_a:
-        return None
     return sample_a, sample_b
 
 
@@ -407,70 +392,21 @@ def _paired_ranks(a: StrategyResult, b: StrategyResult) -> tuple[list[int], list
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _percentages(counts: dict[str, int], strict: bool) -> dict[str, float]:
-    total = sum(counts.values())
-    real_denom = total - counts[EXCLUDED] if strict else total
-    pct = {}
-    for bucket in (IMPROVED, WORSENED, PRESERVED):
-        pct[bucket] = 100.0 * counts[bucket] / real_denom if real_denom else 0.0
-    pct[EXCLUDED] = 100.0 * counts[EXCLUDED] / total if total else 0.0
-    return pct
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    strategies = {}
-    for name, res in report.strategies.items():
-        strategies[name] = {
-            "counts": res.counts,
-            "percentages": _percentages(res.counts, report.strict),
-            "summaries": {
-                bucket: None if summary.count == 0 else {
-                    "count": summary.count, "mean": summary.mean,
-                    "q1": summary.q1, "q2": summary.q2, "q3": summary.q3,
-                    "min": summary.min, "max": summary.max,
-                }
-                for bucket, summary in res.summaries.items()
-            },
-            "outcomes": [
-                {
-                    "query_id": o.query_id,
-                    "baseline_rank": o.baseline_rank,
-                    "reformulated_rank": o.reformulated_rank,
-                    "classification": o.classification,
-                    "reason": o.reason,
-                }
-                for o in res.outcomes
-            ],
-        }
-    return {
-        "dataset": report.dataset,
-        "denominator": "retrieved_only" if report.strict else "all",
-        "params": report.params,
-        "strategies": strategies,
-        "mwu": [
-            {
-                "a": c.strategy_a, "b": c.strategy_b,
-                "n_a": c.n_a, "n_b": c.n_b,
-                "u": c.result.u_statistic,
-                "p": c.result.p_value,
-                "mrd": c.result.mean_rank_difference,
-            }
-            for c in report.mwu
-        ],
-    }
-
-
 def _fmt(value, spec: str = ".2f", none: str = "-") -> str:
     return none if value is None else format(value, spec)
 
 
-def render_report_text(report: EvalReport) -> str:
+def render_report_text(report: dict) -> str:
+    """The text report, read from the report dict that `run_evaluation`
+    returns and `report.json` stores. Strategies are listed in STRATEGIES
+    order, which the JSON's sorted keys do not keep, so the text is the same
+    for the dict and for the JSON read back."""
     lines: list[str] = []
     out = lines.append
     out("QUICKAR evaluation report")
     out("=========================")
     out("")
-    ds = report.dataset
+    ds = report["dataset"]
     out("Dataset")
     out("-------")
     out(f"queries in file           : {ds['total']}")
@@ -478,43 +414,44 @@ def render_report_text(report: EvalReport) -> str:
     out(f"dropped (rank <= {POOR_RANK_THRESHOLD})      : {ds['dropped_low_rank']}")
     out(f"dropped (not retrieved)   : {ds['dropped_not_retrieved']}")
     out("")
-    denom = "retrieved queries only" if report.strict else "all evaluated queries"
+    strict = report["denominator"] == "retrieved_only"
+    denom = "retrieved queries only" if strict else "all evaluated queries"
     out(f"Outcomes (percent of {denom})")
     out("-" * (22 + len(denom)))
     header = f"{'strategy':<10}" + "".join(f"{b:<18}" for b in BUCKETS)
     out(header)
-    for name, res in report.strategies.items():
-        pct = _percentages(res.counts, report.strict)
-        cells = "".join(
-            f"{res.counts[b]} ({pct[b]:.2f}%)".ljust(18) for b in BUCKETS
-        )
+    strategies = sorted(report["strategies"].items(), key=lambda item: STRATEGIES.index(item[0]))
+    for name, res in strategies:
+        counts, pct = res["counts"], res["percentages"]
+        cells = "".join(f"{counts[b]} ({pct[b]:.2f}%)".ljust(18) for b in BUCKETS)
         out(f"{name:<10}{cells}")
     out("")
     out("Rank of first relevant document, reformulated query")
     out("----------------------------------------------------")
     out(f"{'strategy':<10}{'bucket':<11}{'count':>6}{'mean':>10}{'q1':>9}{'q2':>9}{'q3':>9}{'min':>7}{'max':>7}")
-    for name, res in report.strategies.items():
-        for bucket in (IMPROVED, WORSENED, PRESERVED):
-            s = res.summaries[bucket]
-            out(f"{name:<10}{bucket:<11}{s.count:>6}{_fmt(s.mean):>10}"
-                f"{_fmt(s.q1):>9}{_fmt(s.q2):>9}{_fmt(s.q3):>9}"
-                f"{_fmt(s.min, 'd'):>7}{_fmt(s.max, 'd'):>7}")
+    empty = asdict(RankSummary(count=0))
+    for name, res in strategies:
+        for bucket in RETRIEVED_BUCKETS:
+            s = res["summaries"][bucket] or empty
+            out(f"{name:<10}{bucket:<11}{s['count']:>6}{_fmt(s['mean']):>10}"
+                f"{_fmt(s['q1']):>9}{_fmt(s['q2']):>9}{_fmt(s['q3']):>9}"
+                f"{_fmt(s['min'], 'd'):>7}{_fmt(s['max'], 'd'):>7}")
     out("")
     out("Mann-Whitney U tests (reformulated ranks, two-sided)")
     out("----------------------------------------------------")
-    if report.mwu:
+    if report["mwu"]:
         out(f"{'pair':<18}{'n_a':>5}{'n_b':>5}{'U':>9}{'p':>10}{'MRD':>10}")
-        for c in report.mwu:
-            pair = f"{c.strategy_a} vs {c.strategy_b}"
-            out(f"{pair:<18}{c.n_a:>5}{c.n_b:>5}{c.result.u_statistic:>9.1f}"
-                f"{c.result.p_value:>10.4f}{c.result.mean_rank_difference:>+10.2f}")
+        for c in report["mwu"]:
+            pair = f"{c['a']} vs {c['b']}"
+            out(f"{pair:<18}{c['n_a']:>5}{c['n_b']:>5}{c['u']:>9.1f}"
+                f"{c['p']:>10.4f}{c['mrd']:>+10.2f}")
     else:
         out("(no comparable strategy pairs)")
     out("")
     return "\n".join(lines)
 
 
-def emit_report(report: EvalReport, out_dir) -> tuple[str, str]:
+def emit_report(report: dict, out_dir) -> tuple[str, str]:
     """Write report.txt and report.json into `out_dir`; returns the paths.
 
     Output is byte-deterministic for fixed inputs: no timestamps, no
@@ -528,7 +465,7 @@ def emit_report(report: EvalReport, out_dir) -> tuple[str, str]:
         out_dir.mkdir(parents=True, exist_ok=True)
         replace_files({
             text_path: render_report_text(report),
-            json_path: json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
+            json_path: json.dumps(report, indent=2, sort_keys=True) + "\n",
         })
     except OSError as exc:
         raise DataError(f"cannot write report to {out_dir}: {exc}") from exc

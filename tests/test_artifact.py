@@ -21,14 +21,13 @@ from quickar.errors import CorruptFileError
 # "\x85", " ", tabs and a leading "#" all occur.
 NAME = st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=10)
 # Words and surfaces also sit inside cells, which "," and the tab delimit;
-# a word is split from its count at its first ":" and a surface at its last.
-WORD = st.text(st.characters(codec="utf-8", exclude_characters="\n\t,:"), min_size=1, max_size=6)
-SURFACE = st.text(st.characters(codec="utf-8", exclude_characters="\n\t,"), min_size=1, max_size=6)
+# each is split from its count at its last ":", so it may hold one.
+WORD = st.text(st.characters(codec="utf-8", exclude_characters="\n\t,"), min_size=1, max_size=6)
 
 
 @st.composite
 def documents(draw):
-    counts = draw(st.dictionaries(SURFACE, st.integers(1, 50), max_size=5))
+    counts = draw(st.dictionaries(WORD, st.integers(1, 50), max_size=5))
     # As a document built from text holds them: keyed by the lower-cased form.
     by_term = {surface.lower(): (surface, n) for surface, n in counts.items()}
     return Document(doc_id=draw(NAME),

@@ -374,9 +374,14 @@ def test_smallest_limit_and_top_are_accepted(tmp_path, capsys):
 
 # A term count below 1 passes the index checksum when the document's other
 # counts make up the sum; tf-idf takes its logarithm, so load refuses it.
-@pytest.mark.parametrize("cells", ["bar:1,foo:0", "bar:2,foo:-1"], ids=["zero", "negative"])
+# A cell is split at its last ":", so one without a name is refused too.
+@pytest.mark.parametrize("cells, message", [
+    ("bar:1,foo:0", "term 'foo' has count 0, below 1"),
+    ("bar:2,foo:-1", "term 'foo' has count -1, below 1"),
+    ("bar:1,1", "document 'src/A.java#1:run' has a term without a name"),
+], ids=["zero", "negative", "unnamed"])
 @pytest.mark.parametrize("command", ["search", "reformulate"])
-def test_index_term_count_below_one_is_a_data_error(tmp_path, capsys, command, cells):
+def test_index_term_count_below_one_is_a_data_error(tmp_path, capsys, command, cells, message):
     db, index = tmp_path / "db.txt", tmp_path / "index.txt"
     assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db)]) == 0
     index.write_text("#source=src\n#stoplist_sha=\n#keywords_sha=\n"
@@ -386,5 +391,31 @@ def test_index_term_count_below_one_is_a_data_error(tmp_path, capsys, command, c
     assert main([command, "--index", str(index), *options, "--query", "foo bar"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        f"quickar {command}: error: unparseable index line in {index}: term 'foo' has count ")
+    assert captured.err == (
+        f"quickar {command}: error: unparseable index line in {index}: {message}\n")
+
+
+# A neighbor count below 1 passes the database checksum when the other
+# counts make up the sum, a cell split at its last ":" may lack a name, and
+# a binary flag other than 0 or 1 means nothing, so load refuses all three.
+@pytest.mark.parametrize("binary, rows, message", [
+    ("0", "bar\tfoo:0,qux:1\nfoo\tbar:0\nqux\tbar:1",
+     "neighbor 'foo' of 'bar' has count 0, below 1"),
+    ("0", "bar\tfoo:-1,qux:2\nfoo\tbar:-1\nqux\tbar:2",
+     "neighbor 'foo' of 'bar' has count -1, below 1"),
+    ("0", "bar\tqux:1,1\nqux\tbar:1", "word 'bar' has a neighbor without a name"),
+    ("yes", "bar\tqux:1\nqux\tbar:1", "binary must be 0 or 1, got 'yes'"),
+], ids=["zero", "negative", "unnamed", "binary"])
+def test_bad_database_count_or_binary_flag_is_a_data_error(tmp_path, capsys, binary, rows,
+                                                           message):
+    db, index = tmp_path / "db.txt", tmp_path / "index.txt"
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index)]) == 0
+    db.write_text(f"#window=2\n#stoplist_sha=\n#source=hand\n#binary={binary}\n{rows}\n"
+                  "#pairs=1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["reformulate", "--index", str(index), "--db", str(db), "--json",
+                 "--query", "foo bar"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"quickar reformulate: error: unparseable database line in {db}: {message}\n")

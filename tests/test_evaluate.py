@@ -1,6 +1,7 @@
 """Evaluation harness: rank statistics against the oracles and scipy, the
-dataset filter's boundaries, the reduction-first rule, the percentage
-denominators, and report writes that fail."""
+dataset filter's boundaries, the reduction-first rule, the strategy list
+checks, the percentage denominators, the text report as a function of the
+JSON one, and report writes that fail."""
 
 from __future__ import annotations
 
@@ -22,14 +23,13 @@ from quickar.evaluate import (
     IMPROVED,
     PRESERVED,
     WORSENED,
-    EvalReport,
-    StrategyResult,
+    EvalOutcome,
     filter_dataset,
     mann_whitney_u,
     parse_queries_tsv,
-    report_to_dict,
     render_report_text,
     run_evaluation,
+    strategy_report,
     summarize_ranks,
 )
 from quickar.errors import DataError
@@ -119,27 +119,26 @@ def fixture_run(stops, oracle):
 def test_full_pipeline_keeps_a_better_reduction_only_rank(fixture_run, stops, oracle):
     corpus, db, queries = fixture_run
     report = run_evaluation(queries, corpus, db, ("all", "red"), stops=stops, oracle=oracle)
-    red = {o.query_id: o for o in report.strategies["red"].outcomes}
+    red = {o["query_id"]: o for o in report["strategies"]["red"]["outcomes"]}
     searcher = searcher_for(corpus)
     applied = 0
-    for outcome in report.strategies["all"].outcomes:
-        query = next(q for q in queries if q.query_id == outcome.query_id)
+    for outcome in report["strategies"]["all"]["outcomes"]:
+        query = next(q for q in queries if q.query_id == outcome["query_id"])
         ref = reformulate(query, corpus, db, MODE_ALL, stops=stops, oracle=oracle)
         expanded = rank_of_first_relevant(searcher.search(ref.rendered_query.normalized()),
                                           set(query.gold_docs))
-        reduced = red[outcome.query_id].reformulated_rank
-        if reduced is not None and reduced < outcome.baseline_rank:
-            assert outcome.reformulated_rank == reduced
+        reduced = red[outcome["query_id"]]["reformulated_rank"]
+        if reduced is not None and reduced < outcome["baseline_rank"]:
+            assert outcome["reformulated_rank"] == reduced
             applied += reduced != expanded
         else:
-            assert outcome.reformulated_rank == expanded
+            assert outcome["reformulated_rank"] == expanded
     assert applied > 0  # the rule decides at least one outcome of the fixture
 
 
-def test_each_kept_query_is_ranked_once_per_strategy(fixture_run, stops, oracle, monkeypatch):
-    # The full pipeline's reduction-only rank is the `red` strategy's rank,
-    # so one `rank` call serves both.
-    corpus, db, queries = fixture_run
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The terms of every Searcher.rank call made while the test runs."""
     rank = Searcher.rank
     calls = []
 
@@ -148,9 +147,30 @@ def test_each_kept_query_is_ranked_once_per_strategy(fixture_run, stops, oracle,
         return rank(self, terms, gold)
 
     monkeypatch.setattr(Searcher, "rank", counted)
+    return calls
+
+
+def test_each_kept_query_is_ranked_once_per_strategy(fixture_run, stops, oracle, rank_calls):
+    # The full pipeline's reduction-only rank is the `red` strategy's rank,
+    # so one `rank` call serves both.
+    corpus, db, queries = fixture_run
     report = run_evaluation(queries, corpus, db, stops=stops, oracle=oracle)
-    assert (report.dataset["total"], report.dataset["kept"]) == (17, 13)
-    assert len(calls) == 17 + 13 * len(STRATEGIES) == 95
+    assert (report["dataset"]["total"], report["dataset"]["kept"]) == (17, 13)
+    assert len(rank_calls) == 17 + 13 * len(STRATEGIES) == 95
+
+
+# A strategy list is checked whole before any query is ranked.
+@pytest.mark.parametrize("strategies, message", [
+    (("all", "p", "p"), "a strategy is named more than once: all,p,p"),
+    (("all", "bogus"), "unknown strategies: bogus"),
+], ids=["repeated", "unknown"])
+def test_bad_strategy_list_is_a_data_error(fixture_run, stops, oracle, rank_calls,
+                                           strategies, message):
+    corpus, db, queries = fixture_run
+    with pytest.raises(DataError) as exc:
+        run_evaluation(queries, corpus, db, strategies, stops=stops, oracle=oracle)
+    assert str(exc.value) == message
+    assert rank_calls == []
 
 
 @pytest.mark.parametrize("subset", [("red",), ("so", "p"), ("prep", "all")],
@@ -162,16 +182,17 @@ def test_strategy_subset_gives_the_outcomes_of_the_full_run(fixture_run, stops, 
     corpus, db, queries = fixture_run
     full = run_evaluation(queries, corpus, db, stops=stops, oracle=oracle)
     part = run_evaluation(queries, corpus, db, subset, stops=stops, oracle=oracle)
-    assert list(part.strategies) == list(subset)
+    assert list(part["strategies"]) == list(subset)
     for name in subset:
-        assert part.strategies[name] == full.strategies[name]
+        assert part["strategies"][name] == full["strategies"][name]
+    stored = json.loads(json.dumps(part, sort_keys=True))
+    assert render_report_text(part) == render_report_text(stored)
 
 
 def test_strict_changes_only_the_denominator(fixture_run, stops, oracle):
     corpus, db, queries = fixture_run
     golden = json.loads((EVAL_DATA / "report.json").read_text(encoding="utf-8"))
-    strict = report_to_dict(run_evaluation(queries, corpus, db, stops=stops, oracle=oracle,
-                                           strict=True))
+    strict = run_evaluation(queries, corpus, db, stops=stops, oracle=oracle, strict=True)
     assert strict["denominator"] == "retrieved_only"
     for name, res in strict["strategies"].items():
         counts = res["counts"]
@@ -184,13 +205,18 @@ def test_strict_changes_only_the_denominator(fixture_run, stops, oracle):
     assert strict == golden
 
 
-def report_with_counts(strict: bool) -> EvalReport:
-    counts = {IMPROVED: 2, WORSENED: 1, PRESERVED: 1, EXCLUDED: 4}
-    result = StrategyResult("all", [], counts,
-                            {b: summarize_ranks([]) for b in (IMPROVED, WORSENED, PRESERVED)})
-    return EvalReport(dataset={"total": 8, "kept": 8, "dropped_low_rank": 0,
-                               "dropped_not_retrieved": 0},
-                      strategies={"all": result}, strict=strict)
+# Two improved, one worsened, one preserved and four excluded outcomes, two
+# of them because the gold document was not retrieved.
+OUTCOMES = [
+    EvalOutcome("q1", 20, 4, IMPROVED),
+    EvalOutcome("q2", 30, 12, IMPROVED),
+    EvalOutcome("q3", 15, 18, WORSENED),
+    EvalOutcome("q4", 11, 11, PRESERVED),
+    EvalOutcome("q5", 14, None, EXCLUDED, reason="gold not retrieved"),
+    EvalOutcome("q6", 25, None, EXCLUDED, reason="gold not retrieved"),
+    EvalOutcome("q7", 12, None, EXCLUDED, reason="empty query"),
+    EvalOutcome("q8", 40, None, EXCLUDED, reason="empty query"),
+]
 
 
 @pytest.mark.parametrize("strict, denominator, percentages", [
@@ -198,16 +224,34 @@ def report_with_counts(strict: bool) -> EvalReport:
     (True, "retrieved_only", [50.0, 25.0, 25.0, 50.0]),
 ])
 def test_percentage_denominators(strict, denominator, percentages):
-    report = report_with_counts(strict)
-    as_dict = report_to_dict(report)
-    assert as_dict["denominator"] == denominator
-    pct = as_dict["strategies"]["all"]["percentages"]
+    entry = strategy_report(OUTCOMES, strict)
+    assert entry["counts"] == {IMPROVED: 2, WORSENED: 1, PRESERVED: 1, EXCLUDED: 4}
+    pct = entry["percentages"]
     assert [pct[b] for b in (IMPROVED, WORSENED, PRESERVED, EXCLUDED)] == percentages
+    assert entry["summaries"][IMPROVED] == {"count": 2, "mean": 8.0, "q1": 6.0, "q2": 8.0,
+                                            "q3": 10.0, "min": 4, "max": 12}
+    assert entry["outcomes"][4] == {"query_id": "q5", "baseline_rank": 14,
+                                    "reformulated_rank": None, "classification": EXCLUDED,
+                                    "reason": "gold not retrieved"}
+    report = {"dataset": dict.fromkeys(("total", "kept", "dropped_low_rank",
+                                        "dropped_not_retrieved"), 8),
+              "denominator": denominator, "params": {}, "strategies": {"all": entry},
+              "mwu": []}
     label = "retrieved queries only" if strict else "all evaluated queries"
-    assert f"Outcomes (percent of {label})" in render_report_text(report)
+    text = render_report_text(report)
+    assert f"Outcomes (percent of {label})" in text
+    assert f"all       2 ({percentages[0]:.2f}%)" in text
 
 
-OLD_DATASET = dict.fromkeys(("total", "kept", "dropped_low_rank", "dropped_not_retrieved"), 0)
+def test_text_report_is_rendered_from_the_json_report():
+    golden = json.loads((EVAL_DATA / "report.json").read_text(encoding="utf-8"))
+    assert render_report_text(golden) == (EVAL_DATA / "report.txt").read_text(encoding="utf-8")
+
+
+# The smallest report: no strategy evaluated.
+OLD_REPORT = {"dataset": dict.fromkeys(("total", "kept", "dropped_low_rank",
+                                        "dropped_not_retrieved"), 0),
+              "denominator": "all", "params": {"note": "old"}, "strategies": {}, "mwu": []}
 
 # Writes both reports, then rewrites them under a file-size limit that the
 # new report.json exceeds and the new report.txt does not, so the second
@@ -215,14 +259,15 @@ OLD_DATASET = dict.fromkeys(("total", "kept", "dropped_low_rank", "dropped_not_r
 FAILING_WRITE = """
 import resource, signal, sys
 from quickar.errors import DataError
-from quickar.evaluate import EvalReport, emit_report
+from quickar.evaluate import emit_report
 
-out, dataset = sys.argv[1], %r
-emit_report(EvalReport(dataset=dataset, params={"note": "old"}), out)
+out, old = sys.argv[1], %r
+emit_report(old, out)
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.RLIM_INFINITY))
 try:
-    emit_report(EvalReport(dataset={**dataset, "total": 7}, params={"note": "x" * 20000}), out)
+    emit_report({**old, "dataset": {**old["dataset"], "total": 7},
+                 "params": {"note": "x" * 20000}}, out)
 except DataError as exc:
     print(exc)
     sys.exit(3)
@@ -231,10 +276,10 @@ except DataError as exc:
 
 def test_failed_report_write_keeps_previous_report(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-c", FAILING_WRITE % OLD_DATASET, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", FAILING_WRITE % OLD_REPORT, str(tmp_path)],
                           env={"PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout.startswith(f"cannot write report to {tmp_path}: ")
     assert json.loads((tmp_path / "report.json").read_text())["params"] == {"note": "old"}
-    assert (tmp_path / "report.txt").read_text() == render_report_text(EvalReport(OLD_DATASET))
+    assert (tmp_path / "report.txt").read_text() == render_report_text(OLD_REPORT)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.txt"]
