@@ -220,15 +220,24 @@ def save(db: AdjacencyDatabase, path) -> None:
 
 
 def load(path) -> AdjacencyDatabase:
+    """Read a database that `save` wrote.
+
+    Each distinct cell is decoded once per call, so every row holding the
+    same `neighbor:count` cell shares one neighbor string.
+    """
     header, records, declared = artifact.load(path, "database", _HEADER_KEYS, ("pairs",))
     entries: dict[str, dict[str, int]] = {}
+    decoded: dict[str, tuple[str, int]] = {}
     try:
         for word, cells in records:
             nbrs: dict[str, int] = {}
             if cells:
                 for cell in cells.split(","):
-                    nbr, _, count = cell.rpartition(":")
-                    nbrs[nbr] = int(count)
+                    entry = decoded.get(cell)
+                    if entry is None:
+                        nbr, _, count = cell.rpartition(":")
+                        entry = decoded[cell] = (nbr, int(count))
+                    nbrs[entry[0]] = entry[1]
                 if "" in nbrs:
                     raise ValueError(f"word {word!r} has a neighbor without a name")
                 if min(nbrs.values()) < 1:

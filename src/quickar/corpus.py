@@ -396,17 +396,29 @@ def save(corpus: Corpus, path) -> None:
 
 
 def load(path) -> Corpus:
+    """Read a corpus that `save` wrote.
+
+    Each distinct cell is decoded once per call, so every document holding
+    the same `surface:count` cell shares one normalized-term and one surface
+    string; a surface that is already lower-case is its own normalized term.
+    """
     header, records, declared = artifact.load(path, "index", _HEADER_KEYS, ("docs", "terms"))
     documents: list[Document] = []
+    decoded: dict[str, tuple[str, str, int]] = {}
     try:
         for doc_id, cells in records:
             counts: dict[str, int] = {}
             surfaces: dict[str, str] = {}
             if cells:
                 for cell in cells.split(","):
-                    surface, _, count = cell.rpartition(":")
-                    norm = surface.lower()
-                    counts[norm] = int(count)
+                    entry = decoded.get(cell)
+                    if entry is None:
+                        surface, _, count = cell.rpartition(":")
+                        norm = surface.lower()
+                        entry = decoded[cell] = (surface if norm == surface else norm,
+                                                 surface, int(count))
+                    norm, surface, count = entry
+                    counts[norm] = count
                     surfaces[norm] = surface
                 if "" in counts:
                     raise ValueError(f"document {doc_id!r} has a term without a name")

@@ -258,8 +258,12 @@ def evaluate_strategy(
     strategies take each query's reformulations, and the rank of each mode
     already ranked, from `reformulated`, filling in those missing; share one
     dict across calls to reformulate a query once and rank each mode once.
-    `strategy` must be one of STRATEGIES; `run_evaluation` checks its list.
+    A `strategy` not in STRATEGIES is a DataError, raised before any query
+    is ranked.
     """
+    if strategy not in STRATEGIES:
+        raise DataError(f"unknown strategies: {strategy}")
+
     def mode_rank(query: QueryRecord, mode: str) -> int | None:
         if query not in reformulated:
             reformulated[query] = (reformulations(query, corpus, db, stops=stops, oracle=oracle,

@@ -32,7 +32,13 @@ class SearchHit:
 
 
 class Searcher:
-    """Inverted-index retriever bound to one immutable corpus."""
+    """Inverted-index retriever bound to one immutable corpus.
+
+    Each term's postings are a pair of lists, the ascending positions of the
+    documents holding the term and their weights, with no tuple per posting.
+    The postings are keyed by the corpus's own term strings, which
+    `corpus.load` shares between the documents holding the same cell.
+    """
 
     def __init__(self, corpus: Corpus):
         if corpus.n_docs == 0:
@@ -45,7 +51,7 @@ class Searcher:
         }
         self._unknown_idf = math.log(n + 1) + 1.0
         # Postings hold final L2-normalized document weights.
-        self._postings: dict[str, list[tuple[int, float]]] = {}
+        self._postings: dict[str, tuple[list[int], list[float]]] = {}
         self._doc_ids = [doc.doc_id for doc in corpus.documents]
         self._by_id = {doc.doc_id: doc for doc in corpus.documents}
         for index, doc in enumerate(corpus.documents):
@@ -54,7 +60,11 @@ class Searcher:
             weights = self.tf_idf(doc.term_counts)
             norm = math.sqrt(sum(w * w for w in weights.values()))
             for term, weight in weights.items():
-                self._postings.setdefault(term, []).append((index, weight / norm))
+                postings = self._postings.get(term)
+                if postings is None:
+                    postings = self._postings[term] = ([], [])
+                postings[0].append(index)
+                postings[1].append(weight / norm)
 
     def tf_idf(self, counts: dict[str, int]) -> dict[str, float]:
         """tf'*idf weight of each term of a document's or a query's term
@@ -92,7 +102,8 @@ class Searcher:
         scores: dict[int, float] = {}
         for term in sorted(qvec):
             weight = qvec[term]
-            for index, doc_weight in self._postings.get(term, ()):
+            positions, doc_weights = self._postings.get(term, ((), ()))
+            for index, doc_weight in zip(positions, doc_weights):
                 scores[index] = scores.get(index, 0.0) + weight * doc_weight
         return scores
 

@@ -248,3 +248,14 @@ def test_save_is_sorted_and_deterministic(stops, tmp_path):
     save(build(titles, stops), p1)
     save(build(titles[::-1], stops), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_load_shares_the_neighbor_of_a_repeated_cell(tmp_path):
+    # The rows of `bar` and `qux` both hold the cell `foo:1`.
+    db = AdjacencyDatabase({"foo": {"bar": 1, "qux": 1}, "bar": {"foo": 1}, "qux": {"foo": 1}})
+    path = tmp_path / "db.txt"
+    save(db, path)
+    loaded = load(path)
+    assert loaded == db
+    (in_bar,), (in_qux,) = loaded.entries["bar"], loaded.entries["qux"]
+    assert in_bar == in_qux == "foo" and in_bar is in_qux

@@ -10,6 +10,10 @@ import pytest
 
 from quickar import corpus
 from quickar.cli import load_config, main
+from quickar.corpus import build_corpus
+from quickar.reformulate import Params, QueryRecord
+from quickar.rocchio import rocchio_expand
+from quickar.textprep import default_language_keywords, default_stoplist
 
 
 def write_tree(root, files: dict[str, str]):
@@ -97,6 +101,65 @@ def test_evaluate_golden(tmp_path, capsys):
                             f"report written to {out / 'report.txt'} and {out / 'report.json'}\n")
     assert (out / "report.txt").read_bytes() == (EVAL_DATA / "report.txt").read_bytes()
     assert (out / "report.json").read_bytes() == (EVAL_DATA / "report.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def eval_artifacts(tmp_path_factory):
+    """The database and index that the CLI builds from the evaluate fixture."""
+    root = tmp_path_factory.mktemp("artifacts")
+    db, index = root / "db.txt", root / "index.txt"
+    assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db)]) == 0
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index)]) == 0
+    return db, index
+
+
+ROCCHIO_TITLE = "Merge session config payment fails when refund is empty"
+
+
+@pytest.fixture(scope="module")
+def library_rocchio():
+    """The Rocchio baseline of ROCCHIO_TITLE, computed by the library on the
+    corpus built from the fixture's sources."""
+    stops = default_stoplist()
+    built = build_corpus(EVAL_DATA / "src", stops, default_language_keywords())
+    ref = rocchio_expand(QueryRecord("cli", ROCCHIO_TITLE), built, Params(), stops=stops)
+    assert ref.expansion_terms  # the baseline expands this query
+    return ref
+
+
+def reformulate_rocchio(eval_artifacts, capsys, *flags) -> str:
+    db, index = eval_artifacts
+    capsys.readouterr()
+    assert main(["reformulate", "--index", str(index), "--db", str(db), "--strategy", "rocchio",
+                 "--query", ROCCHIO_TITLE, *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+def test_reformulate_rocchio_text(eval_artifacts, library_rocchio, capsys):
+    ref = library_rocchio
+    assert reformulate_rocchio(eval_artifacts, capsys).splitlines() == [
+        f"reduced query : {ref.keyword_query_text()}",
+        f"expanded query: {ref.query_text()}",
+        "expansion terms:",
+        *(f"  {c.surface:<24}{c.source:<10}{c.score:.4f}" for c in ref.expansion_terms),
+    ]
+
+
+def test_reformulate_rocchio_json(eval_artifacts, library_rocchio, capsys):
+    ref = library_rocchio
+    assert json.loads(reformulate_rocchio(eval_artifacts, capsys, "--json")) == {
+        "query": ROCCHIO_TITLE,
+        "strategy": "rocchio",
+        "mode": "rocchio",
+        "reduced_keywords": [{"term": t.normalized, "surface": t.surface}
+                             for t in ref.keywords],
+        "expansion_terms": [{"term": c.term, "surface": c.surface, "source": c.source,
+                             "score": c.score} for c in ref.expansion_terms],
+        "reduced_query": ref.keyword_query_text(),
+        "rendered_query": ref.query_text(),
+    }
 
 
 # Characters str.splitlines() breaks on besides "\n"; a document id holding

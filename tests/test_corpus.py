@@ -306,3 +306,21 @@ def test_corpus_truncated_file(fixture_tree, stops, tmp_path):
     path.write_text("".join(lines[:-1]))
     with pytest.raises(CorruptFileError):
         load(path)
+
+
+def key(mapping: dict, value: str) -> str:
+    """The key object of `mapping` equal to `value`."""
+    return next(k for k in mapping if k == value)
+
+
+def test_load_shares_the_strings_of_a_repeated_cell(stops, tmp_path):
+    # Both documents hold the cells `parse:1` and `Token:1`; after a load
+    # each term is one string object however many documents hold it.
+    path = tmp_path / "index.txt"
+    save(make_corpus([("d1", "parse Token"), ("d2", "Token parse")], stops), path)
+    first, second = load(path).documents
+    for term in ("parse", "token"):
+        assert key(first.term_counts, term) is key(second.term_counts, term)
+        assert first.surfaces[term] is second.surfaces[term]
+    # A surface that is already lower-case is its own normalized term.
+    assert key(first.term_counts, "parse") is first.surfaces["parse"]

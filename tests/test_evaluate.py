@@ -24,6 +24,7 @@ from quickar.evaluate import (
     PRESERVED,
     WORSENED,
     EvalOutcome,
+    evaluate_strategy,
     filter_dataset,
     mann_whitney_u,
     parse_queries_tsv,
@@ -170,6 +171,17 @@ def test_bad_strategy_list_is_a_data_error(fixture_run, stops, oracle, rank_call
     with pytest.raises(DataError) as exc:
         run_evaluation(queries, corpus, db, strategies, stops=stops, oracle=oracle)
     assert str(exc.value) == message
+    assert rank_calls == []
+
+
+def test_unknown_strategy_is_a_data_error(fixture_run, stops, oracle, rank_calls):
+    # Called directly, evaluate_strategy checks its name as run_evaluation
+    # checks its list, instead of evaluating the Rocchio baseline.
+    corpus, db, queries = fixture_run
+    with pytest.raises(DataError) as exc:
+        evaluate_strategy(queries, corpus, db, "bogus", {}, stops=stops, oracle=oracle,
+                          searcher=Searcher(corpus), reformulated={})
+    assert str(exc.value) == "unknown strategies: bogus"
     assert rank_calls == []
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_cosine_ranking
-from quickar.corpus import Corpus, Document
+from quickar.corpus import Corpus, Document, load, save
 from quickar.errors import DataError
 from quickar.search import NOT_RETRIEVED, SearchHit, Searcher, rank_of_first_relevant
 
@@ -202,3 +202,37 @@ def test_top_n_is_a_prefix_of_the_full_ranking(corpus, terms):
     full = searcher.search(terms)
     for k in range(len(full) + 3):
         assert searcher.search(terms, top_n=k) == full[:k]
+
+
+# -- a loaded index scores as the built one -----------------------------------
+
+@st.composite
+def corpora_with_varied_surfaces(draw) -> Corpus:
+    """small_corpora with each term's surface drawn per document from its
+    case variants, so one normalized term has several surfaces; the tiny
+    vocabulary and counts make many documents hold the same cell."""
+    corpus = draw(small_corpora())
+    return Corpus([
+        Document(doc_id=doc.doc_id, term_counts=doc.term_counts,
+                 surfaces={t: draw(st.sampled_from([t, t.title(), t.upper()]))
+                           for t in doc.term_counts})
+        for doc in corpus.documents])
+
+
+@pytest.fixture(scope="module")
+def index_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("loaded") / "index.txt"
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=corpora_with_varied_surfaces(), terms=queries, data=st.data())
+def test_a_loaded_index_scores_as_the_built_one(index_path, corpus, terms, data):
+    save(corpus, index_path)
+    loaded = load(index_path)
+    assert loaded == corpus
+    built, read_back = Searcher(corpus), Searcher(loaded)
+    # SearchHit equality compares the score floats exactly.
+    assert read_back.search(terms) == built.search(terms)
+    ids = [doc.doc_id for doc in corpus.documents]
+    gold = data.draw(st.sets(st.sampled_from(ids + ["ghost"]), min_size=1, max_size=3))
+    assert read_back.rank(terms, gold) == built.rank(terms, gold)
