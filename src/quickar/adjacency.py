@@ -237,7 +237,8 @@ def load(path) -> AdjacencyDatabase:
                     if entry is None:
                         nbr, _, count = cell.rpartition(":")
                         entry = decoded[cell] = (nbr, int(count))
-                    nbrs[entry[0]] = entry[1]
+                    nbr, count = entry
+                    nbrs[nbr] = count
                 if "" in nbrs:
                     raise ValueError(f"word {word!r} has a neighbor without a name")
                 if min(nbrs.values()) < 1:
