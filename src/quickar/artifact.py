@@ -19,7 +19,13 @@ encodes and decodes its own cells, which pass through here as text, and
 checks the checksum counts that `load` returns against its records.
 
 Files are written through `atomic_write`, so a failed write keeps the
-previous file.
+previous file. A text that cannot be written as UTF-8 (a file name that
+is not UTF-8 reaches Python as a str holding lone surrogates) is refused
+with a `DataError` before the previous file is replaced. An existing path
+that is not a regular file (a device, a FIFO, a directory) is refused
+before anything is written. A symbolic link is not followed: the link
+itself is replaced by the new regular file, and its target is left as it
+was.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import stat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -41,9 +48,15 @@ def atomic_write(path):
 
     The text goes to a temporary file in the same directory, which is
     flushed to disk and renamed over `path`; if the block raises, the
-    temporary file is removed and `path` keeps its previous content.
+    temporary file is removed and `path` keeps its previous content. A
+    `path` that exists and is neither a regular file nor a symbolic link
+    raises DataError before anything is written.
     """
     path = Path(path)
+    with contextlib.suppress(FileNotFoundError):
+        mode = os.lstat(path).st_mode
+        if not (stat.S_ISREG(mode) or stat.S_ISLNK(mode)):
+            raise DataError(f"cannot write {path}: it exists and is not a regular file")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -111,7 +124,12 @@ def save(path, what: str, header: dict[str, object],
             for line in lines:
                 if "\n" in line:
                     raise DataError(f"cannot write {what} {path}: {line!r} holds a line feed")
-                fh.write(line + "\n")
+                try:
+                    fh.write(line + "\n")
+                except UnicodeEncodeError:
+                    text = line.rpartition("\t")[0] or line  # a record's name, or a header
+                    raise DataError(
+                        f"cannot write {what} {path}: {text!r} is not UTF-8 text") from None
     except OSError as exc:
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
 

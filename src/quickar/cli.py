@@ -150,8 +150,10 @@ def build_parser() -> _Parser:
     p.add_argument("--index", required=True, metavar="FILE")
     p.add_argument("--db", required=True, metavar="FILE")
     p.add_argument("--query", required=True, help="change-request title")
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--strategy", choices=("quickar", "rocchio"), default="quickar")
+    p.add_argument("--mode", choices=MODES, default=None,
+                   help="expansion source of the quickar strategy")
+    p.add_argument("--strategy", choices=("quickar", "rocchio"), default="quickar",
+                   help="rocchio runs the baseline, which reads neither --db nor --mode")
     p.add_argument("--stoplist", default=None, metavar="FILE")
     p.add_argument("--json", action="store_true", dest="as_json")
 
@@ -243,17 +245,17 @@ def _warn_meta_mismatch(db_meta, corpus_meta, stops) -> None:
 def _cmd_reformulate(args, cfg: Config) -> int:
     stops = load_stoplist(args.stoplist or cfg.stoplist_path)
     index = corpus_mod.load(args.index)
-    db = adjacency.load(args.db)
-    _warn_meta_mismatch(db.meta, index.meta, stops)
-    oracle = default_noun_oracle()
     query = QueryRecord(query_id="cli", text=args.query)
-    mode = args.mode if args.mode is not None else cfg.mode
 
     if args.strategy == "rocchio":
+        # The baseline reads no crowd knowledge, so --db is not loaded.
         ref = rocchio_expand(query, index, cfg.params, stops=stops)
     else:
-        ref = reformulate(query, index, db, mode=mode, stops=stops, oracle=oracle,
-                          params=cfg.params)
+        db = adjacency.load(args.db)
+        _warn_meta_mismatch(db.meta, index.meta, stops)
+        mode = args.mode if args.mode is not None else cfg.mode
+        ref = reformulate(query, index, db, mode=mode, stops=stops,
+                          oracle=default_noun_oracle(), params=cfg.params)
 
     if args.as_json:
         payload = {
@@ -312,6 +314,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "reformulate" and args.strategy == "rocchio" and args.mode is not None:
+        parser.error("argument --mode: not allowed with argument --strategy rocchio")
     logging.basicConfig(level=logging.INFO if args.verbose else logging.ERROR,
                         format="%(levelname)s %(name)s: %(message)s")
     if args.command is None:

@@ -8,6 +8,11 @@ Classic log-scaled term frequency with smoothed inverse document frequency:
 
 Ties break by ascending document id, which makes every ranked list total and
 reproducible; the evaluation harness relies on that.
+
+A `Searcher` builds eagerly only each term's list of document positions;
+idf values, document norms and weighted postings are computed the first
+time a query needs them and memoized on the searcher, so a one-shot call
+weights only the postings it scores.
 """
 
 from __future__ import annotations
@@ -31,12 +36,38 @@ class SearchHit:
     rank: int  # 1-based, consecutive
 
 
+class _IdfMemo(dict):
+    """Smoothed idf by term, computed on a term's first lookup from the
+    number of documents holding it; a term that none holds gets the idf of
+    df 0, the unknown-term idf."""
+
+    __slots__ = ("_positions", "_n_docs")
+
+    def __init__(self, positions: dict[str, list[int]], n_docs: int):
+        super().__init__()
+        self._positions = positions
+        self._n_docs = n_docs
+
+    def __missing__(self, term: str) -> float:
+        df = len(self._positions.get(term, ()))
+        idf = self[term] = math.log((self._n_docs + 1) / (df + 1)) + 1.0
+        return idf
+
+
 class Searcher:
     """Inverted-index retriever bound to one immutable corpus.
 
-    Each term's postings are a pair of lists, the ascending positions of the
-    documents holding the term and their weights, with no tuple per posting.
-    The postings are keyed by the corpus's own term strings, which
+    Construction makes one pass over the documents and keeps, for each
+    term, the ascending positions of the documents that hold it; no weight
+    is computed then. The rest is computed on first use and kept on the
+    searcher: a term's idf when a weight needs it, a document's L2 norm when
+    a posting of that document is built, and a term's postings when a query
+    first scores it. A call that scores ten terms therefore weights only
+    their postings, and every float is the one a fully built index gives.
+
+    A term's postings are a pair of lists, the positions and the
+    L2-normalized weights of the documents holding the term, with no tuple
+    per posting. They are keyed by the corpus's own term strings, which
     `corpus.load` shares between the documents holding the same cell.
     """
 
@@ -44,36 +75,47 @@ class Searcher:
         if corpus.n_docs == 0:
             raise DataError("cannot search an empty corpus")
         self.corpus = corpus
-        n = corpus.n_docs
-        self._idf = {
-            term: math.log((n + 1) / (df + 1)) + 1.0
-            for term, df in corpus.doc_freq.items()
-        }
-        self._unknown_idf = math.log(n + 1) + 1.0
-        # Postings hold final L2-normalized document weights.
-        self._postings: dict[str, tuple[list[int], list[float]]] = {}
         self._doc_ids = [doc.doc_id for doc in corpus.documents]
         self._by_id = {doc.doc_id: doc for doc in corpus.documents}
+        positions: dict[str, list[int]] = {}
         for index, doc in enumerate(corpus.documents):
-            if not doc.term_counts:
-                continue
-            weights = self.tf_idf(doc.term_counts)
-            norm = math.sqrt(sum(w * w for w in weights.values()))
-            for term, weight in weights.items():
-                postings = self._postings.get(term)
-                if postings is None:
-                    postings = self._postings[term] = ([], [])
-                postings[0].append(index)
-                postings[1].append(weight / norm)
+            for term in doc.term_counts:
+                held = positions.get(term)
+                if held is None:
+                    positions[term] = [index]
+                else:
+                    held.append(index)
+        self._positions = positions
+        # Memos, filled on first use.
+        self._idf = _IdfMemo(positions, corpus.n_docs)
+        self._norms: dict[int, float] = {}
+        self._postings: dict[str, tuple[list[int], list[float]]] = {}
 
     def tf_idf(self, counts: dict[str, int]) -> dict[str, float]:
         """tf'*idf weight of each term of a document's or a query's term
         counts, in ascending term order."""
-        idf, unknown = self._idf, self._unknown_idf
-        return {
-            term: (1.0 + math.log(count)) * idf.get(term, unknown)
-            for term, count in sorted(counts.items())
-        }
+        idf, log = self._idf, math.log
+        return {term: (1.0 + log(count)) * idf[term] for term, count in sorted(counts.items())}
+
+    def _postings_of(self, term: str) -> tuple[list[int], list[float]]:
+        """The positions and normalized weights of the documents holding
+        `term`, built on first use together with any norm they need."""
+        postings = self._postings.get(term)
+        if postings is None:
+            positions = self._positions.get(term, [])
+            idf = self._idf[term]
+            documents, norms = self.corpus.documents, self._norms
+            weights = []
+            for index in positions:
+                doc = documents[index]
+                norm = norms.get(index)
+                if norm is None:
+                    # Summed in ascending term order, as tf_idf returns them.
+                    norm = norms[index] = math.sqrt(
+                        sum([w * w for w in self.tf_idf(doc.term_counts).values()]))
+                weights.append((1.0 + math.log(doc.term_counts[term])) * idf / norm)
+            postings = self._postings[term] = (positions, weights)
+        return postings
 
     def query_vector(self, terms: Sequence[str]) -> dict[str, float]:
         """L2-normalized tf'*idf weights of a term query.
@@ -102,7 +144,7 @@ class Searcher:
         scores: dict[int, float] = {}
         for term in sorted(qvec):
             weight = qvec[term]
-            positions, doc_weights = self._postings.get(term, ((), ()))
+            positions, doc_weights = self._postings_of(term)
             for index, doc_weight in zip(positions, doc_weights):
                 scores[index] = scores.get(index, 0.0) + weight * doc_weight
         return scores

@@ -2,19 +2,22 @@
 
 Everything here recomputes expected values from first principles on plain
 dicts and lists: no inverted index, no cached norms, no shared code paths
-with the package internals. The three frozen references at the end are
+with the package internals. The four frozen references at the end are
 the exception: earlier versions of package code, kept so that a rewrite must
 return exactly what the code it replaced returned.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 import math
 import re
+from typing import Sequence
 
-from quickar.corpus import MethodUnit
+from quickar.corpus import Corpus, Document, MethodUnit
+from quickar.errors import DataError
 from quickar.reformulate import (
     MODE_ALL,
     MODE_CROWD,
@@ -33,7 +36,7 @@ from quickar.reformulate import (
     score_project_candidates,
     select_and_combine,
 )
-from quickar.search import searcher_for
+from quickar.search import NOT_RETRIEVED, SearchHit, searcher_for
 from quickar.textprep import (
     CAMEL_PART,
     SPLIT_AND_KEEP_WHOLE,
@@ -465,3 +468,126 @@ def reference_preprocess(
                 continue
             tokens.append(tok)
     return TermSequence(tokens=tokens)
+
+
+# ---------------------------------------------------------------------------
+# Reference searcher
+# ---------------------------------------------------------------------------
+
+# The eagerly built `Searcher`, frozen verbatim apart from its name: it
+# weights every posting of every term when it is constructed. The package's
+# `Searcher` builds idf values, norms and postings on first use, and must
+# return the same hits, ranks and weights, float for float.
+
+class ReferenceSearcher:
+    """Inverted-index retriever bound to one immutable corpus.
+
+    Each term's postings are a pair of lists, the ascending positions of the
+    documents holding the term and their weights, with no tuple per posting.
+    The postings are keyed by the corpus's own term strings, which
+    `corpus.load` shares between the documents holding the same cell.
+    """
+
+    def __init__(self, corpus: Corpus):
+        if corpus.n_docs == 0:
+            raise DataError("cannot search an empty corpus")
+        self.corpus = corpus
+        n = corpus.n_docs
+        self._idf = {
+            term: math.log((n + 1) / (df + 1)) + 1.0
+            for term, df in corpus.doc_freq.items()
+        }
+        self._unknown_idf = math.log(n + 1) + 1.0
+        # Postings hold final L2-normalized document weights.
+        self._postings: dict[str, tuple[list[int], list[float]]] = {}
+        self._doc_ids = [doc.doc_id for doc in corpus.documents]
+        self._by_id = {doc.doc_id: doc for doc in corpus.documents}
+        for index, doc in enumerate(corpus.documents):
+            if not doc.term_counts:
+                continue
+            weights = self.tf_idf(doc.term_counts)
+            norm = math.sqrt(sum(w * w for w in weights.values()))
+            for term, weight in weights.items():
+                postings = self._postings.get(term)
+                if postings is None:
+                    postings = self._postings[term] = ([], [])
+                postings[0].append(index)
+                postings[1].append(weight / norm)
+
+    def tf_idf(self, counts: dict[str, int]) -> dict[str, float]:
+        """tf'*idf weight of each term of a document's or a query's term
+        counts, in ascending term order."""
+        idf, unknown = self._idf, self._unknown_idf
+        return {
+            term: (1.0 + math.log(count)) * idf.get(term, unknown)
+            for term, count in sorted(counts.items())
+        }
+
+    def query_vector(self, terms: Sequence[str]) -> dict[str, float]:
+        """L2-normalized tf'*idf weights of a term query.
+
+        Unknown terms keep their smoothed idf and only affect normalization
+        (they match nothing).
+        """
+        counts: dict[str, int] = {}
+        for term in terms:
+            counts[term] = counts.get(term, 0) + 1
+        weights = self.tf_idf(counts)
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        if norm == 0.0:
+            return {}
+        return {term: w / norm for term, w in weights.items()}
+
+    def document(self, doc_id: str) -> Document:
+        """The corpus document with this id (the last one, should ids repeat)."""
+        return self._by_id[doc_id]
+
+    def _scores(self, query_terms: Sequence[str]) -> dict[int, float]:
+        """Cosine score of every document sharing a term with the query, by
+        document position. Terms are added in ascending order, so a score is
+        the same float whichever method asks for it."""
+        qvec = self.query_vector(query_terms)
+        scores: dict[int, float] = {}
+        for term in sorted(qvec):
+            weight = qvec[term]
+            positions, doc_weights = self._postings.get(term, ((), ()))
+            for index, doc_weight in zip(positions, doc_weights):
+                scores[index] = scores.get(index, 0.0) + weight * doc_weight
+        return scores
+
+    def search(self, query_terms: Sequence[str], top_n: int | None = None) -> list[SearchHit]:
+        """Ranked documents for a query of normalized terms; zero-overlap
+        documents are omitted, an empty query returns an empty list. With
+        `top_n`, the first `top_n` of that list, picked without sorting the
+        rest."""
+        scores = self._scores(query_terms)
+        doc_ids = self._doc_ids
+
+        def key(item):
+            return -item[1], doc_ids[item[0]]
+
+        if top_n is None:
+            order = sorted(scores.items(), key=key)
+        else:
+            order = heapq.nsmallest(top_n, scores.items(), key=key)
+        return [
+            SearchHit(doc_id=doc_ids[index], score=score, rank=rank)
+            for rank, (index, score) in enumerate(order, start=1)
+        ]
+
+    def rank(self, query_terms: Sequence[str], gold: set[str] | frozenset[str]) -> int | None:
+        """Rank of the first `gold` document in `search(query_terms)`, or
+        NOT_RETRIEVED: 1 + the number of scored documents that sort before
+        the best gold one, counted without building or sorting the hits."""
+        if not gold:
+            raise ValueError("gold document set must not be empty")
+        scores = self._scores(query_terms)
+        doc_ids = self._doc_ids
+        best = min(((-score, doc_ids[index]) for index, score in scores.items()
+                    if doc_ids[index] in gold), default=None)
+        if best is None:
+            return NOT_RETRIEVED
+        best_score, best_id = -best[0], best[1]
+        return 1 + sum(1 for index, score in scores.items()
+                       if score > best_score or (score == best_score and doc_ids[index] < best_id))
+

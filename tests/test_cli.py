@@ -4,6 +4,8 @@ and the strip-comments extraction mode."""
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from quickar import corpus
 from quickar.cli import load_config, main
 from quickar.corpus import build_corpus
-from quickar.reformulate import Params, QueryRecord
+from quickar.reformulate import MODES, Params, QueryRecord
 from quickar.rocchio import rocchio_expand
 from quickar.textprep import default_language_keywords, default_stoplist
 
@@ -160,6 +162,29 @@ def test_reformulate_rocchio_json(eval_artifacts, library_rocchio, capsys):
         "reduced_query": ref.keyword_query_text(),
         "rendered_query": ref.query_text(),
     }
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_reformulate_rocchio_does_not_read_the_database(eval_artifacts, tmp_path, capsys, flags):
+    _, index = eval_artifacts
+    expected = reformulate_rocchio(eval_artifacts, capsys, *flags)
+    assert main(["reformulate", "--index", str(index), "--db", str(tmp_path / "nosuch.db"),
+                 "--strategy", "rocchio", "--query", ROCCHIO_TITLE, *flags]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_reformulate_rocchio_with_a_mode_is_a_usage_error(eval_artifacts, capsys, mode):
+    db, index = eval_artifacts
+    with pytest.raises(SystemExit) as exc:
+        main(["reformulate", "--index", str(index), "--db", str(db), "--strategy", "rocchio",
+              "--mode", mode, "--query", ROCCHIO_TITLE])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --mode: not allowed with argument --strategy rocchio\n")
 
 
 # Characters str.splitlines() breaks on besides "\n"; a document id holding
@@ -482,3 +507,64 @@ def test_bad_database_count_or_binary_flag_is_a_data_error(tmp_path, capsys, bin
     assert captured.out == ""
     assert captured.err == (
         f"quickar reformulate: error: unparseable database line in {db}: {message}\n")
+
+
+def test_index_of_a_file_name_that_is_not_utf8_keeps_previous_index(tmp_path, capsys):
+    src = write_tree(tmp_path / "src", {"Plain.java": "class Plain { void run() { } }"})
+    index = tmp_path / "index.txt"
+    assert main(["index", "--src", str(src), "--out", str(index)]) == 0
+    previous = index.read_bytes()
+    # On Linux a file name is bytes; this one is Latin-1, not UTF-8, and
+    # reaches quickar as a str holding a lone surrogate.
+    name = os.fsdecode(os.fsencode(src) + b"/caf\xe9.java")
+    Path(name).write_text("class Cafe { void brew() { } }", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["index", "--src", str(src), "--out", str(index)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"quickar index: error: cannot write index {index}: "
+                            f"{Path(name).name + '#1:brew'!r} is not UTF-8 text\n")
+    assert index.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["index.txt", "src"]
+
+
+@pytest.mark.parametrize("command", ["build-db", "index"])
+def test_out_that_is_not_a_regular_file_is_a_data_error(tmp_path, capsys, command):
+    out = tmp_path / "out.fifo"
+    os.mkfifo(out)
+    inputs = (["--dump", str(EVAL_DATA / "dump.tsv")] if command == "build-db"
+              else ["--src", str(EVAL_DATA / "src")])
+    assert main([command, *inputs, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"quickar {command}: error: cannot write {out}: "
+                            "it exists and is not a regular file\n")
+    assert stat.S_ISFIFO(os.lstat(out).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+
+def test_evaluate_into_a_report_that_is_not_a_regular_file_keeps_both(tmp_path, capsys):
+    db, index, out = tmp_path / "db.txt", tmp_path / "index.txt", tmp_path / "out"
+    assert main(["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(db)]) == 0
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(index)]) == 0
+    out.mkdir()
+    (out / "report.txt").write_text("previous report\n", encoding="utf-8")
+    os.mkfifo(out / "report.json")
+    capsys.readouterr()
+    assert main(["evaluate", "--index", str(index), "--db", str(db),
+                 "--queries", str(EVAL_DATA / "queries.tsv"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"cannot write {out / 'report.json'}: it exists and is not a regular file\n")
+    assert (out / "report.txt").read_text(encoding="utf-8") == "previous report\n"
+    assert stat.S_ISFIFO(os.lstat(out / "report.json").st_mode)
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.txt"]
+
+
+def test_symlink_out_is_replaced_and_its_target_kept(tmp_path, capsys):
+    target, link = tmp_path / "target.txt", tmp_path / "index.txt"
+    target.write_bytes(b"target\n")
+    link.symlink_to(target)
+    assert main(["index", "--src", str(EVAL_DATA / "src"), "--out", str(link)]) == 0
+    assert not link.is_symlink()
+    assert link.read_bytes().startswith(b"#source=src\n")
+    assert target.read_bytes() == b"target\n"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_cosine_ranking
+from oracles import ReferenceSearcher, dense_cosine_ranking
 from quickar.corpus import Corpus, Document, load, save
 from quickar.errors import DataError
 from quickar.search import NOT_RETRIEVED, SearchHit, Searcher, rank_of_first_relevant
@@ -236,3 +236,49 @@ def test_a_loaded_index_scores_as_the_built_one(index_path, corpus, terms, data)
     ids = [doc.doc_id for doc in corpus.documents]
     gold = data.draw(st.sets(st.sampled_from(ids + ["ghost"]), min_size=1, max_size=3))
     assert read_back.rank(terms, gold) == built.rank(terms, gold)
+
+
+# -- the lazy searcher scores as the eagerly built one ------------------------
+
+@st.composite
+def corpora_with_an_empty_document(draw) -> Corpus:
+    """small_corpora plus, at a random position, a document with no terms."""
+    corpus = draw(small_corpora())
+    documents = list(corpus.documents)
+    documents.insert(draw(st.integers(0, len(documents))), Document(doc_id="empty"))
+    return Corpus(documents)
+
+
+# One call on a searcher: ("search", terms, top_n), ("rank", terms, gold) or
+# ("tf_idf", counts). Terms include "zzz" and "yyy", which no document holds.
+UNKNOWN = ["zzz", "yyy"]
+TERMS = st.lists(st.sampled_from(VOCAB + UNKNOWN), max_size=5)
+CALLS = st.lists(st.one_of(
+    st.tuples(st.just("search"), TERMS, st.none() | st.integers(0, 6)),
+    st.tuples(st.just("rank"), TERMS,
+              st.sets(st.sampled_from([f"d{i:02d}" for i in range(14)] + ["empty", "ghost"]),
+                      min_size=1, max_size=3)),
+    st.tuples(st.just("tf_idf"),
+              st.dictionaries(st.sampled_from(VOCAB + UNKNOWN), st.integers(1, 5), max_size=4)),
+), min_size=1, max_size=8)
+
+
+def call(searcher, op):
+    name, *args = op
+    if name == "search":
+        terms, top_n = args
+        return searcher.search(terms, top_n=top_n)
+    return getattr(searcher, name)(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=corpora_with_an_empty_document(), calls=CALLS, loaded=st.booleans())
+def test_lazy_searcher_returns_what_the_eager_one_returns(index_path, corpus, calls, loaded):
+    if loaded:
+        save(corpus, index_path)
+        corpus = load(index_path)
+    lazy, eager = Searcher(corpus), ReferenceSearcher(corpus)
+    for op in calls:
+        # Hits compare their score floats exactly, tf_idf its weight floats;
+        # the lazy searcher's memos differ by which calls came first.
+        assert call(lazy, op) == call(eager, op), op
