@@ -153,7 +153,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=MODES, default=None,
                    help="expansion source of the quickar strategy")
     p.add_argument("--strategy", choices=("quickar", "rocchio"), default="quickar",
-                   help="rocchio runs the baseline, which reads neither --db nor --mode")
+                   help="rocchio runs the baseline, which reads neither --db nor --mode "
+                        "and ignores a config-file mode")
     p.add_argument("--stoplist", default=None, metavar="FILE")
     p.add_argument("--json", action="store_true", dest="as_json")
 
@@ -248,7 +249,9 @@ def _cmd_reformulate(args, cfg: Config) -> int:
     query = QueryRecord(query_id="cli", text=args.query)
 
     if args.strategy == "rocchio":
-        # The baseline reads no crowd knowledge, so --db is not loaded.
+        # The baseline reads no crowd knowledge, so --db is not loaded. A
+        # config-file mode is the quickar strategy's default, so it is
+        # ignored here, as evaluate ignores it.
         ref = rocchio_expand(query, index, cfg.params, stops=stops)
     else:
         db = adjacency.load(args.db)

@@ -12,6 +12,7 @@ import logging
 import re
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
@@ -274,15 +275,40 @@ class CorpusMeta:
 
 
 class Corpus:
-    """Immutable method-level document collection with frequency statistics."""
+    """Immutable method-level document collection with frequency statistics.
+
+    Construction only stores the documents. The statistics are computed on
+    first read and kept: `positions` maps each term to the ascending
+    positions of the documents holding it, which is what a `Searcher` scores
+    from, and `doc_freq` maps each term to the number of those documents.
+    `doc_freq` keeps its own counting loop instead of taking the lengths of
+    the position lists, so reading it (as `index` does to report the
+    vocabulary size) never builds the positions.
+    """
 
     def __init__(self, documents: list[Document], meta: CorpusMeta | None = None):
         self.documents = documents
         self.meta = meta if meta is not None else CorpusMeta()
-        self.doc_freq: dict[str, int] = {}
-        for doc in documents:
+
+    @cached_property
+    def positions(self) -> dict[str, list[int]]:
+        positions: dict[str, list[int]] = {}
+        for index, doc in enumerate(self.documents):
             for term in doc.term_counts:
-                self.doc_freq[term] = self.doc_freq.get(term, 0) + 1
+                held = positions.get(term)
+                if held is None:
+                    positions[term] = [index]
+                else:
+                    held.append(index)
+        return positions
+
+    @cached_property
+    def doc_freq(self) -> dict[str, int]:
+        doc_freq: dict[str, int] = {}
+        for doc in self.documents:
+            for term in doc.term_counts:
+                doc_freq[term] = doc_freq.get(term, 0) + 1
+        return doc_freq
 
     @property
     def n_docs(self) -> int:
@@ -292,7 +318,7 @@ class Corpus:
         """Fraction of documents containing `word`, in [0, 1]."""
         if self.n_docs == 0:
             raise DataError("document frequency is undefined on an empty corpus")
-        return self.doc_freq.get(word, 0) / self.n_docs
+        return len(self.positions.get(word, ())) / self.n_docs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):

@@ -50,6 +50,11 @@ STRATEGIES = MODES + ("rocchio", "prep")
 
 POOR_RANK_THRESHOLD = 10
 
+# What the strategies of one evaluation share per query: its reformulations
+# by mode (empty until a mode strategy needs them) and its ranks by rendered
+# terms, sorted.
+SharedQuery = tuple[dict[str, Reformulation], dict[tuple[str, ...], int | None]]
+
 
 @dataclass(frozen=True)
 class EvalOutcome:
@@ -247,31 +252,38 @@ def evaluate_strategy(
     stops: StopList,
     oracle: NounOracle,
     searcher: Searcher,
-    reformulated: dict[QueryRecord, tuple[dict[str, Reformulation], dict[str, int | None]]],
+    reformulated: dict[QueryRecord, SharedQuery],
     params: Params = Params(),
 ) -> list[EvalOutcome]:
     """Evaluate one strategy over an already-filtered dataset.
 
     For the full pipeline, a query whose reduction step alone already
     improves the baseline keeps the reduction-only result and skips the
-    expansion, mirroring the conservative reformulation policy. The mode
-    strategies take each query's reformulations, and the rank of each mode
-    already ranked, from `reformulated`, filling in those missing; share one
-    dict across calls to reformulate a query once and rank each mode once.
-    A `strategy` not in STRATEGIES is a DataError, raised before any query
-    is ranked.
+    expansion, mirroring the conservative reformulation policy. Each query's
+    reformulations, and its rank for each rendering already scored, are
+    taken from `reformulated` and filled in there when missing. A rank is
+    keyed by the rendered terms as a sorted tuple: it depends only on that
+    multiset and the gold documents, so equal renderings (say `prep` and
+    `red`) are scored once. Share one dict across calls to reformulate a
+    query once and score each distinct rendering once. A `strategy` not in
+    STRATEGIES is a DataError, raised before any query is ranked.
     """
     if strategy not in STRATEGIES:
         raise DataError(f"unknown strategies: {strategy}")
 
+    def ranked(query: QueryRecord, terms: list[str]) -> int | None:
+        ranks = reformulated.setdefault(query, ({}, {}))[1]
+        key = tuple(sorted(terms))
+        if key not in ranks:
+            ranks[key] = searcher.rank(terms, query.gold_docs)
+        return ranks[key]
+
     def mode_rank(query: QueryRecord, mode: str) -> int | None:
-        if query not in reformulated:
-            reformulated[query] = (reformulations(query, corpus, db, stops=stops, oracle=oracle,
-                                                  params=params, searcher=searcher), {})
-        refs, ranks = reformulated[query]
-        if mode not in ranks:
-            ranks[mode] = searcher.rank(refs[mode].rendered_query.normalized(), query.gold_docs)
-        return ranks[mode]
+        refs = reformulated.setdefault(query, ({}, {}))[0]
+        if not refs:
+            refs.update(reformulations(query, corpus, db, stops=stops, oracle=oracle,
+                                       params=params, searcher=searcher))
+        return ranked(query, refs[mode].rendered_query.normalized())
 
     outcomes = []
     for query in queries:
@@ -289,7 +301,7 @@ def evaluate_strategy(
                 else:
                     rendered = rocchio_expand(query, corpus, params, stops=stops,
                                               searcher=searcher).rendered_query
-                rank = searcher.rank(rendered.normalized(), query.gold_docs)
+                rank = ranked(query, rendered.normalized())
         except QueryEmptyError as exc:
             outcomes.append(EvalOutcome(query.query_id, baseline, None, EXCLUDED,
                                         reason=str(exc)))
@@ -345,7 +357,7 @@ def run_evaluation(
         raise DataError(f"a strategy is named more than once: {','.join(strategies)}")
     searcher = searcher_for(corpus)
     filtered = filter_dataset(queries, searcher)
-    reformulated: dict[QueryRecord, tuple[dict[str, Reformulation], dict[str, int | None]]] = {}
+    reformulated: dict[QueryRecord, SharedQuery] = {}
     outcomes = {
         strategy: evaluate_strategy(filtered.kept, corpus, db, strategy, filtered.baseline_ranks,
                                     stops=stops, oracle=oracle, params=params,

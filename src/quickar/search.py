@@ -9,16 +9,19 @@ Classic log-scaled term frequency with smoothed inverse document frequency:
 Ties break by ascending document id, which makes every ranked list total and
 reproducible; the evaluation harness relies on that.
 
-A `Searcher` builds eagerly only each term's list of document positions;
-idf values, document norms and weighted postings are computed the first
-time a query needs them and memoized on the searcher, so a one-shot call
-weights only the postings it scores.
+A `Searcher` takes each term's document positions from its corpus, which
+computes them once on first read and shares them with the corpus's
+document-frequency ratio. idf values, `1 + ln count` values, document norms
+and weighted postings are computed the first time a query needs them and
+memoized on the searcher, so a one-shot call weights only the postings it
+scores.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,16 +57,28 @@ class _IdfMemo(dict):
         return idf
 
 
+class _TfMemo(dict):
+    """Log-scaled term frequency `1 + ln count` by count, computed on a
+    count's first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, count: int) -> float:
+        tf = self[count] = 1.0 + math.log(count)
+        return tf
+
+
 class Searcher:
     """Inverted-index retriever bound to one immutable corpus.
 
-    Construction makes one pass over the documents and keeps, for each
-    term, the ascending positions of the documents that hold it; no weight
-    is computed then. The rest is computed on first use and kept on the
-    searcher: a term's idf when a weight needs it, a document's L2 norm when
-    a posting of that document is built, and a term's postings when a query
-    first scores it. A call that scores ten terms therefore weights only
-    their postings, and every float is the one a fully built index gives.
+    Each term's ascending document positions come from `corpus.positions`,
+    built once per corpus on first read; the searcher computes no weight at
+    construction. The rest is computed on first use and kept on the
+    searcher: a term's idf and a count's `1 + ln count` when a weight needs
+    them, a document's L2 norm when a posting of that document is built, and
+    a term's postings when a query first scores it. A call that scores ten
+    terms therefore weights only their postings, and every float is the one
+    a fully built index gives.
 
     A term's postings are a pair of lists, the positions and the
     L2-normalized weights of the documents holding the term, with no tuple
@@ -77,25 +92,23 @@ class Searcher:
         self.corpus = corpus
         self._doc_ids = [doc.doc_id for doc in corpus.documents]
         self._by_id = {doc.doc_id: doc for doc in corpus.documents}
-        positions: dict[str, list[int]] = {}
-        for index, doc in enumerate(corpus.documents):
-            for term in doc.term_counts:
-                held = positions.get(term)
-                if held is None:
-                    positions[term] = [index]
-                else:
-                    held.append(index)
-        self._positions = positions
+        self._positions = corpus.positions
         # Memos, filled on first use.
-        self._idf = _IdfMemo(positions, corpus.n_docs)
+        self._idf = _IdfMemo(self._positions, corpus.n_docs)
+        self._tf = _TfMemo()
         self._norms: dict[int, float] = {}
         self._postings: dict[str, tuple[list[int], list[float]]] = {}
+
+    def _weights(self, counts: dict[str, int], terms: list[str]):
+        """tf'*idf weight of each of `terms`, in their order."""
+        return map(operator.mul, map(self._tf.__getitem__, map(counts.__getitem__, terms)),
+                   map(self._idf.__getitem__, terms))
 
     def tf_idf(self, counts: dict[str, int]) -> dict[str, float]:
         """tf'*idf weight of each term of a document's or a query's term
         counts, in ascending term order."""
-        idf, log = self._idf, math.log
-        return {term: (1.0 + log(count)) * idf[term] for term, count in sorted(counts.items())}
+        terms = sorted(counts)
+        return dict(zip(terms, self._weights(counts, terms)))
 
     def _postings_of(self, term: str) -> tuple[list[int], list[float]]:
         """The positions and normalized weights of the documents holding
@@ -103,17 +116,18 @@ class Searcher:
         postings = self._postings.get(term)
         if postings is None:
             positions = self._positions.get(term, [])
-            idf = self._idf[term]
-            documents, norms = self.corpus.documents, self._norms
+            idf, tf, norms = self._idf[term], self._tf, self._norms
+            documents = self.corpus.documents
             weights = []
             for index in positions:
-                doc = documents[index]
+                counts = documents[index].term_counts
                 norm = norms.get(index)
                 if norm is None:
                     # Summed in ascending term order, as tf_idf returns them.
+                    doc_weights = list(self._weights(counts, sorted(counts)))
                     norm = norms[index] = math.sqrt(
-                        sum([w * w for w in self.tf_idf(doc.term_counts).values()]))
-                weights.append((1.0 + math.log(doc.term_counts[term])) * idf / norm)
+                        sum(map(operator.mul, doc_weights, doc_weights)))
+                weights.append(tf[counts[term]] * idf / norm)
             postings = self._postings[term] = (positions, weights)
         return postings
 

@@ -187,6 +187,21 @@ def test_reformulate_rocchio_with_a_mode_is_a_usage_error(eval_artifacts, capsys
         "error: argument --mode: not allowed with argument --strategy rocchio\n")
 
 
+# A config file's `mode` is the quickar strategy's default. One config
+# file serves every subcommand, so Rocchio ignores it instead of refusing.
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_reformulate_rocchio_ignores_a_config_mode(eval_artifacts, tmp_path, capsys, mode, flags):
+    db, index = eval_artifacts
+    expected = reformulate_rocchio(eval_artifacts, capsys, *flags)
+    config = tmp_path / "quickar.ini"
+    config.write_text(f"[quickar]\nmode = {mode}\n", encoding="utf-8")
+    assert main(["--config", str(config), "reformulate", "--index", str(index), "--db", str(db),
+                 "--strategy", "rocchio", "--query", ROCCHIO_TITLE, *flags]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+
+
 # Characters str.splitlines() breaks on besides "\n"; a document id holding
 # one of them must read back whole.
 @pytest.mark.parametrize("char", ["\r", "\x0c", "\x1c", "\x85", "\u2028"],

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quickar.corpus import (
     Corpus,
+    Document,
     IngestStats,
     build_corpus,
     build_corpus_presplit,
@@ -277,6 +282,68 @@ def test_df_ratio_empty_corpus_errors(stops):
     corpus = Corpus([])
     with pytest.raises(DataError):
         corpus.document_frequency_ratio("anything")
+
+
+# -- positions and doc_freq, computed on first read ---------------------------
+
+STAT_VOCAB = ["alpha", "beta", "gamma", "kelp", "onyx"]
+STAT_COUNTS = st.dictionaries(st.sampled_from(STAT_VOCAB), st.integers(1, 4), max_size=4)
+
+
+@st.composite
+def stat_corpora(draw) -> Corpus:
+    """A few documents over a tiny vocabulary, with a document that holds
+    no term at a random position and one doc id used twice."""
+    counts = draw(st.lists(STAT_COUNTS, min_size=1, max_size=8))
+    counts.insert(draw(st.integers(0, len(counts))), {})
+    ids = [f"d{i}" for i in range(len(counts))]
+    ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+    counts.append(draw(STAT_COUNTS))
+    return Corpus([Document(doc_id=doc_id, term_counts=c, surfaces={t: t for t in c})
+                   for doc_id, c in zip(ids, counts)])
+
+
+@pytest.fixture(scope="module")
+def stat_index(tmp_path_factory):
+    return tmp_path_factory.mktemp("stats") / "index.txt"
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=stat_corpora(), loaded=st.booleans(), positions_first=st.booleans())
+def test_positions_and_doc_freq_match_a_count(stat_index, corpus, loaded, positions_first):
+    if loaded:
+        save(corpus, stat_index)
+        corpus = load(stat_index)
+    twin = Corpus(corpus.documents, corpus.meta)
+    if positions_first:
+        positions, doc_freq = corpus.positions, corpus.doc_freq
+        assert (twin.doc_freq, twin.positions) == (doc_freq, positions)
+    else:
+        doc_freq, positions = corpus.doc_freq, corpus.positions
+        assert (twin.positions, twin.doc_freq) == (positions, doc_freq)
+    documents = corpus.documents
+    counted = Counter(term for doc in documents for term in doc.term_counts)
+    assert doc_freq == dict(counted)
+    assert positions.keys() == counted.keys()
+    for term in STAT_VOCAB + ["zzz"]:
+        holding = [i for i, doc in enumerate(documents) if term in doc.term_counts]
+        assert positions.get(term, []) == holding
+        assert len(holding) == doc_freq.get(term, 0) == counted[term]
+        assert corpus.document_frequency_ratio(term) == counted[term] / len(documents)
+    # Read once, kept: a second read returns the same objects.
+    assert corpus.positions is positions and corpus.doc_freq is doc_freq
+
+
+def test_reading_the_statistics_keeps_a_corpus_equal_to_a_fresh_load(fixture_tree, stops,
+                                                                      tmp_path):
+    path = tmp_path / "index.txt"
+    built = build_corpus(fixture_tree, stops, default_language_keywords())
+    save(built, path)
+    read = load(path)
+    assert read.positions and read.doc_freq and built.positions and built.doc_freq
+    fresh = load(path)
+    assert read == fresh and fresh == read
+    assert built == fresh and fresh == built
 
 
 # -- persistence -------------------------------------------------------------

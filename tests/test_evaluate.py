@@ -34,7 +34,7 @@ from quickar.evaluate import (
     summarize_ranks,
 )
 from quickar.errors import DataError
-from quickar.reformulate import MODE_ALL, QueryRecord, reformulate
+from quickar.reformulate import MODE_ALL, Params, QueryRecord, reformulate
 from quickar.search import Searcher, rank_of_first_relevant, searcher_for
 from quickar.textprep import default_language_keywords
 
@@ -139,25 +139,38 @@ def test_full_pipeline_keeps_a_better_reduction_only_rank(fixture_run, stops, or
 
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """The terms of every Searcher.rank call made while the test runs."""
+    """The terms and gold set of every Searcher.rank call made while the
+    test runs."""
     rank = Searcher.rank
     calls = []
 
     def counted(self, terms, gold):
-        calls.append(terms)
+        calls.append((terms, gold))
         return rank(self, terms, gold)
 
     monkeypatch.setattr(Searcher, "rank", counted)
     return calls
 
 
-def test_each_kept_query_is_ranked_once_per_strategy(fixture_run, stops, oracle, rank_calls):
-    # The full pipeline's reduction-only rank is the `red` strategy's rank,
-    # so one `rank` call serves both.
+@pytest.mark.parametrize("budget, expected", [(Params.budget, 17 + 13 * len(STRATEGIES)),
+                                              (1, 17 + 13 * 2)],
+                         ids=["default", "budget-1"])
+def test_each_distinct_rendering_is_ranked_once_per_query(fixture_run, stops, oracle, rank_calls,
+                                                           budget, expected):
+    # After the 17 baseline ranks, each kept query is ranked once per
+    # distinct multiset of rendered terms, whichever strategies render it.
+    # With the default budget, the six strategies render each kept query of
+    # the fixture six different ways. With a budget of one term, no mode
+    # expands, so all four modes render the reduced keywords, and Rocchio
+    # renders the unreduced keywords as `prep` does; the reduction drops a
+    # keyword from every kept query, so that makes two ranks per query.
     corpus, db, queries = fixture_run
-    report = run_evaluation(queries, corpus, db, stops=stops, oracle=oracle)
+    report = run_evaluation(queries, corpus, db, stops=stops, oracle=oracle,
+                            params=Params(budget=budget))
     assert (report["dataset"]["total"], report["dataset"]["kept"]) == (17, 13)
-    assert len(rank_calls) == 17 + 13 * len(STRATEGIES) == 95
+    scored = [(tuple(sorted(terms)), gold) for terms, gold in rank_calls[17:]]
+    assert len(set(scored)) == len(scored)
+    assert len(rank_calls) == expected
 
 
 # A strategy list is checked whole before any query is ranked.

@@ -282,3 +282,41 @@ def test_lazy_searcher_returns_what_the_eager_one_returns(index_path, corpus, ca
         # Hits compare their score floats exactly, tf_idf its weight floats;
         # the lazy searcher's memos differ by which calls came first.
         assert call(lazy, op) == call(eager, op), op
+
+
+# -- large term counts ---------------------------------------------------------
+
+# The searcher memoizes `1 + ln count` by count, so counts repeat across
+# documents and calls, and reach a million.
+LARGE_COUNTS = st.one_of(st.integers(1, 10**6), st.sampled_from([1, 2, 999_999, 10**6]))
+
+
+@st.composite
+def corpora_with_large_counts(draw) -> Corpus:
+    """A few documents over a tiny vocabulary, with counts up to 10^6."""
+    counts = draw(st.lists(st.dictionaries(st.sampled_from(VOCAB), LARGE_COUNTS, max_size=4),
+                           min_size=1, max_size=8))
+    return Corpus([Document(doc_id=f"d{i:02d}", term_counts=c, surfaces={w: w for w in c})
+                   for i, c in enumerate(counts)])
+
+
+LARGE_CALLS = st.lists(st.one_of(
+    st.tuples(st.just("search"), TERMS, st.none() | st.integers(0, 6)),
+    st.tuples(st.just("rank"), TERMS,
+              st.sets(st.sampled_from([f"d{i:02d}" for i in range(8)] + ["ghost"]),
+                      min_size=1, max_size=3)),
+    st.tuples(st.just("tf_idf"),
+              st.dictionaries(st.sampled_from(VOCAB + UNKNOWN), LARGE_COUNTS, max_size=4)),
+), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=corpora_with_large_counts(), calls=LARGE_CALLS, loaded=st.booleans())
+def test_large_term_counts_score_as_the_reference(index_path, corpus, calls, loaded):
+    if loaded:
+        save(corpus, index_path)
+        corpus = load(index_path)
+    searcher, reference = Searcher(corpus), ReferenceSearcher(corpus)
+    for op in calls:
+        # Exact float comparison, as in the lazy-searcher test above.
+        assert call(searcher, op) == call(reference, op), op
