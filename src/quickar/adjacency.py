@@ -209,21 +209,47 @@ def build(
 _HEADER_KEYS = ("window", "stoplist_sha", "source", "binary")
 
 
+def _bad_cell(word: str, row: dict[str, int]) -> str:
+    """Why `load` would refuse a cell of `word`'s row, for the first such cell."""
+    for nbr in sorted(row):
+        if not nbr:
+            return f"word {word!r} has a neighbor without a name"
+        if "," in nbr:
+            return f"word {word!r} has a neighbor {nbr!r} holding ','"
+        if row[nbr] < 1:
+            return f"neighbor {nbr!r} of {word!r} has count {row[nbr]}, below 1"
+    raise AssertionError(f"no bad cell in the row of {word!r}")
+
+
+def _records(db: AdjacencyDatabase, path):
+    """Each word's `(word, cells)` record. A row that `load` would refuse
+    raises DataError: a neighbor that is empty or holds ",", or a count
+    below 1. Calls in C check each row whole, and only a row they flag is
+    looked at cell by cell."""
+    for word in sorted(db.entries):
+        row = db.entries[word]
+        cells = ",".join([f"{nbr}:{row[nbr]}" for nbr in sorted(row)])
+        if row and (cells.count(",") >= len(row) or "" in row or min(row.values()) < 1):
+            raise DataError(f"cannot write database {path}: {_bad_cell(word, row)}")
+        yield word, cells
+
+
 def save(db: AdjacencyDatabase, path) -> None:
     """Write `db` in the artifact layout: one record per word, its cells
     `neighbor:count` sorted by neighbor, and the unordered pair count as
-    the checksum."""
+    the checksum. A row that `load` would refuse raises DataError, and the
+    previous file stays."""
     header = {key: getattr(db.meta, key) for key in _HEADER_KEYS} | {"binary": int(db.meta.binary)}
-    records = ((word, ",".join(f"{n}:{c}" for n, c in sorted(db.entries[word].items())))
-               for word in sorted(db.entries))
-    artifact.save(path, "database", header, records, {"pairs": db.total_pair_count})
+    artifact.save(path, "database", header, _records(db, path), {"pairs": db.total_pair_count})
 
 
 def load(path) -> AdjacencyDatabase:
     """Read a database that `save` wrote.
 
-    Each distinct cell is decoded once per call, so every row holding the
-    same `neighbor:count` cell shares one neighbor string.
+    Each distinct cell is decoded and checked once per call, so every row
+    holding the same `neighbor:count` cell shares one neighbor string. An
+    empty neighbor or a count below 1 is refused, naming the first such
+    cell.
     """
     header, records, declared = artifact.load(path, "database", _HEADER_KEYS, ("pairs",))
     entries: dict[str, dict[str, int]] = {}
@@ -236,14 +262,15 @@ def load(path) -> AdjacencyDatabase:
                     entry = decoded.get(cell)
                     if entry is None:
                         nbr, _, count = cell.rpartition(":")
-                        entry = decoded[cell] = (nbr, int(count))
+                        count = int(count)
+                        if not nbr:
+                            raise ValueError(f"word {word!r} has a neighbor without a name")
+                        if count < 1:
+                            raise ValueError(f"neighbor {nbr!r} of {word!r} has count {count}, "
+                                             "below 1")
+                        entry = decoded[cell] = (nbr, count)
                     nbr, count = entry
                     nbrs[nbr] = count
-                if "" in nbrs:
-                    raise ValueError(f"word {word!r} has a neighbor without a name")
-                if min(nbrs.values()) < 1:
-                    nbr = min(nbrs, key=nbrs.__getitem__)
-                    raise ValueError(f"neighbor {nbr!r} of {word!r} has count {nbrs[nbr]}, below 1")
             entries[word] = nbrs
         window = int(header["window"])
         if header["binary"] not in ("0", "1"):

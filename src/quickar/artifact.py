@@ -13,10 +13,14 @@ written by `save` and read back by `load`:
 
 Lines are told apart by position, not by a leading "#", so a name may
 start with "#". A record is split at its last tab, so a name may hold a
-tab; cells never do. A line feed in a header value or a name is refused.
-The file ends with a line feed, so a cut anywhere shows. The owning module
-encodes and decodes its own cells, which pass through here as text, and
-checks the checksum counts that `load` returns against its records.
+tab; cells never do, and `save` refuses a record whose cells hold one,
+which would load back as another name. A line feed in a header value, a
+name or a cell is refused. The file ends with a line feed, so a cut
+anywhere shows. The owning module encodes and decodes its own cells, which
+pass through here as text: it refuses on save what its `load` would
+refuse, and checks the checksum counts that `load` returns against its
+records. Every refusal on save comes before the previous file is
+replaced.
 
 Files are written through `atomic_write`, so a failed write keeps the
 previous file. A text that cannot be written as UTF-8 (a file name that
@@ -112,12 +116,20 @@ def _checksum_line(counts: dict[str, int]) -> str:
     return "#" + ",".join(f"{key}={n}" for key, n in counts.items())
 
 
+def _record_lines(path, what: str, records: Iterable[tuple[str, str]]) -> Iterator[str]:
+    for name, cells in records:
+        if "\t" in cells:
+            raise DataError(f"cannot write {what} {path}: a cell of {name!r} holds a tab")
+        yield f"{name}\t{cells}"
+
+
 def save(path, what: str, header: dict[str, object],
          records: Iterable[tuple[str, str]], checksum: dict[str, int]) -> None:
     """Write the header, the `(name, cells)` records and the checksum to
-    `path`; `what` names the artifact in errors."""
+    `path`; `what` names the artifact in errors. A record whose cells hold
+    a tab raises DataError, as does a line feed anywhere."""
     lines = itertools.chain((f"#{key}={value}" for key, value in header.items()),
-                            (f"{name}\t{cells}" for name, cells in records),
+                            _record_lines(path, what, records),
                             [_checksum_line(checksum)])
     try:
         with atomic_write(path) as fh:

@@ -409,24 +409,51 @@ def build_corpus_presplit(
 _HEADER_KEYS = ("source", "stoplist_sha", "keywords_sha")
 
 
+def _bad_cell(doc: Document) -> str | None:
+    """Why `load` would refuse a cell of `doc`, for the first such cell."""
+    for term in sorted(doc.term_counts):
+        surface, count = doc.surfaces[term], doc.term_counts[term]
+        if not surface:
+            return f"document {doc.doc_id!r} has a term without a name"
+        if "," in surface:
+            return f"document {doc.doc_id!r} has a term {surface!r} holding ','"
+        if count < 1:
+            return f"term {surface!r} of document {doc.doc_id!r} has count {count}, below 1"
+    return None
+
+
+def _records(corpus: Corpus, path):
+    """Each document's `(doc_id, cells)` record. A document that `load`
+    would refuse raises DataError: a surface that is empty or holds ",",
+    or a count below 1. Calls in C check each document whole, and only a
+    document they flag is looked at cell by cell."""
+    for doc in corpus.documents:
+        counts, surfaces = doc.term_counts, doc.surfaces
+        cells = ",".join([f"{surfaces[term]}:{counts[term]}" for term in sorted(counts)])
+        if (counts and (cells.count(",") >= len(counts) or "" in surfaces.values()
+                        or min(counts.values()) < 1) and (reason := _bad_cell(doc))):
+            raise DataError(f"cannot write index {path}: {reason}")
+        yield doc.doc_id, cells
+
+
 def save(corpus: Corpus, path) -> None:
     """Write `corpus` in the artifact layout: one record per document, its
     cells `surface:count` sorted by normalized term, and the document and
-    term counts as the checksum."""
-    records = ((doc.doc_id, ",".join(f"{doc.surfaces[term]}:{count}"
-                                     for term, count in sorted(doc.term_counts.items())))
-               for doc in corpus.documents)
+    term counts as the checksum. A document that `load` would refuse raises
+    DataError, and the previous file stays."""
     checksum = {"docs": corpus.n_docs, "terms": sum(doc.length for doc in corpus.documents)}
     header = {key: getattr(corpus.meta, key) for key in _HEADER_KEYS}
-    artifact.save(path, "index", header, records, checksum)
+    artifact.save(path, "index", header, _records(corpus, path), checksum)
 
 
 def load(path) -> Corpus:
     """Read a corpus that `save` wrote.
 
-    Each distinct cell is decoded once per call, so every document holding
-    the same `surface:count` cell shares one normalized-term and one surface
-    string; a surface that is already lower-case is its own normalized term.
+    Each distinct cell is decoded and checked once per call, so every
+    document holding the same `surface:count` cell shares one
+    normalized-term and one surface string; a surface that is already
+    lower-case is its own normalized term. An empty surface or a count
+    below 1 is refused, naming the first such cell.
     """
     header, records, declared = artifact.load(path, "index", _HEADER_KEYS, ("docs", "terms"))
     documents: list[Document] = []
@@ -440,17 +467,17 @@ def load(path) -> Corpus:
                     entry = decoded.get(cell)
                     if entry is None:
                         surface, _, count = cell.rpartition(":")
+                        count = int(count)
+                        if not surface:
+                            raise ValueError(f"document {doc_id!r} has a term without a name")
+                        if count < 1:
+                            raise ValueError(f"term {surface!r} has count {count}, below 1")
                         norm = surface.lower()
                         entry = decoded[cell] = (surface if norm == surface else norm,
-                                                 surface, int(count))
+                                                 surface, count)
                     norm, surface, count = entry
                     counts[norm] = count
                     surfaces[norm] = surface
-                if "" in counts:
-                    raise ValueError(f"document {doc_id!r} has a term without a name")
-                if min(counts.values()) < 1:
-                    term = min(counts, key=counts.__getitem__)
-                    raise ValueError(f"term {surfaces[term]!r} has count {counts[term]}, below 1")
             documents.append(Document(doc_id=doc_id, term_counts=counts, surfaces=surfaces))
     except ValueError as exc:
         raise CorruptFileError(f"unparseable index line in {path}: {exc}") from exc

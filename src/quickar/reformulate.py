@@ -8,13 +8,19 @@ The pipeline for one change-request title:
    from the crowd adjacency database (neighbors of the keywords)
 4. score: project candidates by accumulated adjacency-vector cosine against
    the keywords, crowd candidates by accumulated co-occurrence counts
-5. take the top few nominal candidates of each source, min-max normalize,
-   merge, and append up to the 10-term query budget
+5. shortlist each source once: rank its scores, keep the top few, drop the
+   non-nominal ones and min-max normalize what is left, which is all that
+   becomes a `CandidateScore`; each mode merges the shortlists it draws on
+   and appends up to the 10-term query budget
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+import heapq
+import operator
+from dataclasses import dataclass
+from itertools import repeat
 
 from .adjacency import AdjacencyDatabase
 from .corpus import Corpus
@@ -99,10 +105,8 @@ def _token_is_nominal(token: Token, oracle: NounOracle) -> bool:
     return _is_identifier(token) or oracle.is_noun(token.normalized)
 
 
-def _candidate_is_nominal(cand: CandidateScore, oracle: NounOracle) -> bool:
-    if len(split_camel(cand.surface)) > 1:
-        return True
-    return oracle.is_noun(cand.term)
+def _candidate_is_nominal(term: str, surface: str, oracle: NounOracle) -> bool:
+    return len(split_camel(surface)) > 1 or oracle.is_noun(term)
 
 
 def collect_keywords(query: QueryRecord, stops: StopList) -> TermSequence:
@@ -174,74 +178,73 @@ def score_project_candidates(
     candidates: dict[str, str],
     keywords: TermSequence,
     db: AdjacencyDatabase,
-) -> list[CandidateScore]:
+) -> dict[str, float]:
     """Accumulated adjacency-vector cosine of each candidate against every
-    keyword; candidates or keywords without adjacency entries contribute 0."""
+    keyword, by candidate term in ascending order; candidates or keywords
+    without adjacency entries contribute 0. The cosines are added left to
+    right in keyword order, so every interpreter gives the same float."""
     words = keywords.normalized()
-    scored = []
-    for term in sorted(candidates):
-        score = sum(db.cosine(term, word) for word in words)
-        scored.append(CandidateScore(term=term, surface=candidates[term],
-                                     source=SOURCE_PROJECT, score=score))
-    return scored
+    cosine = db.cosine
+    return {term: functools.reduce(operator.add, map(cosine, repeat(term), words), 0.0)
+            for term in sorted(candidates)}
 
 
 def score_crowd_candidates(
     candidates: set[str],
     keywords: TermSequence,
     db: AdjacencyDatabase,
-) -> list[CandidateScore]:
+) -> dict[str, float]:
     """Accumulated windowed co-occurrence count of each candidate against
-    every keyword."""
+    every keyword, by candidate term in ascending order."""
     words = keywords.normalized()
-    scored = []
-    for term in sorted(candidates):
-        score = float(sum(db.cooccurrence_count(term, word) for word in words))
-        scored.append(CandidateScore(term=term, surface=term,
-                                     source=SOURCE_CROWD, score=score))
-    return scored
+    zeros = [0] * len(words)
+    return {term: float(sum(map(db.neighbors(term).get, words, zeros)))
+            for term in sorted(candidates)}
 
 
-def _top_nominal_normalized(
-    scored: list[CandidateScore],
+def shortlist(
+    scores: dict[str, float],
+    source: str,
     oracle: NounOracle,
-    top_k: int,
+    top_k: int = Params.top_k,
+    surfaces: dict[str, str] | None = None,
 ) -> list[CandidateScore]:
-    """Top-k by score (term-ascending ties), nominal only, min-max normalized.
+    """One source's expansion shortlist: its top-k candidates by score
+    (term-ascending ties), less the non-nominal ones, min-max normalized.
 
-    A single survivor gets 1.0; an all-equal list collapses to 1.0 when the
-    shared score is positive and 0.0 when it is zero.
+    The nominal filter runs after the cut, so a non-nominal candidate takes
+    a slot. A single survivor gets 1.0; an all-equal list collapses to 1.0
+    when the shared score is positive and 0.0 when it is zero. A candidate's
+    surface is `surfaces[term]`, or the term itself without `surfaces`.
+    Only the survivors become `CandidateScore`s.
     """
-    ranked = sorted(scored, key=lambda c: (-c.score, c.term))[:top_k]
-    ranked = [c for c in ranked if _candidate_is_nominal(c, oracle)]
-    if not ranked:
-        return []
-    if len(ranked) == 1:
-        return [replace(ranked[0], score=1.0)]
-    hi = max(c.score for c in ranked)
-    lo = min(c.score for c in ranked)
-    if hi == lo:
-        value = 1.0 if hi > 0 else 0.0
-        return [replace(c, score=value) for c in ranked]
-    return [replace(c, score=(c.score - lo) / (hi - lo)) for c in ranked]
+    ranked = heapq.nsmallest(top_k, zip(map(operator.neg, scores.values()), scores))
+    kept = []
+    for neg_score, term in ranked:
+        surface = surfaces[term] if surfaces is not None else term
+        if _candidate_is_nominal(term, surface, oracle):
+            kept.append((term, surface, -neg_score))
+    if len(kept) < 2:
+        values = [1.0] * len(kept)
+    else:
+        hi, lo = kept[0][2], kept[-1][2]  # ranked by descending score
+        if hi == lo:
+            values = [1.0 if hi > 0 else 0.0] * len(kept)
+        else:
+            values = [(score - lo) / (hi - lo) for _, _, score in kept]
+    return [CandidateScore(term, surface, source, value)
+            for (term, surface, _), value in zip(kept, values)]
 
 
 def select_and_combine(
-    r_project: list[CandidateScore],
-    r_crowd: list[CandidateScore],
-    oracle: NounOracle,
-    top_k: int = Params.top_k,
+    project: list[CandidateScore],
+    crowd: list[CandidateScore],
 ) -> list[CandidateScore]:
-    """Merge the per-source shortlists into one expansion ranking.
-
-    Each source keeps its top-k nominal candidates with scores min-max
-    normalized to [0, 1]; duplicates keep the higher normalized entry, and
-    exact ties favor the project source.
-    """
-    pool: dict[str, CandidateScore] = {}
-    for cand in _top_nominal_normalized(r_project, oracle, top_k):
-        pool[cand.term] = cand
-    for cand in _top_nominal_normalized(r_crowd, oracle, top_k):
+    """Merge the two sources' normalized shortlists into one expansion
+    ranking: a term in both keeps its higher-scored entry, the project's on
+    an exact tie, and the ranking is by score, project first, then term."""
+    pool = {cand.term: cand for cand in project}
+    for cand in crowd:
         existing = pool.get(cand.term)
         if existing is None or cand.score > existing.score:
             pool[cand.term] = cand
@@ -282,25 +285,28 @@ def reformulations(
     searcher: Searcher | None = None,
 ) -> dict[str, Reformulation]:
     """One query's reformulation in every mode, keyed by mode: the keywords are
-    reduced once, each pool is scored once, and the modes merge different pools."""
+    reduced once, each pool is scored and shortlisted once, and the modes
+    merge different shortlists."""
     keywords = collect_keywords(query, stops)
     reduced = reduce_keywords(keywords, corpus, oracle, max_df_ratio=params.max_df_ratio)
     need = max(0, params.budget - len(reduced))
 
-    scored_project: list[CandidateScore] = []
-    scored_crowd: list[CandidateScore] = []
+    project: list[CandidateScore] = []
+    crowd: list[CandidateScore] = []
     if need > 0:
         if searcher is None:
             searcher = searcher_for(corpus)
         candidates = project_candidates(reduced, searcher, top_docs=params.top_docs)
-        scored_project = score_project_candidates(candidates, reduced, db)
-        scored_crowd = score_crowd_candidates(crowd_candidates(reduced, db), reduced, db)
+        project = shortlist(score_project_candidates(candidates, reduced, db), SOURCE_PROJECT,
+                            oracle, params.top_k, surfaces=candidates)
+        crowd = shortlist(score_crowd_candidates(crowd_candidates(reduced, db), reduced, db),
+                          SOURCE_CROWD, oracle, params.top_k)
 
-    pools = {MODE_ALL: (scored_project, scored_crowd), MODE_PROJECT: (scored_project, []),
-             MODE_CROWD: ([], scored_crowd), MODE_REDUCE: ([], [])}
+    shortlists = {MODE_ALL: (project, crowd), MODE_PROJECT: (project, []),
+                  MODE_CROWD: ([], crowd), MODE_REDUCE: ([], [])}
     out = {}
-    for mode, (r_project, r_crowd) in pools.items():
-        expansions = select_and_combine(r_project, r_crowd, oracle, top_k=params.top_k)[:need]
+    for mode, (from_project, from_crowd) in shortlists.items():
+        expansions = select_and_combine(from_project, from_crowd)[:need]
         rendered = render_terms(
             reduced.tokens + [Token.from_surface(c.surface, WHOLE) for c in expansions])
         out[mode] = Reformulation(query.query_id, mode, reduced, expansions, rendered)

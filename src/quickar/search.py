@@ -11,18 +11,25 @@ reproducible; the evaluation harness relies on that.
 
 A `Searcher` takes each term's document positions from its corpus, which
 computes them once on first read and shares them with the corpus's
-document-frequency ratio. idf values, `1 + ln count` values, document norms
-and weighted postings are computed the first time a query needs them and
+document-frequency ratio; a term's df is the length of its position list.
+idf values (by df), `1 + ln count` values (by count), document norms and
+weighted postings are computed the first time a query needs them and
 memoized on the searcher, so a one-shot call weights only the postings it
 scores.
+
+Every float sum is added left to right in ascending term order
+(`functools.reduce`, not `sum`, which compensates float sums from CPython
+3.12 on), so scores are the same bits on every supported interpreter.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document
@@ -40,20 +47,18 @@ class SearchHit:
 
 
 class _IdfMemo(dict):
-    """Smoothed idf by term, computed on a term's first lookup from the
-    number of documents holding it; a term that none holds gets the idf of
-    df 0, the unknown-term idf."""
+    """Smoothed idf by document frequency, computed on a df's first lookup.
+    A corpus has far fewer distinct dfs than terms, and a term that no
+    document holds has df 0, the unknown-term idf."""
 
-    __slots__ = ("_positions", "_n_docs")
+    __slots__ = ("_n_docs",)
 
-    def __init__(self, positions: dict[str, list[int]], n_docs: int):
+    def __init__(self, n_docs: int):
         super().__init__()
-        self._positions = positions
         self._n_docs = n_docs
 
-    def __missing__(self, term: str) -> float:
-        df = len(self._positions.get(term, ()))
-        idf = self[term] = math.log((self._n_docs + 1) / (df + 1)) + 1.0
+    def __missing__(self, df: int) -> float:
+        idf = self[df] = math.log((self._n_docs + 1) / (df + 1)) + 1.0
         return idf
 
 
@@ -74,7 +79,7 @@ class Searcher:
     Each term's ascending document positions come from `corpus.positions`,
     built once per corpus on first read; the searcher computes no weight at
     construction. The rest is computed on first use and kept on the
-    searcher: a term's idf and a count's `1 + ln count` when a weight needs
+    searcher: a df's idf and a count's `1 + ln count` when a weight needs
     them, a document's L2 norm when a posting of that document is built, and
     a term's postings when a query first scores it. A call that scores ten
     terms therefore weights only their postings, and every float is the one
@@ -94,15 +99,17 @@ class Searcher:
         self._by_id = {doc.doc_id: doc for doc in corpus.documents}
         self._positions = corpus.positions
         # Memos, filled on first use.
-        self._idf = _IdfMemo(self._positions, corpus.n_docs)
+        self._idf = _IdfMemo(corpus.n_docs)
         self._tf = _TfMemo()
         self._norms: dict[int, float] = {}
         self._postings: dict[str, tuple[list[int], list[float]]] = {}
 
     def _weights(self, counts: dict[str, int], terms: list[str]):
-        """tf'*idf weight of each of `terms`, in their order."""
+        """tf'*idf weight of each of `terms`, in their order; a term's df is
+        the length of its position list."""
+        dfs = map(len, map(self._positions.get, terms, repeat(())))
         return map(operator.mul, map(self._tf.__getitem__, map(counts.__getitem__, terms)),
-                   map(self._idf.__getitem__, terms))
+                   map(self._idf.__getitem__, dfs))
 
     def tf_idf(self, counts: dict[str, int]) -> dict[str, float]:
         """tf'*idf weight of each term of a document's or a query's term
@@ -116,7 +123,7 @@ class Searcher:
         postings = self._postings.get(term)
         if postings is None:
             positions = self._positions.get(term, [])
-            idf, tf, norms = self._idf[term], self._tf, self._norms
+            idf, tf, norms = self._idf[len(positions)], self._tf, self._norms
             documents = self.corpus.documents
             weights = []
             for index in positions:
@@ -126,7 +133,8 @@ class Searcher:
                     # Summed in ascending term order, as tf_idf returns them.
                     doc_weights = list(self._weights(counts, sorted(counts)))
                     norm = norms[index] = math.sqrt(
-                        sum(map(operator.mul, doc_weights, doc_weights)))
+                        functools.reduce(operator.add,
+                                         map(operator.mul, doc_weights, doc_weights), 0.0))
                 weights.append(tf[counts[term]] * idf / norm)
             postings = self._postings[term] = (positions, weights)
         return postings
@@ -141,7 +149,7 @@ class Searcher:
         for term in terms:
             counts[term] = counts.get(term, 0) + 1
         weights = self.tf_idf(counts)
-        norm = math.sqrt(sum(w * w for w in weights.values()))
+        norm = math.sqrt(functools.reduce(operator.add, (w * w for w in weights.values()), 0.0))
         if norm == 0.0:
             return {}
         return {term: w / norm for term, w in weights.items()}

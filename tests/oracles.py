@@ -9,11 +9,14 @@ return exactly what the code it replaced returned.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
 import math
+import operator
 import re
+from dataclasses import replace
 from typing import Sequence
 
 from quickar.corpus import Corpus, Document, MethodUnit
@@ -31,10 +34,9 @@ from quickar.reformulate import (
     crowd_candidates,
     project_candidates,
     reduce_keywords,
+    SOURCE_CROWD,
+    SOURCE_PROJECT,
     render_terms,
-    score_crowd_candidates,
-    score_project_candidates,
-    select_and_combine,
 )
 from quickar.search import NOT_RETRIEVED, SearchHit, searcher_for
 from quickar.textprep import (
@@ -387,7 +389,9 @@ def reference_split_methods(text: str, fallback_name: str = "file") -> list[Meth
 # The mode-by-mode `reformulate`, frozen verbatim apart from its name: each
 # call reduces the keywords and scores only the candidate pools its mode
 # merges. `reformulations` computes every mode in one pass and must agree
-# with it field by field. The pipeline stages it calls are the package's.
+# with it field by field. It collects, reduces and harvests candidates with
+# the package's stages, and scores, shortlists and merges them with the
+# frozen stages below it.
 
 def reference_reformulate(query, corpus, db, mode=MODE_ALL, *, stops, oracle,
                           params=Params(), searcher=None) -> Reformulation:
@@ -405,12 +409,12 @@ def reference_reformulate(query, corpus, db, mode=MODE_ALL, *, stops, oracle,
         scored_crowd: list[CandidateScore] = []
         if mode in (MODE_ALL, MODE_PROJECT):
             candidates = project_candidates(reduced, searcher, top_docs=params.top_docs)
-            scored_project = score_project_candidates(candidates, reduced, db)
+            scored_project = reference_score_project_candidates(candidates, reduced, db)
         if mode in (MODE_ALL, MODE_CROWD):
             candidates_so = crowd_candidates(reduced, db)
-            scored_crowd = score_crowd_candidates(candidates_so, reduced, db)
-        combined = select_and_combine(scored_project, scored_crowd, oracle,
-                                      top_k=params.top_k)
+            scored_crowd = reference_score_crowd_candidates(candidates_so, reduced, db)
+        combined = reference_select_and_combine(scored_project, scored_crowd, oracle,
+                                                top_k=params.top_k)
         expansions = combined[:need]
 
     return Reformulation(
@@ -421,6 +425,101 @@ def reference_reformulate(query, corpus, db, mode=MODE_ALL, *, stops, oracle,
         rendered_query=render_terms(
             list(reduced.tokens)
             + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
+    )
+
+
+# The scoring and selection stages `reference_reformulate` calls, frozen
+# verbatim apart from their names and from the project score's float sum,
+# which runs left to right (`functools.reduce`) as the package's does, so
+# every interpreter adds in the same order. They build one `CandidateScore`
+# per candidate and rank a scored pool again for every mode that merges it;
+# the package scores into plain numbers, shortlists each pool once and
+# builds a `CandidateScore` only for what its shortlist keeps.
+
+def _reference_candidate_is_nominal(cand: CandidateScore, oracle) -> bool:
+    if len(split_camel(cand.surface)) > 1:
+        return True
+    return oracle.is_noun(cand.term)
+
+
+def reference_score_project_candidates(
+    candidates: dict[str, str],
+    keywords: TermSequence,
+    db,
+) -> list[CandidateScore]:
+    """Accumulated adjacency-vector cosine of each candidate against every
+    keyword; candidates or keywords without adjacency entries contribute 0."""
+    words = keywords.normalized()
+    scored = []
+    for term in sorted(candidates):
+        score = functools.reduce(operator.add, (db.cosine(term, word) for word in words), 0.0)
+        scored.append(CandidateScore(term=term, surface=candidates[term],
+                                     source=SOURCE_PROJECT, score=score))
+    return scored
+
+
+def reference_score_crowd_candidates(
+    candidates: set[str],
+    keywords: TermSequence,
+    db,
+) -> list[CandidateScore]:
+    """Accumulated windowed co-occurrence count of each candidate against
+    every keyword."""
+    words = keywords.normalized()
+    scored = []
+    for term in sorted(candidates):
+        score = float(sum(db.cooccurrence_count(term, word) for word in words))
+        scored.append(CandidateScore(term=term, surface=term,
+                                     source=SOURCE_CROWD, score=score))
+    return scored
+
+
+def reference_top_nominal_normalized(
+    scored: list[CandidateScore],
+    oracle,
+    top_k: int,
+) -> list[CandidateScore]:
+    """Top-k by score (term-ascending ties), nominal only, min-max normalized.
+
+    A single survivor gets 1.0; an all-equal list collapses to 1.0 when the
+    shared score is positive and 0.0 when it is zero.
+    """
+    ranked = sorted(scored, key=lambda c: (-c.score, c.term))[:top_k]
+    ranked = [c for c in ranked if _reference_candidate_is_nominal(c, oracle)]
+    if not ranked:
+        return []
+    if len(ranked) == 1:
+        return [replace(ranked[0], score=1.0)]
+    hi = max(c.score for c in ranked)
+    lo = min(c.score for c in ranked)
+    if hi == lo:
+        value = 1.0 if hi > 0 else 0.0
+        return [replace(c, score=value) for c in ranked]
+    return [replace(c, score=(c.score - lo) / (hi - lo)) for c in ranked]
+
+
+def reference_select_and_combine(
+    r_project: list[CandidateScore],
+    r_crowd: list[CandidateScore],
+    oracle,
+    top_k: int = Params.top_k,
+) -> list[CandidateScore]:
+    """Merge the per-source shortlists into one expansion ranking.
+
+    Each source keeps its top-k nominal candidates with scores min-max
+    normalized to [0, 1]; duplicates keep the higher normalized entry, and
+    exact ties favor the project source.
+    """
+    pool: dict[str, CandidateScore] = {}
+    for cand in reference_top_nominal_normalized(r_project, oracle, top_k):
+        pool[cand.term] = cand
+    for cand in reference_top_nominal_normalized(r_crowd, oracle, top_k):
+        existing = pool.get(cand.term)
+        if existing is None or cand.score > existing.score:
+            pool[cand.term] = cand
+    return sorted(
+        pool.values(),
+        key=lambda c: (-c.score, 0 if c.source == SOURCE_PROJECT else 1, c.term),
     )
 
 
@@ -474,8 +573,9 @@ def reference_preprocess(
 # Reference searcher
 # ---------------------------------------------------------------------------
 
-# The eagerly built `Searcher`, frozen verbatim apart from its name: it
-# weights every posting of every term when it is constructed. The package's
+# The eagerly built `Searcher`, frozen verbatim apart from its name and from
+# its two float sums, which run left to right (`functools.reduce`) as the
+# package's do: it weights every posting of every term when it is constructed. The package's
 # `Searcher` builds idf values, norms and postings on first use, and must
 # return the same hits, ranks and weights, float for float.
 
@@ -506,7 +606,8 @@ class ReferenceSearcher:
             if not doc.term_counts:
                 continue
             weights = self.tf_idf(doc.term_counts)
-            norm = math.sqrt(sum(w * w for w in weights.values()))
+            norm = math.sqrt(functools.reduce(operator.add,
+                                              (w * w for w in weights.values()), 0.0))
             for term, weight in weights.items():
                 postings = self._postings.get(term)
                 if postings is None:
@@ -533,7 +634,8 @@ class ReferenceSearcher:
         for term in terms:
             counts[term] = counts.get(term, 0) + 1
         weights = self.tf_idf(counts)
-        norm = math.sqrt(sum(w * w for w in weights.values()))
+        norm = math.sqrt(functools.reduce(operator.add,
+                                          (w * w for w in weights.values()), 0.0))
         if norm == 0.0:
             return {}
         return {term: w / norm for term, w in weights.items()}

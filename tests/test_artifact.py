@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from quickar import adjacency, artifact, corpus
 from quickar.adjacency import AdjacencyDatabase, DbMeta
 from quickar.corpus import Corpus, CorpusMeta, Document
-from quickar.errors import CorruptFileError
+from quickar.errors import CorruptFileError, DataError
 
 # Header values and document ids: any text without a line feed, so "\r",
 # "\x85", " ", tabs and a leading "#" all occur.
@@ -126,3 +126,109 @@ def test_read_lines_splits_at_line_feeds_only(workdir, text, chunk):
         assert list(artifact.read_lines(path, "file")) == text.split("\n")
     finally:
         artifact._CHUNK = saved
+
+
+# Cells are split at "," and each from its count at its last ":"; a record
+# is split at its last tab. So a surface or neighbor that is empty or holds
+# "," or a tab, or a count below 1, would not load back as it was saved.
+UNSAFE_WORD = st.text(st.sampled_from("ab:,\t"), max_size=3)
+UNSAFE_COUNT = st.integers(-1, 3)
+
+
+@st.composite
+def unsafe_corpora(draw):
+    documents = []
+    for doc_id in draw(st.lists(NAME, max_size=3)):
+        counts = draw(st.dictionaries(UNSAFE_WORD, UNSAFE_COUNT, max_size=4))
+        documents.append(Document(doc_id=doc_id, term_counts=dict(counts),
+                                  surfaces={term: term for term in counts}))
+    return Corpus(documents)
+
+
+@st.composite
+def unsafe_databases(draw):
+    entries: dict[str, dict[str, int]] = {}
+    pairs = draw(st.dictionaries(st.tuples(UNSAFE_WORD, UNSAFE_WORD).filter(lambda p: p[0] != p[1]),
+                                 UNSAFE_COUNT, max_size=5))
+    for (a, b), n in pairs.items():
+        entries.setdefault(a, {})[b] = n
+        entries.setdefault(b, {})[a] = n
+    return AdjacencyDatabase(entries)
+
+
+UNSAFE = pytest.mark.parametrize("module, objects",
+                                 [(corpus, unsafe_corpora()), (adjacency, unsafe_databases())],
+                                 ids=["index", "database"])
+
+
+@UNSAFE
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_save_refuses_what_load_refuses_and_keeps_the_previous_file(workdir, module, objects,
+                                                                    data):
+    path = workdir / "unsafe"
+    path.write_bytes(b"previous")
+    obj = data.draw(objects)
+    try:
+        module.save(obj, path)
+    except DataError:
+        assert path.read_bytes() == b"previous"
+    else:
+        assert module.load(path) == obj
+
+
+@pytest.mark.parametrize("surface, count, message", [
+    ("a,b", 1, "document 'src/A.java#1:run' has a term 'a,b' holding ','"),
+    ("", 1, "document 'src/A.java#1:run' has a term without a name"),
+    ("b", 0, "term 'b' of document 'src/A.java#1:run' has count 0, below 1"),
+    ("b", -2, "term 'b' of document 'src/A.java#1:run' has count -2, below 1"),
+    ("a\tb", 1, "a cell of 'src/A.java#1:run' holds a tab"),
+], ids=["comma", "unnamed", "zero", "negative", "tab"])
+def test_index_save_names_the_document_load_would_refuse(tmp_path, surface, count, message):
+    path = tmp_path / "index.txt"
+    good = Corpus([Document("src/A.java#1:run", {"x": 1}, {"x": "x"})])
+    corpus.save(good, path)
+    before = path.read_bytes()
+    bad = Corpus([Document("src/A.java#1:run", {"x": 1, surface.lower(): count},
+                           {"x": "x", surface.lower(): surface})])
+    with pytest.raises(DataError) as err:
+        corpus.save(bad, path)
+    assert str(err.value) == f"cannot write index {path}: {message}"
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("neighbor, count, message", [
+    ("a,b", 1, "word 'bar' has a neighbor 'a,b' holding ','"),
+    ("", 1, "word 'bar' has a neighbor without a name"),
+    ("foo", 0, "neighbor 'foo' of 'bar' has count 0, below 1"),
+    ("foo", -1, "neighbor 'foo' of 'bar' has count -1, below 1"),
+    ("a\tb", 1, "a cell of 'bar' holds a tab"),
+], ids=["comma", "unnamed", "zero", "negative", "tab"])
+def test_database_save_names_the_word_load_would_refuse(tmp_path, neighbor, count, message):
+    path = tmp_path / "db.txt"
+    adjacency.save(AdjacencyDatabase({"bar": {"qux": 1}, "qux": {"bar": 1}}), path)
+    before = path.read_bytes()
+    bad = AdjacencyDatabase({"bar": {neighbor: count, "qux": 1}, "qux": {"bar": 1}})
+    with pytest.raises(DataError) as err:
+        adjacency.save(bad, path)
+    assert str(err.value) == f"cannot write database {path}: {message}"
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("module, text, message", [
+    (corpus, "#source=\n#stoplist_sha=\n#keywords_sha=\n"
+             "d1\tbar:1\nd2\tfoo:0,bar:-1\n#docs=2,terms=0\n",
+     "unparseable index line in {path}: term 'foo' has count 0, below 1"),
+    (corpus, "#source=\n#stoplist_sha=\n#keywords_sha=\n"
+             "d1\tbar:-1,:1\nd2\t:1\n#docs=2,terms=0\n",
+     "unparseable index line in {path}: term 'bar' has count -1, below 1"),
+    (adjacency, "#window=2\n#stoplist_sha=\n#source=\n#binary=0\n"
+                "bar\tqux:2,zed:-1\nqux\tbar:0\n#pairs=0\n",
+     "unparseable database line in {path}: neighbor 'zed' of 'bar' has count -1, below 1"),
+], ids=["index", "index-unnamed-later", "database"])
+def test_load_names_the_first_bad_cell(tmp_path, module, text, message):
+    path = tmp_path / "artifact"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorruptFileError) as err:
+        module.load(path)
+    assert str(err.value) == message.format(path=path)

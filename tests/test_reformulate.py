@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
 import pytest
 
-from oracles import dense_cosine_ranking, reference_reformulate, sparse_cosine, window_pair_counts
+from oracles import (
+    dense_cosine_ranking,
+    reference_reformulate,
+    reference_score_crowd_candidates,
+    reference_select_and_combine,
+    sparse_cosine,
+    window_pair_counts,
+)
 from quickar import adjacency
 from quickar.adjacency import AdjacencyDatabase, build
 from quickar.corpus import build_corpus
@@ -34,6 +42,7 @@ from quickar.reformulate import (
     score_crowd_candidates,
     score_project_candidates,
     select_and_combine,
+    shortlist,
 )
 from quickar.search import searcher_for
 from quickar.textprep import (
@@ -214,7 +223,7 @@ def test_project_score_identical_vectors_contribute_one(stops):
     db = AdjacencyDatabase(entries=entries)
     keywords = collect_keywords(QueryRecord("q", "kw"), stops)
     scored = score_project_candidates({"cand": "cand"}, keywords, db)
-    assert scored[0].score == pytest.approx(1.0)
+    assert scored == {"cand": pytest.approx(1.0)}
 
 
 def test_project_score_disjoint_vectors_zero(stops):
@@ -222,7 +231,7 @@ def test_project_score_disjoint_vectors_zero(stops):
     db = AdjacencyDatabase(entries=entries)
     keywords = collect_keywords(QueryRecord("q", "kw"), stops)
     scored = score_project_candidates({"cand": "cand"}, keywords, db)
-    assert scored[0].score == 0.0
+    assert scored == {"cand": 0.0}
 
 
 def test_project_scores_match_dense_cosine_oracle(stops):
@@ -234,23 +243,44 @@ def test_project_scores_match_dense_cosine_oracle(stops):
     candidates = {w: w for w in vocab[5:13]}
 
     scored = score_project_candidates(candidates, keywords, db)
-    for cand in scored:
+    assert list(scored) == sorted(candidates)
+    for term, score in scored.items():
         expected = sum(
-            sparse_cosine(db.entries.get(cand.term, {}), db.entries.get(kw, {}))
+            sparse_cosine(db.entries.get(term, {}), db.entries.get(kw, {}))
             for kw in keywords.normalized())
-        assert cand.score == pytest.approx(expected, abs=1e-9)
+        assert score == pytest.approx(expected, abs=1e-9)
+
+
+def test_project_scores_add_cosines_left_to_right(stops):
+    # sum() compensates float sums from CPython 3.12 on; the scores must add
+    # as this plain loop does on every interpreter.
+    db = build(synthetic_titles(300, seed=21), stops)
+    vocab = sorted(db.entries)
+    keywords = collect_keywords(QueryRecord("q", " ".join(vocab[:13])), stops)
+    words = keywords.normalized()
+    scored = score_project_candidates({w: w for w in vocab[13:]}, keywords, db)
+    compensated_differs = False
+    for term, score in scored.items():
+        cosines = [db.cosine(term, word) for word in words]
+        total = 0.0
+        for value in cosines:
+            total += value
+        assert score == total
+        compensated_differs |= math.fsum(cosines) != total
+    assert compensated_differs  # not vacuous
 
 
 def test_crowd_score_trio_leak(trio_db, stops):
     keywords = collect_keywords(QueryRecord("q", "memory"), stops)
     scored = score_crowd_candidates({"leak"}, keywords, trio_db)
-    assert scored == [CandidateScore("leak", "leak", SOURCE_CROWD, 3.0)]
+    assert scored == {"leak": 3.0}
+    assert type(scored["leak"]) is float
 
 
 def test_crowd_score_never_adjacent_zero(trio_db, stops):
     keywords = collect_keywords(QueryRecord("q", "memory"), stops)
     scored = score_crowd_candidates({"easiest"}, keywords, trio_db)
-    assert scored[0].score == 0.0
+    assert scored == {"easiest": 0.0}
 
 
 def test_crowd_scores_match_summation_oracle(stops):
@@ -259,9 +289,11 @@ def test_crowd_scores_match_summation_oracle(stops):
     pairs = window_pair_counts([t.title.split() for t in titles], window=2)
     keywords = collect_keywords(QueryRecord("q", "alpha kelp umbra"), stops)
     candidates = set(db.entries) - set(keywords.normalized())
-    for cand in score_crowd_candidates(candidates, keywords, db):
-        expected = sum(pairs.get((cand.term, kw), 0) for kw in keywords.normalized())
-        assert cand.score == expected
+    scored = score_crowd_candidates(candidates, keywords, db)
+    assert list(scored) == sorted(candidates)
+    for term, score in scored.items():
+        expected = sum(pairs.get((term, kw), 0) for kw in keywords.normalized())
+        assert score == expected
 
 
 # -- selection -----------------------------------------------------------------
@@ -270,18 +302,78 @@ def cand(term, source, score):
     return CandidateScore(term=term, surface=term, source=source, score=score)
 
 
-def test_select_single_source(oracle):
-    crowd = [cand(t, SOURCE_CROWD, s) for t, s in
-             [("u", 6.0), ("v", 5.0), ("w", 4.0), ("x", 3.0), ("y", 2.0), ("z", 1.0)]]
-    merged = select_and_combine([], crowd, oracle, top_k=5)
-    assert [c.term for c in merged] == ["u", "v", "w", "x", "y"]
+def test_shortlist_keeps_the_top_k_normalized(oracle):
+    scores = {"u": 6.0, "v": 5.0, "w": 4.0, "x": 3.0, "y": 2.0, "z": 1.0}
+    assert shortlist(scores, SOURCE_CROWD, oracle, top_k=5) == [
+        cand("u", SOURCE_CROWD, 1.0), cand("v", SOURCE_CROWD, 0.75),
+        cand("w", SOURCE_CROWD, 0.5), cand("x", SOURCE_CROWD, 0.25),
+        cand("y", SOURCE_CROWD, 0.0)]
 
 
-def test_select_dedup_same_term(oracle):
+def test_shortlist_breaks_score_ties_by_term(oracle):
+    scores = {"d": 1.0, "b": 2.0, "c": 1.0, "a": 1.0}
+    assert [c.term for c in shortlist(scores, SOURCE_CROWD, oracle, top_k=3)] == ["b", "a", "c"]
+
+
+def test_shortlist_takes_surfaces_from_the_candidates(oracle):
+    scores = {"webservice": 2.0, "portal": 1.0}
+    surfaces = {"webservice": "WebService", "portal": "Portal"}
+    assert shortlist(scores, SOURCE_PROJECT, oracle, top_k=5, surfaces=surfaces) == [
+        CandidateScore("webservice", "WebService", SOURCE_PROJECT, 1.0),
+        CandidateScore("portal", "Portal", SOURCE_PROJECT, 0.0)]
+
+
+@pytest.mark.parametrize("scores, expected", [
+    ({"solo": 0.0}, [1.0]),
+    ({"solo": 7.5}, [1.0]),
+    ({"a": 2.0, "b": 2.0}, [1.0, 1.0]),
+    ({"a": 0.0, "b": 0.0}, [0.0, 0.0]),
+], ids=["single-zero", "single", "equal-positive", "equal-zero"])
+def test_shortlist_collapses_single_and_equal_scores(oracle, scores, expected):
+    assert [c.score for c in shortlist(scores, SOURCE_CROWD, oracle)] == expected
+
+
+def test_select_filters_non_nominal(oracle):
+    scores = {"ignores": 5.0, "widget": 1.0}
+    assert shortlist(scores, SOURCE_PROJECT, oracle) == [cand("widget", SOURCE_PROJECT, 1.0)]
+
+
+def test_select_top_k_before_nominal_filter(oracle):
+    # Non-nominal entries occupy top-k slots before being filtered out.
+    scores = {"ignores": 9.0, "fails": 8.0, "crashes": 7.0, "returns": 6.0, "throws": 5.0,
+              "widget": 4.0}
+    assert shortlist(scores, SOURCE_PROJECT, oracle, top_k=5) == []  # widget never made it
+
+
+def test_shortlist_of_nothing_is_empty(oracle):
+    assert shortlist({}, SOURCE_CROWD, oracle) == []
+
+
+@pytest.mark.parametrize("top_k", [1, 2, 3, 5, 40])
+def test_shortlist_matches_the_frozen_selection(stops, oracle, top_k):
+    titles = synthetic_titles(80, seed=77)
+    db = build(titles, stops)
+    keywords = collect_keywords(QueryRecord("q", "alpha kelp umbra"), stops)
+    candidates = crowd_candidates(keywords, db)
+    got = shortlist(score_crowd_candidates(candidates, keywords, db), SOURCE_CROWD, oracle,
+                    top_k=top_k)
+    expected = reference_select_and_combine(
+        [], reference_score_crowd_candidates(candidates, keywords, db), oracle, top_k=top_k)
+    assert sorted(got, key=lambda c: (-c.score, c.term)) == expected
+    assert len(got) == min(top_k, len(candidates))  # the synthetic words are all nominal
+
+
+def test_select_single_source():
+    crowd = [cand(t, SOURCE_CROWD, s) for t, s in [("u", 1.0), ("v", 0.5), ("w", 0.0)]]
+    assert select_and_combine([], crowd) == crowd
+    project = [cand(t, SOURCE_PROJECT, s) for t, s in [("u", 1.0), ("v", 0.5), ("w", 0.0)]]
+    assert select_and_combine(project, []) == project
+
+
+def test_select_dedup_same_term():
     merged = select_and_combine(
-        [cand("portal", SOURCE_PROJECT, 2.0), cand("solo", SOURCE_PROJECT, 1.0)],
-        [cand("portal", SOURCE_CROWD, 9.0), cand("extra", SOURCE_CROWD, 1.0)],
-        oracle)
+        [cand("portal", SOURCE_PROJECT, 1.0), cand("solo", SOURCE_PROJECT, 0.0)],
+        [cand("portal", SOURCE_CROWD, 1.0), cand("extra", SOURCE_CROWD, 0.0)])
     assert [c.term for c in merged].count("portal") == 1
 
 
@@ -289,31 +381,22 @@ def test_select_pinned_normalization_example(oracle):
     # p: a=2, b=1 -> a=1.0, b=0.0; so: c=10, a=4 -> c=1.0, a=0.0.
     # Dedup keeps the project "a"; the 1.0 tie puts project first.
     merged = select_and_combine(
-        [cand("a", SOURCE_PROJECT, 2.0), cand("b", SOURCE_PROJECT, 1.0)],
-        [cand("c", SOURCE_CROWD, 10.0), cand("a", SOURCE_CROWD, 4.0)],
-        oracle)
+        shortlist({"a": 2.0, "b": 1.0}, SOURCE_PROJECT, oracle),
+        shortlist({"c": 10.0, "a": 4.0}, SOURCE_CROWD, oracle))
     assert [(c.term, c.source, c.score) for c in merged] == [
         ("a", SOURCE_PROJECT, 1.0), ("c", SOURCE_CROWD, 1.0), ("b", SOURCE_PROJECT, 0.0)]
 
 
-def test_select_filters_non_nominal(oracle):
+def test_select_higher_crowd_score_replaces_the_project_entry():
     merged = select_and_combine(
-        [cand("ignores", SOURCE_PROJECT, 5.0), cand("widget", SOURCE_PROJECT, 1.0)],
-        [], oracle)
-    assert [c.term for c in merged] == ["widget"]
+        [cand("a", SOURCE_PROJECT, 1.0), cand("b", SOURCE_PROJECT, 0.25)],
+        [cand("b", SOURCE_CROWD, 0.5), cand("c", SOURCE_CROWD, 0.25)])
+    assert merged == [cand("a", SOURCE_PROJECT, 1.0), cand("b", SOURCE_CROWD, 0.5),
+                      cand("c", SOURCE_CROWD, 0.25)]
 
 
-def test_select_both_empty(oracle):
-    assert select_and_combine([], [], oracle) == []
-
-
-def test_select_top_k_before_nominal_filter(oracle):
-    # Non-nominal entries occupy top-k slots before being filtered out.
-    project = [cand(t, SOURCE_PROJECT, s) for t, s in
-               [("ignores", 9.0), ("fails", 8.0), ("crashes", 7.0),
-                ("returns", 6.0), ("throws", 5.0), ("widget", 4.0)]]
-    merged = select_and_combine(project, [], oracle, top_k=5)
-    assert merged == []  # widget never made the shortlist
+def test_select_both_empty():
+    assert select_and_combine([], []) == []
 
 
 # -- full pipeline ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -137,6 +138,55 @@ def test_scaling_uniform_counts_preserves_order():
 
 
 # -- rank_of_first_relevant ----------------------------------------------------
+
+def loop_sum(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_norms_and_scores_add_left_to_right():
+    # sum() compensates float sums from CPython 3.12 on; the searcher must
+    # add as this plain loop does on every interpreter.
+    rng = random.Random(11)
+    words = [f"w{i:02d}" for i in range(60)]
+    docs = []
+    for i in range(40):
+        counts = {w: rng.randint(1, 40) for w in rng.sample(words, 30)}
+        docs.append(Document(f"d{i:02d}", counts, {w: w for w in counts}))
+    searcher = Searcher(Corpus(docs))
+    n_docs = len(docs)
+
+    def weights(counts):
+        out = {}
+        for term in sorted(counts):
+            df = sum(term in doc.term_counts for doc in docs)
+            out[term] = (1.0 + math.log(counts[term])) * (math.log((n_docs + 1) / (df + 1)) + 1.0)
+        return out
+
+    doc_weights = {doc.doc_id: weights(doc.term_counts) for doc in docs}
+    doc_norms = {doc_id: math.sqrt(loop_sum(w * w for w in dw.values()))
+                 for doc_id, dw in doc_weights.items()}
+    # Not vacuous: a compensated sum differs from the loop for some norm.
+    assert any(math.fsum(w * w for w in dw.values()) != loop_sum(w * w for w in dw.values())
+               for dw in doc_weights.values())
+    for _ in range(30):
+        terms = rng.sample(words, 12) + rng.sample(words, 3)
+        counts: dict[str, int] = {}
+        for term in terms:
+            counts[term] = counts.get(term, 0) + 1
+        qw = weights(counts)
+        q_norm = math.sqrt(loop_sum(w * w for w in qw.values()))
+        assert searcher.query_vector(terms) == {t: w / q_norm for t, w in qw.items()}
+        expected = {}
+        for doc_id, dw in doc_weights.items():
+            shared = [t for t in sorted(qw) if t in dw]
+            if shared:
+                expected[doc_id] = loop_sum(
+                    (qw[t] / q_norm) * (dw[t] / doc_norms[doc_id]) for t in shared)
+        assert {hit.doc_id: hit.score for hit in searcher.search(terms)} == expected
+
 
 def hits_for(ranks_to_ids: dict[int, str]) -> list[SearchHit]:
     return [SearchHit(doc_id=doc_id, score=1.0 / rank, rank=rank)
