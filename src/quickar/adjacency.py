@@ -38,7 +38,6 @@ class DbMeta:
     window: int = DEFAULT_WINDOW
     stoplist_sha: str = ""
     source: str = ""
-    binary: bool = False  # True: each unordered pair counted once per title
 
 
 class AdjacencyDatabase:
@@ -158,14 +157,13 @@ def count_title_pairs(
     tokens: list[str],
     window: int,
     into: dict[str, dict[str, int]],
-    binary: bool = False,
 ) -> None:
     """Add the windowed pair counts of one preprocessed title to `into`.
 
     A pair is two distinct words at positions less than `window` apart; each
-    position pair counts once. Identical words never pair with themselves.
+    position pair counts once, so a pair that recurs within one title counts
+    each time. Identical words never pair with themselves.
     """
-    seen: set[tuple[str, str]] = set() if binary else None  # type: ignore[assignment]
     n = len(tokens)
     for i in range(n):
         a = tokens[i]
@@ -173,11 +171,6 @@ def count_title_pairs(
             b = tokens[j]
             if a == b:
                 continue
-            if binary:
-                key = (a, b) if a < b else (b, a)
-                if key in seen:
-                    continue
-                seen.add(key)
             slot_a = into.setdefault(a, {})
             slot_a[b] = slot_a.get(b, 0) + 1
             slot_b = into.setdefault(b, {})
@@ -189,7 +182,6 @@ def build(
     stops: StopList,
     window: int = DEFAULT_WINDOW,
     source: str = "",
-    binary: bool = False,
 ) -> AdjacencyDatabase:
     """Build an adjacency database from already tag-filtered titles."""
     if window < 2:
@@ -197,8 +189,8 @@ def build(
     entries: dict[str, dict[str, int]] = {}
     for rec in titles:
         tokens = preprocess(rec.title, stops, SPLIT_ONLY).normalized()
-        count_title_pairs(tokens, window, entries, binary=binary)
-    meta = DbMeta(window=window, stoplist_sha=stops.sha, source=source, binary=binary)
+        count_title_pairs(tokens, window, entries)
+    meta = DbMeta(window=window, stoplist_sha=stops.sha, source=source)
     return AdjacencyDatabase(entries=entries, meta=meta)
 
 
@@ -206,6 +198,8 @@ def build(
 # Persistence
 # ---------------------------------------------------------------------------
 
+# `binary` is always 0 since `build-db --binary` was removed; the line
+# stays so that a database keeps its bytes.
 _HEADER_KEYS = ("window", "stoplist_sha", "source", "binary")
 
 
@@ -239,7 +233,7 @@ def save(db: AdjacencyDatabase, path) -> None:
     `neighbor:count` sorted by neighbor, and the unordered pair count as
     the checksum. A row that `load` would refuse raises DataError, and the
     previous file stays."""
-    header = {key: getattr(db.meta, key) for key in _HEADER_KEYS} | {"binary": int(db.meta.binary)}
+    header = {key: getattr(db.meta, key) for key in _HEADER_KEYS[:-1]} | {"binary": 0}
     artifact.save(path, "database", header, _records(db, path), {"pairs": db.total_pair_count})
 
 
@@ -249,7 +243,7 @@ def load(path) -> AdjacencyDatabase:
     Each distinct cell is decoded and checked once per call, so every row
     holding the same `neighbor:count` cell shares one neighbor string. An
     empty neighbor or a count below 1 is refused, naming the first such
-    cell.
+    cell, and so is a `#binary=` header other than 0.
     """
     header, records, declared = artifact.load(path, "database", _HEADER_KEYS, ("pairs",))
     entries: dict[str, dict[str, int]] = {}
@@ -273,13 +267,13 @@ def load(path) -> AdjacencyDatabase:
                     nbrs[nbr] = count
             entries[word] = nbrs
         window = int(header["window"])
-        if header["binary"] not in ("0", "1"):
-            raise ValueError(f"binary must be 0 or 1, got {header['binary']!r}")
+        if header["binary"] != "0":
+            raise ValueError(f"binary must be 0, got {header['binary']!r}: build-db --binary "
+                             "was removed; rebuild the database")
     except ValueError as exc:
         raise CorruptFileError(f"unparseable database line in {path}: {exc}") from exc
 
-    meta = DbMeta(window=window, stoplist_sha=header["stoplist_sha"],
-                  source=header["source"], binary=header["binary"] == "1")
+    meta = DbMeta(window=window, stoplist_sha=header["stoplist_sha"], source=header["source"])
     db = AdjacencyDatabase(entries=entries, meta=meta)
     if db.total_pair_count != declared["pairs"]:
         raise CorruptFileError(

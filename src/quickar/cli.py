@@ -125,8 +125,6 @@ def build_parser() -> _Parser:
     p.add_argument("--limit", type=_at_least(0), default=None, metavar="N",
                    help="use only the first N tag-filtered titles")
     p.add_argument("--stoplist", default=None, metavar="FILE")
-    p.add_argument("--binary", action="store_true",
-                   help="count each word pair at most once per title")
 
     p = sub.add_parser("index", help="index a source tree into a method-level corpus")
     p.add_argument("--src", metavar="DIR", help="source tree to split into methods")
@@ -185,7 +183,7 @@ def _cmd_build_db(args, cfg: Config) -> int:
         records = itertools.islice(records, args.limit)
     titles = list(records)
     source = f"{Path(args.dump).name}:{args.tag}"
-    db = adjacency.build(titles, stops, window=window, source=source, binary=args.binary)
+    db = adjacency.build(titles, stops, window=window, source=source)
     adjacency.save(db, args.out)
     if stats.malformed:
         print(f"warning: skipped {stats.malformed} malformed record(s)", file=sys.stderr)

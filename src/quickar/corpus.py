@@ -247,7 +247,8 @@ def split_methods(text: str, fallback_name: str = "file") -> list[MethodUnit]:
 @dataclass
 class Document:
     """One method-level document: normalized term counts plus the first-seen
-    surface form of each term (kept for query rendering)."""
+    surface form of each term (kept for query rendering). Both maps hold the
+    same terms, each its surface lower-cased; `save` refuses any other."""
 
     doc_id: str
     term_counts: dict[str, int] = field(default_factory=dict)
@@ -409,38 +410,53 @@ def build_corpus_presplit(
 _HEADER_KEYS = ("source", "stoplist_sha", "keywords_sha")
 
 
-def _bad_cell(doc: Document) -> str | None:
-    """Why `load` would refuse a cell of `doc`, for the first such cell."""
-    for term in sorted(doc.term_counts):
-        surface, count = doc.surfaces[term], doc.term_counts[term]
+def _bad_cell(doc: Document) -> str:
+    """Why `load` would refuse `doc` or give it back changed: its counts
+    and surfaces are for different terms, or the first bad cell."""
+    counts, surfaces = doc.term_counts, doc.surfaces
+    if counts.keys() != surfaces.keys():
+        return (f"document {doc.doc_id!r} has counts and surfaces for different terms, "
+                f"first {min(counts.keys() ^ surfaces.keys())!r}")
+    for term in sorted(counts):
+        surface, count = surfaces[term], counts[term]
         if not surface:
             return f"document {doc.doc_id!r} has a term without a name"
         if "," in surface:
             return f"document {doc.doc_id!r} has a term {surface!r} holding ','"
         if count < 1:
             return f"term {surface!r} of document {doc.doc_id!r} has count {count}, below 1"
-    return None
+        if surface.lower() != term:
+            return (f"document {doc.doc_id!r} has a term {term!r} whose surface {surface!r} "
+                    f"lower-cases to {surface.lower()!r}")
+    raise AssertionError(f"no bad cell in document {doc.doc_id!r}")
 
 
 def _records(corpus: Corpus, path):
     """Each document's `(doc_id, cells)` record. A document that `load`
-    would refuse raises DataError: a surface that is empty or holds ",",
-    or a count below 1. Calls in C check each document whole, and only a
-    document they flag is looked at cell by cell."""
+    would refuse or give back changed raises DataError: counts and surfaces
+    for different terms, a surface that is empty, holds "," or does not
+    lower-case to its term, or a count below 1. Calls in C check each
+    document whole, and only a document they flag is looked at cell by
+    cell."""
     for doc in corpus.documents:
         counts, surfaces = doc.term_counts, doc.surfaces
-        cells = ",".join([f"{surfaces[term]}:{counts[term]}" for term in sorted(counts)])
-        if (counts and (cells.count(",") >= len(counts) or "" in surfaces.values()
-                        or min(counts.values()) < 1) and (reason := _bad_cell(doc))):
-            raise DataError(f"cannot write index {path}: {reason}")
+        try:
+            cells = ",".join([f"{surfaces[term]}:{counts[term]}" for term in sorted(counts)])
+        except KeyError:  # a term without a surface
+            cells = None
+        if cells is None or len(surfaces) != len(counts) or counts and (
+                cells.count(",") >= len(counts) or "" in surfaces.values()
+                or min(counts.values()) < 1
+                or [*map(str.lower, surfaces.values())] != [*surfaces]):
+            raise DataError(f"cannot write index {path}: {_bad_cell(doc)}")
         yield doc.doc_id, cells
 
 
 def save(corpus: Corpus, path) -> None:
     """Write `corpus` in the artifact layout: one record per document, its
     cells `surface:count` sorted by normalized term, and the document and
-    term counts as the checksum. A document that `load` would refuse raises
-    DataError, and the previous file stays."""
+    term counts as the checksum. A document that `load` would refuse or
+    give back changed raises DataError, and the previous file stays."""
     checksum = {"docs": corpus.n_docs, "terms": sum(doc.length for doc in corpus.documents)}
     header = {key: getattr(corpus.meta, key) for key in _HEADER_KEYS}
     artifact.save(path, "index", header, _records(corpus, path), checksum)

@@ -1,12 +1,16 @@
 """Rocchio-style pseudo-relevance-feedback expansion, the comparison baseline.
 
 The top retrieved documents of the unreduced keyword query are assumed
-relevant; candidate terms are ranked by their summed tf-idf weight across
-those documents and appended to the keywords. No nominal filtering and no
+relevant; each of their terms is scored by its summed tf-idf weight across
+those documents, and only the strongest terms that fit the query budget
+become candidates, appended to the keywords. No nominal filtering and no
 reduction step: this baseline expands, nothing more.
 """
 
 from __future__ import annotations
+
+import heapq
+import operator
 
 from .corpus import Corpus
 from .reformulate import (
@@ -18,40 +22,11 @@ from .reformulate import (
     render_terms,
 )
 from .search import Searcher, searcher_for
-from .textprep import StopList, TermSequence, Token, WHOLE
+from .textprep import StopList, Token, WHOLE
 
 MODE_ROCCHIO = "rocchio"
 
 SOURCE_FEEDBACK = "feedback"
-
-
-def rank_feedback_terms(
-    keywords: TermSequence,
-    searcher: Searcher,
-    top_docs: int = Params.top_docs,
-) -> list[CandidateScore]:
-    """Candidate terms of the top documents ranked by summed tf'*idf.
-
-    Uses the retriever's own weighting (tf' = 1 + ln count, smoothed idf) so
-    the baseline and the retriever agree on what "important" means.
-    """
-    words = keywords.normalized()
-    hits = searcher.search(words, top_n=top_docs)
-    exclude = set(words)
-    totals: dict[str, float] = {}
-    surfaces: dict[str, str] = {}
-    for hit in hits:
-        doc = searcher.document(hit.doc_id)
-        for term, weight in searcher.tf_idf(doc.term_counts).items():
-            if term in exclude:
-                continue
-            totals[term] = totals.get(term, 0.0) + weight
-            surfaces.setdefault(term, doc.surfaces[term])
-    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [
-        CandidateScore(term=term, surface=surfaces[term], source=SOURCE_FEEDBACK, score=score)
-        for term, score in ranked
-    ]
 
 
 def rocchio_expand(
@@ -65,14 +40,30 @@ def rocchio_expand(
     """Expand a query with the strongest terms of its top retrieved documents,
     up to the query budget.
 
+    Each non-keyword term scores its tf'*idf weight (the retriever's own:
+    tf' = 1 + ln count, smoothed idf) summed over the documents in rank order;
+    the top `budget - len(keywords)` by score, ties by term, become expansions.
     An empty retrieval returns the keyword query unchanged. Raises
     QueryEmptyError when the title has no usable keywords at all.
     """
     if searcher is None:
         searcher = searcher_for(corpus)
     keywords = collect_keywords(query, stops)
+    words = keywords.normalized()
+    exclude = set(words)
+    totals: dict[str, float] = {}
+    surfaces: dict[str, str] = {}
+    for hit in searcher.search(words, top_n=params.top_docs):
+        doc = searcher.document(hit.doc_id)
+        for term, weight in searcher.tf_idf(doc.term_counts).items():
+            if term in exclude:
+                continue
+            totals[term] = totals.get(term, 0.0) + weight
+            surfaces.setdefault(term, doc.surfaces[term])
     count = max(0, params.budget - len(keywords))
-    expansions = rank_feedback_terms(keywords, searcher, top_docs=params.top_docs)[:count]
+    ranked = heapq.nsmallest(count, zip(map(operator.neg, totals.values()), totals))
+    expansions = [CandidateScore(term, surfaces[term], SOURCE_FEEDBACK, -neg_score)
+                  for neg_score, term in ranked]
     return Reformulation(
         query_id=query.query_id,
         mode=MODE_ROCCHIO,

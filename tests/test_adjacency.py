@@ -126,14 +126,6 @@ def test_duplicate_adjacent_tokens_no_self_pair(stops):
     assert db.vocab_size == 0
 
 
-def test_binary_mode_counts_pairs_once_per_title(stops):
-    titles = [TitleRecord(1, "alpha beta alpha beta", ("java",))]
-    weighted = build(titles, stops)
-    binary = build(titles, stops, binary=True)
-    assert weighted.entries["alpha"]["beta"] == 3
-    assert binary.entries["alpha"]["beta"] == 1
-
-
 # -- queries -----------------------------------------------------------------
 
 def test_neighbors_unknown_word_empty(trio_db):

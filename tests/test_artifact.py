@@ -48,7 +48,7 @@ def databases(draw):
         for word, neighbor in ((a, b), (b, a)):
             row = entries.setdefault(word, {})
             row[neighbor] = row.get(neighbor, 0) + n
-    meta = draw(st.builds(DbMeta, st.integers(2, 9), NAME, NAME, st.booleans()))
+    meta = draw(st.builds(DbMeta, st.integers(2, 9), NAME, NAME))
     return AdjacencyDatabase(entries, meta)
 
 
@@ -193,6 +193,28 @@ def test_index_save_names_the_document_load_would_refuse(tmp_path, surface, coun
                            {"x": "x", surface.lower(): surface})])
     with pytest.raises(DataError) as err:
         corpus.save(bad, path)
+    assert str(err.value) == f"cannot write index {path}: {message}"
+    assert path.read_bytes() == before
+
+
+# A document built by hand may key a term other than by its surface
+# lower-cased, which is how `load` keys it, or hold counts and surfaces for
+# different terms: saved, it would load back changed or not at all.
+@pytest.mark.parametrize("counts, surfaces, message", [
+    ({"Foo": 1, "foo": 2}, {"Foo": "Foo", "foo": "foo"},
+     "document 'd1' has a term 'Foo' whose surface 'Foo' lower-cases to 'foo'"),
+    ({"bar": 1}, {"bar": "Foo"},
+     "document 'd1' has a term 'bar' whose surface 'Foo' lower-cases to 'foo'"),
+    ({"bar": 1}, {}, "document 'd1' has counts and surfaces for different terms, first 'bar'"),
+    ({"bar": 1}, {"bar": "bar", "baz": "baz"},
+     "document 'd1' has counts and surfaces for different terms, first 'baz'"),
+], ids=["two-cases", "other-surface", "no-surface", "no-count"])
+def test_index_save_refuses_a_document_load_would_change(tmp_path, counts, surfaces, message):
+    path = tmp_path / "index.txt"
+    corpus.save(Corpus([Document("d1", {"x": 1}, {"x": "x"})]), path)
+    before = path.read_bytes()
+    with pytest.raises(DataError) as err:
+        corpus.save(Corpus([Document("d1", counts, surfaces)]), path)
     assert str(err.value) == f"cannot write index {path}: {message}"
     assert path.read_bytes() == before
 

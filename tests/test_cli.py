@@ -263,6 +263,17 @@ def test_jobs_flag_is_a_usage_error(capsys, argv):
     assert capsys.readouterr().err.endswith("error: unrecognized arguments: --jobs 2\n")
 
 
+# Counting each pair at most once per title gained nothing and was removed.
+def test_build_db_binary_flag_is_a_usage_error(tmp_path, capsys):
+    dump, db = tmp_path / "dump.tsv", tmp_path / "db.txt"
+    dump.write_text("1\tparse token list\tjava\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["build-db", "--dump", str(dump), "--out", str(db), "--binary"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --binary\n")
+    assert not db.exists()
+
+
 # A line feed would end an artifact line early: in a document id, in the
 # source directory name of an index, in the dump name of a database.
 @pytest.mark.parametrize("argv, tree, name", [
@@ -499,16 +510,22 @@ def test_index_term_count_below_one_is_a_data_error(tmp_path, capsys, command, c
 
 
 # A neighbor count below 1 passes the database checksum when the other
-# counts make up the sum, a cell split at its last ":" may lack a name, and
-# a binary flag other than 0 or 1 means nothing, so load refuses all three.
+# counts make up the sum, and a cell split at its last ":" may lack a name.
+# Counting each pair once per title went with the removed build-db --binary,
+# so a binary flag other than 0 is either such an older database or means
+# nothing. Load refuses all of these.
+BINARY_REMOVED = "build-db --binary was removed; rebuild the database"
+
+
 @pytest.mark.parametrize("binary, rows, message", [
     ("0", "bar\tfoo:0,qux:1\nfoo\tbar:0\nqux\tbar:1",
      "neighbor 'foo' of 'bar' has count 0, below 1"),
     ("0", "bar\tfoo:-1,qux:2\nfoo\tbar:-1\nqux\tbar:2",
      "neighbor 'foo' of 'bar' has count -1, below 1"),
     ("0", "bar\tqux:1,1\nqux\tbar:1", "word 'bar' has a neighbor without a name"),
-    ("yes", "bar\tqux:1\nqux\tbar:1", "binary must be 0 or 1, got 'yes'"),
-], ids=["zero", "negative", "unnamed", "binary"])
+    ("yes", "bar\tqux:1\nqux\tbar:1", f"binary must be 0, got 'yes': {BINARY_REMOVED}"),
+    ("1", "bar\tqux:1\nqux\tbar:1", f"binary must be 0, got '1': {BINARY_REMOVED}"),
+], ids=["zero", "negative", "unnamed", "binary", "binary-removed"])
 def test_bad_database_count_or_binary_flag_is_a_data_error(tmp_path, capsys, binary, rows,
                                                            message):
     db, index = tmp_path / "db.txt", tmp_path / "index.txt"

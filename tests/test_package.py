@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib
+import re
+from pathlib import Path
 
 import quickar
+from quickar.cli import build_parser
 
 
 def test_every_exported_name_resolves():
@@ -21,3 +25,25 @@ def test_search_is_the_submodule():
 def test_params_carry_the_paper_defaults():
     params = quickar.Params()
     assert (params.top_docs, params.top_k, params.budget, params.max_df_ratio) == (5, 5, 10, 0.25)
+
+
+def _parser_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Every long option of `parser` and of its subcommands."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(opt for opt in action.option_strings if opt.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags
+
+
+def test_readme_and_cli_name_the_same_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # pytest's own flag appears in the test command line.
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {
+        "--continue-on-collection-errors"}
+    defined = _parser_flags(build_parser())
+    assert documented - defined == set()
+    # --help and --version are argparse's own; --verbose is documented as -v.
+    assert defined - documented - {"--help", "--version", "--verbose"} == set()

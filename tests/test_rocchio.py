@@ -58,6 +58,31 @@ def test_expansion_matches_summation_oracle(stops):
         assert cand.score == pytest.approx(score, abs=1e-9)
 
 
+def test_every_budget_takes_the_oracle_prefix_through_ties(stops):
+    # Terms in the same documents with the same counts tie to the bit: the
+    # cut must fall between tied terms by ascending term, at every budget.
+    docs = [
+        ("d0", "alpha bravo canvas delta ember"),
+        ("d1", "alpha bravo canvas fjord gadget fjord gadget"),
+        ("d2", "alpha alpha harbor ingot harbor ingot kelp"),
+        ("d3", "lumen marble delta"),
+        ("d4", "nectar onyx kelp"),
+    ]
+    corpus = make_corpus(docs, stops)
+    counts = {d.doc_id: d.term_counts for d in corpus.documents}
+    top = [doc_id for doc_id, _ in dense_cosine_ranking(counts, ["alpha"])[:5]]
+    expected = rocchio_term_ranking([counts[doc_id] for doc_id in top],
+                                    corpus.doc_freq, corpus.n_docs, exclude={"alpha"})
+    scores = [score for _, score in expected]
+    assert len(set(scores)) < len(scores)  # the corpus does hold ties
+
+    for count in range(1, len(expected) + 1):
+        ref = rocchio_expand(QueryRecord("q", "alpha"), corpus, Params(budget=1 + count),
+                             stops=stops)
+        assert [(c.term, c.score) for c in ref.expansion_terms] == expected[:count]
+        assert {c.source for c in ref.expansion_terms} == {"feedback"}
+
+
 def test_expansion_terms_come_from_top_docs(stops):
     docs = [("d0", "alpha beta"), ("d1", "alpha gamma"), ("d2", "delta zeta")]
     corpus = make_corpus(docs, stops)
