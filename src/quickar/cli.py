@@ -146,7 +146,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reformulate", help="suggest reformulations for one query")
     p.add_argument("--index", required=True, metavar="FILE")
-    p.add_argument("--db", required=True, metavar="FILE")
+    p.add_argument("--db", metavar="FILE", help="required by the quickar strategy")
     p.add_argument("--query", required=True, help="change-request title")
     p.add_argument("--mode", choices=MODES, default=None,
                    help="expansion source of the quickar strategy")
@@ -315,8 +315,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "reformulate" and args.strategy == "rocchio" and args.mode is not None:
-        parser.error("argument --mode: not allowed with argument --strategy rocchio")
+    if args.command == "reformulate":
+        if args.strategy == "rocchio" and args.mode is not None:
+            parser.error("argument --mode: not allowed with argument --strategy rocchio")
+        if args.strategy == "quickar" and args.db is None:
+            parser.error("argument --db: required by --strategy quickar")
     logging.basicConfig(level=logging.INFO if args.verbose else logging.ERROR,
                         format="%(levelname)s %(name)s: %(message)s")
     if args.command is None:

@@ -20,6 +20,26 @@ scores.
 Every float sum is added left to right in ascending term order
 (`functools.reduce`, not `sum`, which compensates float sums from CPython
 3.12 on), so scores are the same bits on every supported interpreter.
+
+A top-n search (`search(terms, top_n=n)`) scores exactly only the documents
+that can still reach the top n (MaxScore-style safe pruning). A weight
+`(1 + ln count) * idf` is at least 1, because a count is at least 1 and a
+df at most N, so each term of a document that the query does not hold adds
+at least 1 to the document's squared norm:
+
+    ||d||^2 >= sum of its matched weights squared + (its terms - matched)
+
+One pass over the query terms' positions gives each hit document its
+unnormalized dot product with the query vector; divided by the root of that
+lower bound, it bounds the document's cosine from above. Documents are then
+scored exactly, with the same additions in the same order as a full ranking,
+in descending bound order. The search stops once it holds n exact scores and
+the next bound, raised by a relative 1e-9 that absorbs float rounding, is
+below the n-th best. A document tying the n-th score is therefore always
+scored, and hits, score floats and the doc-id tie-break are those of the
+full ranking. When the postings of every query term are already memoized,
+or the query's postings number at most n, one memoized addition per posting
+is cheaper than the bound pass, and every hit is scored that way instead.
 """
 
 from __future__ import annotations
@@ -35,8 +55,9 @@ from typing import Iterable, Sequence
 from .corpus import Corpus, Document
 from .errors import DataError
 
-# Sentinel rank for "the gold document never showed up in the result list".
-NOT_RETRIEVED = None
+# Raises a pruning bound above float rounding: the bound and the exact score
+# it bounds each carry a relative rounding error far below 1e-9.
+_BOUND_MARGIN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,10 +101,19 @@ class Searcher:
     built once per corpus on first read; the searcher computes no weight at
     construction. The rest is computed on first use and kept on the
     searcher: a df's idf and a count's `1 + ln count` when a weight needs
-    them, a document's L2 norm when a posting of that document is built, and
-    a term's postings when a query first scores it. A call that scores ten
-    terms therefore weights only their postings, and every float is the one
-    a fully built index gives.
+    them, a document's L2 norm when a posting of that document is built or
+    a top-n search scores it exactly, and a term's postings when a full
+    scoring first reads it. A call that scores ten terms therefore weights
+    only their postings, and every float is the one a fully built index
+    gives.
+
+    A top-n search builds no postings. It bounds each hit document's cosine
+    by its dot product with the query over a lower bound of its norm (each
+    unmatched term adds at least 1 to the squared norm, since every weight
+    is at least 1), and computes norms and exact scores in descending bound
+    order until the next bound, raised by a relative 1e-9, is below the
+    n-th exact score. When every query term's postings are memoized, or
+    there are at most n postings, it scores every hit from the postings.
 
     A term's postings are a pair of lists, the positions and the
     L2-normalized weights of the documents holding the term, with no tuple
@@ -117,6 +147,16 @@ class Searcher:
         terms = sorted(counts)
         return dict(zip(terms, self._weights(counts, terms)))
 
+    def _norm(self, index: int) -> float:
+        """L2 norm of the document at `index`, computed and memoized; callers
+        look in the memo first."""
+        counts = self.corpus.documents[index].term_counts
+        # Summed in ascending term order, as tf_idf returns them.
+        weights = list(self._weights(counts, sorted(counts)))
+        norm = self._norms[index] = math.sqrt(
+            functools.reduce(operator.add, map(operator.mul, weights, weights), 0.0))
+        return norm
+
     def _postings_of(self, term: str) -> tuple[list[int], list[float]]:
         """The positions and normalized weights of the documents holding
         `term`, built on first use together with any norm they need."""
@@ -127,15 +167,10 @@ class Searcher:
             documents = self.corpus.documents
             weights = []
             for index in positions:
-                counts = documents[index].term_counts
                 norm = norms.get(index)
                 if norm is None:
-                    # Summed in ascending term order, as tf_idf returns them.
-                    doc_weights = list(self._weights(counts, sorted(counts)))
-                    norm = norms[index] = math.sqrt(
-                        functools.reduce(operator.add,
-                                         map(operator.mul, doc_weights, doc_weights), 0.0))
-                weights.append(tf[counts[term]] * idf / norm)
+                    norm = self._norm(index)
+                weights.append(tf[documents[index].term_counts[term]] * idf / norm)
             postings = self._postings[term] = (positions, weights)
         return postings
 
@@ -171,21 +206,65 @@ class Searcher:
                 scores[index] = scores.get(index, 0.0) + weight * doc_weight
         return scores
 
+    def _top_scores(self, query_terms: Sequence[str], top_n: int) -> dict[int, float]:
+        """Exact scores, by document position, of every document that can
+        reach the top `top_n` of `_scores(query_terms)`, each the very float
+        `_scores` gives; documents that cannot are left out unscored."""
+        positions, postings = self._positions, self._postings
+        known = [term for term in set(query_terms) if term in positions]
+        if (top_n < 1 or all(map(postings.__contains__, known))
+                or sum(map(len, map(positions.__getitem__, known))) <= top_n):
+            return self._scores(query_terms)
+        qvec = self.query_vector(query_terms)
+        documents, tf, norms = self.corpus.documents, self._tf, self._norms
+        terms = [(term, qvec[term], self._idf[len(positions[term])]) for term in sorted(known)]
+        # Per hit document: its dot product with the unnormalized document
+        # vector, and the sum of w*w - 1 over its matched weights w.
+        dots: dict[int, float] = {}
+        excess: dict[int, float] = {}
+        for term, weight, idf in terms:
+            for index in positions[term]:
+                doc_weight = tf[documents[index].term_counts[term]] * idf
+                dots[index] = dots.get(index, 0.0) + weight * doc_weight
+                excess[index] = excess.get(index, 0.0) + (doc_weight * doc_weight - 1.0)
+        bounds = {index: dot / math.sqrt(len(documents[index].term_counts) + excess[index])
+                  for index, dot in dots.items()}
+        scores: dict[int, float] = {}
+        best: list[float] = []  # min-heap of the top_n highest exact scores
+        for index in sorted(bounds, key=bounds.__getitem__, reverse=True):
+            if len(best) == top_n and bounds[index] * _BOUND_MARGIN < best[0]:
+                break
+            norm = norms.get(index)
+            if norm is None:
+                norm = self._norm(index)
+            counts = documents[index].term_counts
+            score = 0.0
+            for term, weight, idf in terms:
+                count = counts.get(term)
+                if count is not None:
+                    score = score + weight * (tf[count] * idf / norm)
+            scores[index] = score
+            if len(best) < top_n:
+                heapq.heappush(best, score)
+            else:
+                heapq.heappushpop(best, score)
+        return scores
+
     def search(self, query_terms: Sequence[str], top_n: int | None = None) -> list[SearchHit]:
         """Ranked documents for a query of normalized terms; zero-overlap
         documents are omitted, an empty query returns an empty list. With
         `top_n`, the first `top_n` of that list, picked without sorting the
-        rest."""
-        scores = self._scores(query_terms)
+        rest and scoring exactly only the documents whose score bound can
+        reach it."""
         doc_ids = self._doc_ids
 
         def key(item):
             return -item[1], doc_ids[item[0]]
 
         if top_n is None:
-            order = sorted(scores.items(), key=key)
+            order = sorted(self._scores(query_terms).items(), key=key)
         else:
-            order = heapq.nsmallest(top_n, scores.items(), key=key)
+            order = heapq.nsmallest(top_n, self._top_scores(query_terms, top_n).items(), key=key)
         return [
             SearchHit(doc_id=doc_ids[index], score=score, rank=rank)
             for rank, (index, score) in enumerate(order, start=1)
@@ -193,7 +272,7 @@ class Searcher:
 
     def rank(self, query_terms: Sequence[str], gold: set[str] | frozenset[str]) -> int | None:
         """Rank of the first `gold` document in `search(query_terms)`, or
-        NOT_RETRIEVED: 1 + the number of scored documents that sort before
+        None: 1 + the number of scored documents that sort before
         the best gold one, counted without building or sorting the hits."""
         if not gold:
             raise ValueError("gold document set must not be empty")
@@ -202,7 +281,7 @@ class Searcher:
         best = min(((-score, doc_ids[index]) for index, score in scores.items()
                     if doc_ids[index] in gold), default=None)
         if best is None:
-            return NOT_RETRIEVED
+            return None
         best_score, best_id = -best[0], best[1]
         return 1 + sum(1 for index, score in scores.items()
                        if score > best_score or (score == best_score and doc_ids[index] < best_id))
@@ -217,7 +296,7 @@ def searcher_for(corpus: Corpus) -> Searcher:
 
 
 def rank_of_first_relevant(hits: Iterable[SearchHit], gold: set[str]) -> int | None:
-    """Smallest rank whose doc_id is in `gold`, or NOT_RETRIEVED (None)."""
+    """Smallest rank whose doc_id is in `gold`, or None."""
     if not gold:
         raise ValueError("gold document set must not be empty")
     best: int | None = None

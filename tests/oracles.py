@@ -38,7 +38,7 @@ from quickar.reformulate import (
     SOURCE_PROJECT,
     render_terms,
 )
-from quickar.search import NOT_RETRIEVED, SearchHit, searcher_for
+from quickar.search import SearchHit, searcher_for
 from quickar.textprep import (
     CAMEL_PART,
     SPLIT_AND_KEEP_WHOLE,
@@ -679,7 +679,7 @@ class ReferenceSearcher:
 
     def rank(self, query_terms: Sequence[str], gold: set[str] | frozenset[str]) -> int | None:
         """Rank of the first `gold` document in `search(query_terms)`, or
-        NOT_RETRIEVED: 1 + the number of scored documents that sort before
+        None: 1 + the number of scored documents that sort before
         the best gold one, counted without building or sorting the hits."""
         if not gold:
             raise ValueError("gold document set must not be empty")
@@ -688,7 +688,7 @@ class ReferenceSearcher:
         best = min(((-score, doc_ids[index]) for index, score in scores.items()
                     if doc_ids[index] in gold), default=None)
         if best is None:
-            return NOT_RETRIEVED
+            return None
         best_score, best_id = -best[0], best[1]
         return 1 + sum(1 for index, score in scores.items()
                        if score > best_score or (score == best_score and doc_ids[index] < best_id))

@@ -174,6 +174,27 @@ def test_reformulate_rocchio_does_not_read_the_database(eval_artifacts, tmp_path
     assert (captured.out, captured.err) == (expected, "")
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_reformulate_rocchio_needs_no_database(eval_artifacts, capsys, flags):
+    _, index = eval_artifacts
+    expected = reformulate_rocchio(eval_artifacts, capsys, *flags)
+    assert main(["reformulate", "--index", str(index), "--strategy", "rocchio",
+                 "--query", ROCCHIO_TITLE, *flags]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+
+
+@pytest.mark.parametrize("strategy", [[], ["--strategy", "quickar"]], ids=["default", "quickar"])
+def test_reformulate_quickar_without_a_database_is_a_usage_error(eval_artifacts, capsys, strategy):
+    _, index = eval_artifacts
+    with pytest.raises(SystemExit) as exc:
+        main(["reformulate", "--index", str(index), *strategy, "--query", ROCCHIO_TITLE])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --db: required by --strategy quickar\n")
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_reformulate_rocchio_with_a_mode_is_a_usage_error(eval_artifacts, capsys, mode):
     db, index = eval_artifacts

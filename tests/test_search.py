@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import ReferenceSearcher, dense_cosine_ranking
 from quickar.corpus import Corpus, Document, load, save
 from quickar.errors import DataError
-from quickar.search import NOT_RETRIEVED, SearchHit, Searcher, rank_of_first_relevant
+from quickar.search import SearchHit, Searcher, rank_of_first_relevant
 
 from conftest import WORD_POOL, make_corpus
 
@@ -205,7 +205,7 @@ def test_first_relevant_picks_minimum():
 
 def test_first_relevant_absent_is_not_retrieved():
     hits = hits_for({1: "d1", 2: "d2"})
-    assert rank_of_first_relevant(hits, {"gone"}) is NOT_RETRIEVED
+    assert rank_of_first_relevant(hits, {"gone"}) is None
 
 
 def test_first_relevant_empty_gold_is_error():
@@ -370,3 +370,65 @@ def test_large_term_counts_score_as_the_reference(index_path, corpus, calls, loa
     for op in calls:
         # Exact float comparison, as in the lazy-searcher test above.
         assert call(searcher, op) == call(reference, op), op
+
+
+# -- top-n search scores exactly only what can reach the top n ------------------
+
+PRUNING_VOCAB = WORD_POOL[:12]
+
+
+@st.composite
+def pruning_corpora(draw) -> Corpus:
+    """Documents of 3 to 10 terms over a 12-word vocabulary, some of them
+    copies under other ids, so that top-n searches have many hits to prune
+    and scores often tie at the n-th place."""
+    counts = draw(st.lists(st.dictionaries(st.sampled_from(PRUNING_VOCAB), st.integers(1, 4),
+                                           min_size=3, max_size=10),
+                           min_size=1, max_size=30))
+    counts += [dict(counts[i]) for i in draw(st.lists(st.integers(0, len(counts) - 1),
+                                                      max_size=8))]
+    ids = draw(st.permutations([f"d{i:02d}" for i in range(len(counts))]))
+    return Corpus([Document(doc_id=doc_id, term_counts=c, surfaces={w: w for w in c})
+                   for doc_id, c in zip(ids, counts)])
+
+
+PRUNING_TERMS = st.lists(st.sampled_from(PRUNING_VOCAB + ["zzz"]), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=pruning_corpora(), terms=PRUNING_TERMS,
+       warm_up=st.lists(PRUNING_TERMS, min_size=1, max_size=3), loaded=st.booleans())
+def test_top_n_search_is_the_reference_prefix(index_path, corpus, terms, warm_up, loaded):
+    if loaded:
+        save(corpus, index_path)
+        corpus = load(index_path)
+    expected = ReferenceSearcher(corpus).search(terms)
+    # A fresh searcher per call prunes; the warmed one has memoized norms
+    # and postings, for all of the query's terms or for some of them.
+    warmed = Searcher(corpus)
+    for other in warm_up:
+        warmed.search(other)
+    for top_n in range(len(expected) + 3):
+        assert Searcher(corpus).search(terms, top_n=top_n) == expected[:top_n]
+        assert warmed.search(terms, top_n=top_n) == expected[:top_n]
+
+
+def test_a_tie_at_the_nth_score_is_scored_exactly():
+    # Both documents hold just the query's terms, so the bound on their
+    # score is the cosine itself, and here it rounds to below the score:
+    # without the margin, "a" would be pruned after "b", which comes first
+    # by position, ties it and loses the doc-id tie-break.
+    counts = {"alpha": 1, "harbor": 1, "ingot": 1}
+    corpus = Corpus([Document(doc_id, dict(counts), {w: w for w in counts})
+                     for doc_id in ("b", "a")])
+    terms = ["alpha", "alpha", "harbor", "ingot"]
+    assert Searcher(corpus).search(terms, top_n=1) == ReferenceSearcher(corpus).search(terms)[:1]
+
+
+def test_a_one_shot_top_n_search_builds_fewer_norms_than_it_has_hits():
+    corpus = random_corpus(200, seed=12)
+    terms = ["alpha", "kelp", "sonar"]
+    full = Searcher(corpus).search(terms)
+    searcher = Searcher(corpus)
+    assert searcher.search(terms, top_n=5) == full[:5]
+    assert len(searcher._norms) < len(full)
