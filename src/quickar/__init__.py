@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .adjacency import AdjacencyDatabase, TitleRecord, build as build_adjacency
 from .corpus import Corpus, Document, build_corpus, split_methods
 from .errors import CorruptFileError, DataError, QueryEmptyError, QuickarError
-from .evaluate import EvalOutcome, MwuResult, RankSummary, mann_whitney_u, run_evaluation
+from .evaluate import mann_whitney_u, run_evaluation
 from .nouns import NounOracle, default_noun_oracle
 from .reformulate import (
     CandidateScore,
@@ -31,14 +31,11 @@ __all__ = [
     "CorruptFileError",
     "DataError",
     "Document",
-    "EvalOutcome",
-    "MwuResult",
     "NounOracle",
     "Params",
     "QueryEmptyError",
     "QueryRecord",
     "QuickarError",
-    "RankSummary",
     "Reformulation",
     "SearchHit",
     "Searcher",

@@ -63,10 +63,6 @@ class AdjacencyDatabase:
         Treat the row as read-only."""
         return self.entries.get(word, {})
 
-    def cooccurrence_count(self, a: str, b: str) -> int:
-        """Windowed co-occurrence count of the pair, 0 when never adjacent."""
-        return self.entries.get(a, {}).get(b, 0)
-
     def vector_norm(self, word: str) -> float:
         """L2 norm of a word's adjacency vector (cached; 0.0 if unknown)."""
         norm = self._norms.get(word)

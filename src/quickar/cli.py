@@ -29,6 +29,9 @@ log = logging.getLogger("quickar")
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
+CONFIG_KEYS = ("stoplist_path", "keywords_path", "window", "top_docs", "top_k", "query_budget",
+               "mode")
+
 
 @dataclass
 class Config:
@@ -62,6 +65,9 @@ def load_config(path: str | None) -> Config:
         if not parser.has_section("quickar"):
             raise DataError(f"{path}: missing [quickar] section")
         section = parser["quickar"]
+        unknown = [key for key in section if key not in CONFIG_KEYS]  # [DEFAULT]'s too
+        if unknown:
+            raise DataError(f"{path}: unknown key {unknown[0]!r} in [quickar]")
 
         def integer(key: str, default: int) -> int:
             value = section.get(key)
@@ -216,8 +222,10 @@ def _cmd_index(args, cfg: Config) -> int:
     if stats.whole_file:
         print(f"warning: {stats.whole_file} file(s) indexed as a single whole-file document",
               file=sys.stderr)
+    # Counted without `built.doc_freq`, which would build the positions.
+    vocabulary = set().union(*(doc.term_counts for doc in built.documents))
     print(f"corpus: {stats.files} files, {built.n_docs} documents, "
-          f"{len(built.doc_freq)} terms -> {args.out}")
+          f"{len(vocabulary)} terms -> {args.out}")
     return 0
 
 

@@ -282,9 +282,6 @@ class Corpus:
     first read and kept: `positions` maps each term to the ascending
     positions of the documents holding it, which is what a `Searcher` scores
     from, and `doc_freq` maps each term to the number of those documents.
-    `doc_freq` keeps its own counting loop instead of taking the lengths of
-    the position lists, so reading it (as `index` does to report the
-    vocabulary size) never builds the positions.
     """
 
     def __init__(self, documents: list[Document], meta: CorpusMeta | None = None):
@@ -305,11 +302,7 @@ class Corpus:
 
     @cached_property
     def doc_freq(self) -> dict[str, int]:
-        doc_freq: dict[str, int] = {}
-        for doc in self.documents:
-            for term in doc.term_counts:
-                doc_freq[term] = doc_freq.get(term, 0) + 1
-        return doc_freq
+        return {term: len(held) for term, held in self.positions.items()}
 
     @property
     def n_docs(self) -> int:

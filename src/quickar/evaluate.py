@@ -4,7 +4,8 @@ Reproduces the experimental protocol end to end: keep only queries whose
 verbatim-title search ranks the first relevant document worse than 10, run
 one or more reformulation strategies, classify every query as improved,
 worsened or preserved, summarize the rank distributions per bucket, and
-compare strategies with two-sided Mann-Whitney U tests.
+compare strategies with two-sided Mann-Whitney U tests. Every row is a
+plain dict, built once in the shape `report.json` stores.
 """
 
 from __future__ import annotations
@@ -54,35 +55,6 @@ POOR_RANK_THRESHOLD = 10
 # by mode (empty until a mode strategy needs them) and its ranks by rendered
 # terms, sorted.
 SharedQuery = tuple[dict[str, Reformulation], dict[tuple[str, ...], int | None]]
-
-
-@dataclass(frozen=True)
-class EvalOutcome:
-    query_id: str
-    baseline_rank: int | None
-    reformulated_rank: int | None
-    classification: str
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class RankSummary:
-    count: int
-    mean: float | None = None
-    q1: float | None = None
-    q2: float | None = None
-    q3: float | None = None
-    min: int | None = None
-    max: int | None = None
-
-
-@dataclass(frozen=True)
-class MwuResult:
-    u_statistic: float
-    p_value: float
-    # Mean of sample A's ranks minus sample B's; negative means A sits
-    # closer to the top of the result list.
-    mean_rank_difference: float
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +136,15 @@ def _interpolated_quantile(sorted_vals: Sequence[float], q: float) -> float:
     return sorted_vals[lo] + (sorted_vals[hi] - sorted_vals[lo]) * frac
 
 
-def summarize_ranks(ranks: Iterable[int]) -> RankSummary:
+def summarize_ranks(ranks: Iterable[int]) -> dict:
+    """The report's summary row of `ranks`: count, mean, quartiles, min and
+    max. With no ranks, every value but the count (0) is None."""
     values = sorted(ranks)
     if not values:
-        return RankSummary(count=0)
-    return RankSummary(
-        count=len(values),
-        mean=sum(values) / len(values),
-        q1=_interpolated_quantile(values, 0.25),
-        q2=_interpolated_quantile(values, 0.50),
-        q3=_interpolated_quantile(values, 0.75),
-        min=values[0],
-        max=values[-1],
-    )
+        return {"count": 0, **dict.fromkeys(("mean", "q1", "q2", "q3", "min", "max"))}
+    q1, q2, q3 = (_interpolated_quantile(values, q) for q in (0.25, 0.50, 0.75))
+    return {"count": len(values), "mean": sum(values) / len(values),
+            "q1": q1, "q2": q2, "q3": q3, "min": values[0], "max": values[-1]}
 
 
 def _fractional_ranks(values: Sequence[float]) -> tuple[list[float], int]:
@@ -204,9 +172,11 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> MwuResult:
+def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> dict:
     """Two-sided Mann-Whitney U test, normal approximation with tie and
-    continuity corrections. The U statistic reported is sample A's."""
+    continuity corrections. Returns sample A's U statistic `u`, the p-value
+    `p` and `mrd`, the mean of A's ranks minus B's: negative when A sits
+    closer to the top of the result list."""
     if not sample_a or not sample_b:
         raise ValueError("both samples must be non-empty")
     n1, n2 = len(sample_a), len(sample_b)
@@ -224,8 +194,7 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> MwuR
         mu = n1 * n2 / 2.0
         z = (max(u1, u2) - mu - 0.5) / math.sqrt(sigma_sq)
         p_value = min(1.0, 2.0 * _normal_sf(z))
-    mrd = sum(sample_a) / n1 - sum(sample_b) / n2
-    return MwuResult(u_statistic=u1, p_value=p_value, mean_rank_difference=mrd)
+    return {"u": u1, "p": p_value, "mrd": sum(sample_a) / n1 - sum(sample_b) / n2}
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +223,10 @@ def evaluate_strategy(
     searcher: Searcher,
     reformulated: dict[QueryRecord, SharedQuery],
     params: Params = Params(),
-) -> list[EvalOutcome]:
-    """Evaluate one strategy over an already-filtered dataset.
+) -> list[dict]:
+    """Evaluate one strategy over an already-filtered dataset; returns one
+    outcome row per query, as the report stores it: `query_id`,
+    `baseline_rank`, `reformulated_rank`, `classification` and `reason`.
 
     For the full pipeline, a query whose reduction step alone already
     improves the baseline keeps the reduction-only result and skips the
@@ -297,29 +268,29 @@ def evaluate_strategy(
                         rank = reduced_rank
             else:
                 if strategy == "prep":
-                    rendered = render_terms(collect_keywords(query, stops).tokens)
+                    rendered = render_terms(collect_keywords(query, stops))
                 else:
                     rendered = rocchio_expand(query, corpus, params, stops=stops,
                                               searcher=searcher).rendered_query
                 rank = ranked(query, rendered.normalized())
         except QueryEmptyError as exc:
-            outcomes.append(EvalOutcome(query.query_id, baseline, None, EXCLUDED,
-                                        reason=str(exc)))
-            continue
-        reason = "gold not retrieved" if rank is None else ""
-        outcomes.append(EvalOutcome(query.query_id, baseline, rank,
-                                    _classify(baseline, rank), reason=reason))
+            rank, reason = None, str(exc)
+        else:
+            reason = "gold not retrieved" if rank is None else ""
+        outcomes.append({"query_id": query.query_id, "baseline_rank": baseline,
+                         "reformulated_rank": rank,
+                         "classification": _classify(baseline, rank), "reason": reason})
     return outcomes
 
 
-def strategy_report(outcomes: Sequence[EvalOutcome], strict: bool) -> dict:
+def strategy_report(outcomes: Sequence[dict], strict: bool) -> dict:
     """One strategy's entry in the report: bucket counts and percentages,
     the rank summary of each retrieved bucket (None when it is empty), and
     one row per outcome. With `strict`, the improved, worsened and preserved
     percentages leave out the excluded queries."""
     counts = dict.fromkeys(BUCKETS, 0)
     for outcome in outcomes:
-        counts[outcome.classification] += 1
+        counts[outcome["classification"]] += 1
     total = len(outcomes)
     denominator = total - counts[EXCLUDED] if strict else total
     percentages = {bucket: 100.0 * counts[bucket] / denominator if denominator else 0.0
@@ -327,11 +298,11 @@ def strategy_report(outcomes: Sequence[EvalOutcome], strict: bool) -> dict:
     percentages[EXCLUDED] = 100.0 * counts[EXCLUDED] / total if total else 0.0
     summaries = {}
     for bucket in RETRIEVED_BUCKETS:
-        summary = summarize_ranks(o.reformulated_rank for o in outcomes
-                                  if o.classification == bucket)
-        summaries[bucket] = asdict(summary) if summary.count else None
+        summary = summarize_ranks(o["reformulated_rank"] for o in outcomes
+                                  if o["classification"] == bucket)
+        summaries[bucket] = summary if summary["count"] else None
     return {"counts": counts, "percentages": percentages, "summaries": summaries,
-            "outcomes": [asdict(o) for o in outcomes]}
+            "outcomes": list(outcomes)}
 
 
 def run_evaluation(
@@ -373,10 +344,8 @@ def run_evaluation(
         sample_a, sample_b = _paired_ranks(outcomes[anchor], outcomes[other])
         if not sample_a:
             continue
-        result = mann_whitney_u(sample_a, sample_b)
         mwu.append({"a": anchor, "b": other, "n_a": len(sample_a), "n_b": len(sample_b),
-                    "u": result.u_statistic, "p": result.p_value,
-                    "mrd": result.mean_rank_difference})
+                    **mann_whitney_u(sample_a, sample_b)})
     return {
         "dataset": {
             "total": filtered.total,
@@ -391,15 +360,14 @@ def run_evaluation(
     }
 
 
-def _paired_ranks(a: Sequence[EvalOutcome],
-                  b: Sequence[EvalOutcome]) -> tuple[list[int], list[int]]:
+def _paired_ranks(a: Sequence[dict], b: Sequence[dict]) -> tuple[list[int], list[int]]:
     """Reformulated ranks of the queries both strategies retrieved."""
-    ranks_b = {o.query_id: o.reformulated_rank for o in b}
+    ranks_b = {o["query_id"]: o["reformulated_rank"] for o in b}
     sample_a, sample_b = [], []
     for outcome in a:
-        other = ranks_b.get(outcome.query_id)
-        if outcome.reformulated_rank is not None and other is not None:
-            sample_a.append(outcome.reformulated_rank)
+        rank, other = outcome["reformulated_rank"], ranks_b.get(outcome["query_id"])
+        if rank is not None and other is not None:
+            sample_a.append(rank)
             sample_b.append(other)
     return sample_a, sample_b
 
@@ -445,7 +413,7 @@ def render_report_text(report: dict) -> str:
     out("Rank of first relevant document, reformulated query")
     out("----------------------------------------------------")
     out(f"{'strategy':<10}{'bucket':<11}{'count':>6}{'mean':>10}{'q1':>9}{'q2':>9}{'q3':>9}{'min':>7}{'max':>7}")
-    empty = asdict(RankSummary(count=0))
+    empty = summarize_ranks(())
     for name, res in strategies:
         for bucket in RETRIEVED_BUCKETS:
             s = res["summaries"][bucket] or empty

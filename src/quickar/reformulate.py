@@ -92,7 +92,7 @@ class Reformulation:
         return " ".join(self.rendered_query.surfaces())
 
     def keyword_query_text(self) -> str:
-        return " ".join(render_terms(self.keywords.tokens).surfaces())
+        return " ".join(render_terms(self.keywords).surfaces())
 
 
 def _is_identifier(token: Token) -> bool:
@@ -121,7 +121,7 @@ def collect_keywords(query: QueryRecord, stops: StopList) -> TermSequence:
         first.setdefault(tok.normalized, tok)
     if not first:
         raise QueryEmptyError(f"query {query.query_id!r}: no keywords survive preprocessing")
-    return TermSequence(tokens=list(first.values()))
+    return TermSequence(first.values())
 
 
 def reduce_keywords(
@@ -140,7 +140,7 @@ def reduce_keywords(
     ]
     if not kept:
         return keywords
-    return TermSequence(tokens=kept)
+    return TermSequence(kept)
 
 
 def project_candidates(
@@ -271,7 +271,7 @@ def render_terms(tokens: list[Token]) -> TermSequence:
                 continue
             seen.add(candidate.normalized)
             out.append(candidate)
-    return TermSequence(tokens=out)
+    return TermSequence(out)
 
 
 def reformulations(
@@ -308,7 +308,7 @@ def reformulations(
     for mode, (from_project, from_crowd) in shortlists.items():
         expansions = select_and_combine(from_project, from_crowd)[:need]
         rendered = render_terms(
-            reduced.tokens + [Token.from_surface(c.surface, WHOLE) for c in expansions])
+            reduced + [Token.from_surface(c.surface, WHOLE) for c in expansions])
         out[mode] = Reformulation(query.query_id, mode, reduced, expansions, rendered)
     return out
 

@@ -70,5 +70,5 @@ def rocchio_expand(
         keywords=keywords,
         expansion_terms=expansions,
         rendered_query=render_terms(
-            keywords.tokens + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
+            keywords + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
     )

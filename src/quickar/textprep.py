@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -53,26 +53,14 @@ class Token:
         return cls(surface=surface, normalized=surface.lower(), origin=origin)
 
 
-@dataclass
-class TermSequence:
+class TermSequence(list):
     """Ordered token list derived from one title, query, or document."""
 
-    tokens: list[Token] = field(default_factory=list)
-
     def normalized(self) -> list[str]:
-        return [t.normalized for t in self.tokens]
+        return [t.normalized for t in self]
 
     def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __bool__(self) -> bool:
-        return bool(self.tokens)
+        return [t.surface for t in self]
 
 
 def words_sha(words) -> str:
@@ -226,4 +214,4 @@ def preprocess(
     if memo is None:
         memo = stops._expansions[key] = _Expansions(stops.words, *key)
     expansions = map(memo.__getitem__, tokenize(text))
-    return TermSequence(tokens=list(chain.from_iterable(expansions)))
+    return TermSequence(chain.from_iterable(expansions))

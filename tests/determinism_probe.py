@@ -1,0 +1,73 @@
+"""Print the score bits and report digests of the evaluate fixture.
+
+Builds the `tests/data/evaluate` database and index in memory. For every
+query it prints `float.hex` of each search score of the baseline terms, of
+each expansion score of the `all` reformulation and of each Rocchio
+expansion score. It then prints the sha256 of the JSON report and of the
+text report. Only the standard library and quickar are imported, so any
+interpreter can run it from a checkout:
+
+    python3.13 tests/determinism_probe.py
+
+Two interpreters that print different lines disagree on some score's bits.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from quickar import adjacency  # noqa: E402
+from quickar.corpus import build_corpus  # noqa: E402
+from quickar.errors import QueryEmptyError  # noqa: E402
+from quickar.evaluate import (  # noqa: E402
+    baseline_terms,
+    parse_queries_tsv,
+    render_report_text,
+    run_evaluation,
+)
+from quickar.nouns import default_noun_oracle  # noqa: E402
+from quickar.reformulate import MODE_ALL, reformulations  # noqa: E402
+from quickar.rocchio import rocchio_expand  # noqa: E402
+from quickar.search import searcher_for  # noqa: E402
+from quickar.textprep import default_language_keywords, default_stoplist  # noqa: E402
+
+EVAL_DATA = Path(__file__).resolve().parent / "data" / "evaluate"
+
+
+def _hex(scores) -> str:
+    return " ".join(float(score).hex() for score in scores)
+
+
+def main() -> None:
+    stops, oracle = default_stoplist(), default_noun_oracle()
+    db = adjacency.build(
+        adjacency.filter_titles(adjacency.read_title_dump(EVAL_DATA / "dump.tsv"), "java"),
+        stops, source="dump.tsv:java")
+    corpus = build_corpus(EVAL_DATA / "src", stops, default_language_keywords())
+    queries = parse_queries_tsv(EVAL_DATA / "queries.tsv")
+    searcher = searcher_for(corpus)
+    for query in queries:
+        print(query.query_id, "search", _hex(h.score for h in searcher.search(
+            baseline_terms(query.text))))
+        try:
+            refs = reformulations(query, corpus, db, stops=stops, oracle=oracle,
+                                  searcher=searcher)
+            rocchio = rocchio_expand(query, corpus, stops=stops, searcher=searcher)
+        except QueryEmptyError:
+            print(query.query_id, "empty")
+            continue
+        print(query.query_id, "all", _hex(c.score for c in refs[MODE_ALL].expansion_terms))
+        print(query.query_id, "rocchio", _hex(c.score for c in rocchio.expansion_terms))
+    report = run_evaluation(queries, corpus, db, stops=stops, oracle=oracle)
+    for name, text in (("report.json", json.dumps(report, indent=2, sort_keys=True)),
+                       ("report.txt", render_report_text(report))):
+        print(name, hashlib.sha256(text.encode("utf-8")).hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -423,7 +423,7 @@ def reference_reformulate(query, corpus, db, mode=MODE_ALL, *, stops, oracle,
         keywords=reduced,
         expansion_terms=expansions,
         rendered_query=render_terms(
-            list(reduced.tokens)
+            list(reduced)
             + [Token.from_surface(c.surface, WHOLE) for c in expansions]),
     )
 
@@ -468,7 +468,7 @@ def reference_score_crowd_candidates(
     words = keywords.normalized()
     scored = []
     for term in sorted(candidates):
-        score = float(sum(db.cooccurrence_count(term, word) for word in words))
+        score = float(sum(db.entries.get(term, {}).get(word, 0) for word in words))
         scored.append(CandidateScore(term=term, surface=term,
                                      source=SOURCE_CROWD, score=score))
     return scored
@@ -566,7 +566,7 @@ def reference_preprocess(
             if extra_drop and tok.normalized in extra_drop:
                 continue
             tokens.append(tok)
-    return TermSequence(tokens=tokens)
+    return TermSequence(tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -134,14 +134,14 @@ def test_neighbors_unknown_word_empty(trio_db):
 
 def test_cooccurrence_trio_memory_leak(trio_db):
     # "memory leak" is adjacent in all three preprocessed titles.
-    assert trio_db.cooccurrence_count("memory", "leak") == 3
+    assert trio_db.neighbors("memory").get("leak", 0) == 3
 
 
 def test_cooccurrence_symmetric_zero_cases(trio_db):
     for a, b in [("memory", "leak"), ("java", "leak"), ("down", "tracking")]:
-        assert trio_db.cooccurrence_count(a, b) == trio_db.cooccurrence_count(b, a)
-    assert trio_db.cooccurrence_count("memory", "memory") == 0
-    assert trio_db.cooccurrence_count("memory", "quantum") == 0
+        assert trio_db.neighbors(a).get(b, 0) == trio_db.neighbors(b).get(a, 0)
+    assert trio_db.neighbors("memory").get("memory", 0) == 0
+    assert trio_db.neighbors("memory").get("quantum", 0) == 0
 
 
 def test_symmetry_and_no_self_pairs_property(stops):

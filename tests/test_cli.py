@@ -406,8 +406,10 @@ def test_config_file_values_are_read(tmp_path):
     (b"[quickar]\ntop_k = many\n", "{}: top_k must be an integer, got 'many'"),
     (b"[quickar]\nquery_budget =\n", "{}: query_budget must be an integer, got ''"),
     (b"[quickar]\nstoplist_path = stop%.txt\n", "config file {}: '%' must be followed by"),
+    (b"[quickar]\ntop_doc = 1\nquery_budgte = 2\n", "{}: unknown key 'top_doc' in [quickar]"),
+    (b"[DEFAULT]\nwindw = 3\n[quickar]\nwindow = 3\n", "{}: unknown key 'windw' in [quickar]"),
 ], ids=["not-utf8", "no-section-header", "window", "top_docs", "top_k", "query_budget",
-        "bad-interpolation"])
+        "bad-interpolation", "unknown-key", "unknown-default-key"])
 def test_unreadable_config_is_a_data_error(tmp_path, capsys, content, message):
     config = tmp_path / "quickar.ini"
     config.write_bytes(content)

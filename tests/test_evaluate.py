@@ -23,7 +23,6 @@ from quickar.evaluate import (
     IMPROVED,
     PRESERVED,
     WORSENED,
-    EvalOutcome,
     evaluate_strategy,
     filter_dataset,
     mann_whitney_u,
@@ -50,7 +49,7 @@ samples = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=
 @given(samples, samples)
 def test_mwu_statistic_matches_pairwise_count(a, b):
     # The oracle counts the pairs sample A wins by ranking closer to the top.
-    assert mann_whitney_u(a, b).u_statistic == len(a) * len(b) - mwu_statistic(a, b)
+    assert mann_whitney_u(a, b)["u"] == len(a) * len(b) - mwu_statistic(a, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -60,9 +59,9 @@ def test_mwu_matches_scipy(a, b):
     expected = stats.mannwhitneyu(a, b, alternative="two-sided",
                                   method="asymptotic", use_continuity=True)
     result = mann_whitney_u(a, b)
-    assert result.u_statistic == expected.statistic
-    assert result.p_value == pytest.approx(expected.pvalue, abs=1e-12)
-    assert result.mean_rank_difference == pytest.approx(sum(a) / len(a) - sum(b) / len(b))
+    assert result["u"] == expected.statistic
+    assert result["p"] == pytest.approx(expected.pvalue, abs=1e-12)
+    assert result["mrd"] == pytest.approx(sum(a) / len(a) - sum(b) / len(b))
 
 
 def test_mwu_rejects_empty_sample():
@@ -74,14 +73,15 @@ def test_mwu_rejects_empty_sample():
 def test_summarize_ranks_matches_quartile_oracle(ranks):
     summary = summarize_ranks(ranks)
     q1, q2, q3 = interpolated_quartiles(ranks)
-    assert (summary.q1, summary.q2, summary.q3) == pytest.approx((q1, q2, q3), rel=1e-12)
-    assert summary.count == len(ranks)
-    assert (summary.min, summary.max) == (min(ranks), max(ranks))
-    assert summary.mean == pytest.approx(sum(ranks) / len(ranks))
+    assert (summary["q1"], summary["q2"], summary["q3"]) == pytest.approx((q1, q2, q3), rel=1e-12)
+    assert summary["count"] == len(ranks)
+    assert (summary["min"], summary["max"]) == (min(ranks), max(ranks))
+    assert summary["mean"] == pytest.approx(sum(ranks) / len(ranks))
 
 
 def test_summarize_no_ranks():
-    assert summarize_ranks([]).count == 0 and summarize_ranks([]).q2 is None
+    assert summarize_ranks([]) == {"count": 0, "mean": None, "q1": None, "q2": None,
+                                   "q3": None, "min": None, "max": None}
 
 
 def test_filter_dataset_boundaries(stops):
@@ -233,14 +233,17 @@ def test_strict_changes_only_the_denominator(fixture_run, stops, oracle):
 # Two improved, one worsened, one preserved and four excluded outcomes, two
 # of them because the gold document was not retrieved.
 OUTCOMES = [
-    EvalOutcome("q1", 20, 4, IMPROVED),
-    EvalOutcome("q2", 30, 12, IMPROVED),
-    EvalOutcome("q3", 15, 18, WORSENED),
-    EvalOutcome("q4", 11, 11, PRESERVED),
-    EvalOutcome("q5", 14, None, EXCLUDED, reason="gold not retrieved"),
-    EvalOutcome("q6", 25, None, EXCLUDED, reason="gold not retrieved"),
-    EvalOutcome("q7", 12, None, EXCLUDED, reason="empty query"),
-    EvalOutcome("q8", 40, None, EXCLUDED, reason="empty query"),
+    dict(zip(("query_id", "baseline_rank", "reformulated_rank", "classification", "reason"), row))
+    for row in [
+        ("q1", 20, 4, IMPROVED, ""),
+        ("q2", 30, 12, IMPROVED, ""),
+        ("q3", 15, 18, WORSENED, ""),
+        ("q4", 11, 11, PRESERVED, ""),
+        ("q5", 14, None, EXCLUDED, "gold not retrieved"),
+        ("q6", 25, None, EXCLUDED, "gold not retrieved"),
+        ("q7", 12, None, EXCLUDED, "empty query"),
+        ("q8", 40, None, EXCLUDED, "empty query"),
+    ]
 ]
 
 

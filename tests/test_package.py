@@ -8,7 +8,9 @@ import re
 from pathlib import Path
 
 import quickar
-from quickar.cli import build_parser
+from quickar.cli import CONFIG_KEYS, build_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -39,7 +41,7 @@ def _parser_flags(parser: argparse.ArgumentParser) -> set[str]:
 
 
 def test_readme_and_cli_name_the_same_flags():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     # pytest's own flag appears in the test command line.
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {
         "--continue-on-collection-errors"}
@@ -47,3 +49,9 @@ def test_readme_and_cli_name_the_same_flags():
     assert documented - defined == set()
     # --help and --version are argparse's own; --verbose is documented as -v.
     assert defined - documented - {"--help", "--version", "--verbose"} == set()
+
+
+def test_readme_documents_the_config_keys():
+    # The configuration table's rows, in order, are the keys load_config accepts.
+    rows = re.findall(r"^\| `(\w+)` \|", README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert tuple(rows) == CONFIG_KEYS
