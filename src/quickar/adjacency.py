@@ -138,8 +138,9 @@ def read_title_dump(path, stats: DumpStats | None = None) -> Iterator[TitleRecor
 
 
 def filter_titles(records: Iterable[TitleRecord], required_tag: str) -> Iterator[TitleRecord]:
-    """Yield exactly the records whose tag list contains `required_tag`."""
-    wanted = required_tag.lower()
+    """Yield exactly the records whose tag list contains `required_tag`,
+    which is matched stripped and lower-cased, like the dump's own tags."""
+    wanted = required_tag.strip().lower()
     for rec in records:
         if wanted in rec.tags:
             yield rec
@@ -158,19 +159,22 @@ def count_title_pairs(
 
     A pair is two distinct words at positions less than `window` apart; each
     position pair counts once, so a pair that recurs within one title counts
-    each time. Identical words never pair with themselves.
+    each time. Identical words never pair with themselves. Position pairs
+    are visited by offset, 1 up to `window - 1`, and left to right within
+    one offset.
     """
-    n = len(tokens)
-    for i in range(n):
-        a = tokens[i]
-        for j in range(i + 1, min(i + window, n)):
-            b = tokens[j]
+    for offset in range(1, min(window, len(tokens))):
+        for a, b in zip(tokens, tokens[offset:]):
             if a == b:
                 continue
-            slot_a = into.setdefault(a, {})
-            slot_a[b] = slot_a.get(b, 0) + 1
-            slot_b = into.setdefault(b, {})
-            slot_b[a] = slot_b.get(a, 0) + 1
+            row = into.get(a)
+            if row is None:
+                row = into[a] = {}
+            row[b] = row.get(b, 0) + 1
+            row = into.get(b)
+            if row is None:
+                row = into[b] = {}
+            row[a] = row.get(a, 0) + 1
 
 
 def build(

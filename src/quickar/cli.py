@@ -184,13 +184,14 @@ def _cmd_build_db(args, cfg: Config) -> int:
     stops = load_stoplist(args.stoplist or cfg.stoplist_path)
     window = args.window if args.window is not None else cfg.window
     stats = adjacency.DumpStats()
-    records = adjacency.filter_titles(adjacency.read_title_dump(args.dump, stats), args.tag)
-    if args.limit is not None:
-        records = itertools.islice(records, args.limit)
-    titles = list(records)
+    tagged = adjacency.filter_titles(adjacency.read_title_dump(args.dump, stats), args.tag)
+    titles = list(itertools.islice(tagged, args.limit))
     source = f"{Path(args.dump).name}:{args.tag}"
     db = adjacency.build(titles, stops, window=window, source=source)
     adjacency.save(db, args.out)
+    # `--limit 0` keeps no title by request: warn only when none is tagged.
+    if not titles and next(tagged, None) is None:
+        print(f"warning: no title tagged {args.tag!r}", file=sys.stderr)
     if stats.malformed:
         print(f"warning: skipped {stats.malformed} malformed record(s)", file=sys.stderr)
     print(f"adjacency database: {len(titles)} titles, {db.vocab_size} words, "
@@ -328,6 +329,8 @@ def main(argv=None) -> int:
             parser.error("argument --mode: not allowed with argument --strategy rocchio")
         if args.strategy == "quickar" and args.db is None:
             parser.error("argument --db: required by --strategy quickar")
+    if args.command == "build-db" and not args.tag.strip():
+        parser.error("argument --tag: expected a tag, got a blank one")
     logging.basicConfig(level=logging.INFO if args.verbose else logging.ERROR,
                         format="%(levelname)s %(name)s: %(message)s")
     if args.command is None:

@@ -7,7 +7,9 @@ words, not stems.
 Crowd titles and method bodies repeat the same few thousand raw tokens over
 and over, so `preprocess` expands each distinct one only once. Every
 `StopList` keeps a memo for each `(mode, extra_drop)` it is used with: raw
-token -> the tuple of `Token`s that survive splitting and filtering. The
+token -> the tuple of `Token`s that survive splitting and filtering. Each
+memo also keeps every camel part it has seen, kept or dropped, so that
+identifiers sharing a part ("getValue", "setValue") share its `Token`. The
 memo lives exactly as long as its stop list (there is no module-level
 cache), and the shared `Token`s are frozen.
 """
@@ -168,28 +170,42 @@ class _Expansions(dict):
     """Raw token -> the tokens `preprocess` keeps of it, for one stop list
     and setting; a token is expanded the first time it is looked up. Holds
     the stop words, not the `StopList`, so that no reference cycle keeps the
-    stop list alive."""
+    stop list alive.
+
+    Identifiers share their camel parts ("getValue", "setValue"), so a
+    second dict maps each part's surface to its kept `CAMEL_PART` token, or
+    to None when the part is dropped: a stop or `extra_drop` word, or all
+    digits. A multi-part token is expanded from that dict; only its `WHOLE`
+    token is new."""
 
     def __init__(self, stop_words: frozenset[str], mode: str, extra_drop: frozenset[str] | None):
         super().__init__()
         self.mode = mode
         self.dropped = stop_words | extra_drop if extra_drop else stop_words
+        self._parts: dict[str, Token | None] = {}
+
+    def _kept(self, surface: str, origin: str) -> Token | None:
+        """The token of `surface`, or None when it is a dropped word."""
+        norm = surface.lower()
+        if norm in self.dropped:
+            return None
+        # A lower-case surface is its own normalized form: keep one string.
+        return Token(surface, surface if norm == surface else norm, origin)
 
     def __missing__(self, raw: str) -> tuple[Token, ...]:
         parts = split_camel(raw)
         if len(parts) == 1:
-            candidates = [(raw, WHOLE)]
+            kept = [self._kept(raw, WHOLE)]
         else:
-            candidates = [(p, CAMEL_PART) for p in parts if not p.isdigit()]
+            known = self._parts
+            kept = []
+            for part in parts:
+                if part not in known:
+                    known[part] = None if part.isdigit() else self._kept(part, CAMEL_PART)
+                kept.append(known[part])
             if self.mode == SPLIT_AND_KEEP_WHOLE:
-                candidates.append((raw, WHOLE))
-        kept: list[Token] = []
-        for surface, origin in candidates:
-            norm = surface.lower()
-            if norm not in self.dropped:
-                # A lower-case surface is its own normalized form: keep one string.
-                kept.append(Token(surface, surface if norm == surface else norm, origin))
-        self[raw] = expansion = tuple(kept)
+                kept.append(self._kept(raw, WHOLE))
+        self[raw] = expansion = tuple(filter(None, kept))
         return expansion
 
 

@@ -15,6 +15,7 @@ from quickar.adjacency import (
     DumpStats,
     TitleRecord,
     build,
+    count_title_pairs,
     filter_titles,
     load,
     parse_title_line,
@@ -152,6 +153,19 @@ def test_symmetry_and_no_self_pairs_property(stops):
             for nbr, count in nbrs.items():
                 assert count >= 1
                 assert db.entries[nbr][word] == count
+
+
+# Three words, so that equal words meet at every offset; lists of 0 to 8
+# tokens against windows from 2 to past the longest list.
+@settings(max_examples=300, deadline=None)
+@given(token_lists=st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=8), max_size=5),
+       window=st.integers(2, 10))
+def test_count_title_pairs_matches_oracle_property(token_lists, window):
+    into: dict[str, dict[str, int]] = {}
+    for tokens in token_lists:
+        count_title_pairs(tokens, window, into)
+    counted = {(a, b): n for a, row in into.items() for b, n in row.items()}
+    assert counted == window_pair_counts(token_lists, window)
 
 
 def test_neighbor_count_sum_matches_oracle_slots(stops):

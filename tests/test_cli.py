@@ -343,6 +343,47 @@ def test_build_db_keeps_a_title_holding_a_carriage_return(tmp_path, capsys):
     assert captured.out.startswith("adjacency database: 2 titles, ")
 
 
+# The dump's tags are stripped and lower-cased, and so is `--tag`.
+@pytest.mark.parametrize("tag", [" java", "JAVA\t"], ids=["padded", "upper-case-padded"])
+def test_build_db_matches_a_padded_tag(tmp_path, capsys, tag):
+    dump = tmp_path / "dump.tsv"
+    dump.write_text("1\tparse token list\t Java ;xml\n2\trender page\tjava\n", encoding="utf-8")
+    assert main(["build-db", "--dump", str(dump), "--out", str(tmp_path / "db.txt"),
+                 "--tag", tag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("adjacency database: 2 titles, ")
+
+
+@pytest.mark.parametrize("tag", ["", "  "], ids=["empty", "spaces"])
+def test_build_db_blank_tag_is_a_usage_error(tmp_path, capsys, tag):
+    dump, db = tmp_path / "dump.tsv", tmp_path / "db.txt"
+    dump.write_text("1\tparse token list\tjava\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["build-db", "--dump", str(dump), "--out", str(db), "--tag", tag])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --tag: expected a tag, got a blank one\n")
+    assert not db.exists()
+
+
+# An empty database is still written, like `index`'s whole-file documents;
+# `--limit 0` asks for no title, so it warns of nothing.
+def test_build_db_warns_when_no_title_is_tagged(tmp_path, capsys):
+    dump, db = tmp_path / "dump.tsv", tmp_path / "db.txt"
+    dump.write_text("1\tparse token list\tjava\n", encoding="utf-8")
+    assert main(["build-db", "--dump", str(dump), "--out", str(db), "--tag", "Python"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: no title tagged 'Python'\n"
+    assert captured.out == f"adjacency database: 0 titles, 0 words, 0 pairs -> {db}\n"
+    assert db.exists()
+    assert main(["build-db", "--dump", str(dump), "--out", str(db), "--limit", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("adjacency database: 0 titles, ")
+
+
 def test_evaluate_reads_a_query_title_holding_a_next_line(tmp_path, capsys):
     db, index, out = tmp_path / "db.txt", tmp_path / "index.txt", tmp_path / "out"
     queries = tmp_path / "queries.tsv"

@@ -223,6 +223,25 @@ def test_stop_list_and_its_memo_are_freed_with_the_last_reference():
     assert ref() is None
 
 
+def test_one_memo_shares_the_token_of_a_camel_part():
+    stops = StopList({"the"})
+    get_value, set_value = (preprocess(raw, stops) for raw in ("getValue", "setValue"))
+    assert get_value[1] is set_value[1]
+    assert as_triples(get_value[1:]) == [("Value", "value", CAMEL_PART)]
+    lower = preprocess("fooBar", stops, SPLIT_AND_KEEP_WHOLE)[0]
+    assert lower.surface == "foo" and lower.normalized is lower.surface
+
+
+@pytest.mark.parametrize("dropping_first", [True, False], ids=["drop-first", "plain-first"])
+def test_extra_drop_applies_to_parts_under_its_own_memo_only(dropping_first):
+    stops, drop = StopList({"the"}), frozenset({"value"})
+    calls = [("getValue", drop), ("getValue", None)]
+    results = {bool(d): as_triples(preprocess(raw, stops, extra_drop=d))
+               for raw, d in (calls if dropping_first else calls[::-1])}
+    assert results == {True: [("get", "get", CAMEL_PART)],
+                       False: [("get", "get", CAMEL_PART), ("Value", "value", CAMEL_PART)]}
+
+
 def test_token_is_frozen_slotted_and_equal_by_value():
     tok = Token("Value", "value", CAMEL_PART)
     with pytest.raises(dataclasses.FrozenInstanceError):
