@@ -186,7 +186,8 @@ def _cmd_build_db(args, cfg: Config) -> int:
     stats = adjacency.DumpStats()
     tagged = adjacency.filter_titles(adjacency.read_title_dump(args.dump, stats), args.tag)
     titles = list(itertools.islice(tagged, args.limit))
-    source = f"{Path(args.dump).name}:{args.tag}"
+    # The tag as `filter_titles` matches it, so equal filters write equal files.
+    source = f"{Path(args.dump).name}:{args.tag.strip().lower()}"
     db = adjacency.build(titles, stops, window=window, source=source)
     adjacency.save(db, args.out)
     # `--limit 0` keeps no title by request: warn only when none is tagged.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import re
 import string
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -244,15 +245,47 @@ def split_methods(text: str, fallback_name: str = "file") -> list[MethodUnit]:
 # Documents and the corpus
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     """One method-level document: normalized term counts plus the first-seen
     surface form of each term (kept for query rendering). Both maps hold the
-    same terms, each its surface lower-cased; `save` refuses any other."""
+    same terms, each its surface lower-cased; `save` refuses any other.
+
+    A document that `load` read has its `term_counts` decoded at load, and
+    keeps its record's cells to decode `surfaces` from on first read: the
+    surface of each cell, the last cell of a term winning, as at load. Load
+    has checked every cell, so that decoding never raises. A surface that
+    is already lower-case is its own `term_counts` key; any other is
+    interned, so it is one string in every document that holds it.
+    """
 
     doc_id: str
     term_counts: dict[str, int] = field(default_factory=dict)
     surfaces: dict[str, str] = field(default_factory=dict)
+    # A loaded document's cells, until its surfaces are decoded.
+    _cells: str = field(default="", init=False, repr=False, compare=False)
+
+    @classmethod
+    def _loaded(cls, doc_id: str, term_counts: dict[str, int], cells: str) -> "Document":
+        """A document of `load`, its `surfaces` slot left unset."""
+        doc = cls.__new__(cls)
+        doc.doc_id, doc.term_counts, doc._cells = doc_id, term_counts, cells
+        return doc
+
+    def __getattr__(self, name: str):
+        # Called only for an unset slot; `surfaces` is unset only in a
+        # document of `load`, which decodes it here once.
+        if name != "surfaces":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        last: dict[str, str] = {}
+        for cell in self._cells.split(",") if self._cells else ():
+            surface = cell.rpartition(":")[0]
+            last[surface.lower()] = surface
+        # Both dicts hold the cells' terms in the order load met them.
+        self.surfaces = {term: term if surface == term else sys.intern(surface)
+                         for term, surface in zip(self.term_counts, last.values())}
+        self._cells = ""
+        return self.surfaces
 
     @classmethod
     def from_terms(cls, doc_id: str, terms: TermSequence) -> "Document":
@@ -458,19 +491,20 @@ def save(corpus: Corpus, path) -> None:
 def load(path) -> Corpus:
     """Read a corpus that `save` wrote.
 
-    Each distinct cell is decoded and checked once per call, so every
-    document holding the same `surface:count` cell shares one
-    normalized-term and one surface string; a surface that is already
-    lower-case is its own normalized term. An empty surface or a count
-    below 1 is refused, naming the first such cell.
+    Only each document's `term_counts` is decoded here; its `surfaces` are
+    decoded from its record on first read (see `Document`). Each distinct
+    cell is decoded and checked once per call, so every document holding
+    the same `surface:count` cell shares one normalized-term string; a
+    surface that is already lower-case is its own normalized term. Every
+    refusal happens here, whatever is read later: an empty surface or a
+    count below 1, naming the first such cell, and a checksum mismatch.
     """
     header, records, declared = artifact.load(path, "index", _HEADER_KEYS, ("docs", "terms"))
     documents: list[Document] = []
-    decoded: dict[str, tuple[str, str, int]] = {}
+    decoded: dict[str, tuple[str, int]] = {}
     try:
         for doc_id, cells in records:
             counts: dict[str, int] = {}
-            surfaces: dict[str, str] = {}
             if cells:
                 for cell in cells.split(","):
                     entry = decoded.get(cell)
@@ -482,12 +516,10 @@ def load(path) -> Corpus:
                         if count < 1:
                             raise ValueError(f"term {surface!r} has count {count}, below 1")
                         norm = surface.lower()
-                        entry = decoded[cell] = (surface if norm == surface else norm,
-                                                 surface, count)
-                    norm, surface, count = entry
+                        entry = decoded[cell] = (surface if norm == surface else norm, count)
+                    norm, count = entry
                     counts[norm] = count
-                    surfaces[norm] = surface
-            documents.append(Document(doc_id=doc_id, term_counts=counts, surfaces=surfaces))
+            documents.append(Document._loaded(doc_id, counts, cells))
     except ValueError as exc:
         raise CorruptFileError(f"unparseable index line in {path}: {exc}") from exc
 

@@ -1,6 +1,8 @@
 """Print the score bits and report digests of the evaluate fixture.
 
-Builds the `tests/data/evaluate` database and index in memory. For every
+Builds the `tests/data/evaluate` database and index, saves both to a
+temporary directory and loads them back, so the scores come through the
+load path and the surfaces a loaded index decodes on first read. For every
 query it prints `float.hex` of each search score of the baseline terms, of
 each expansion score of the `all` reformulation and of each Rocchio
 expansion score. It then prints the sha256 of the JSON report and of the
@@ -17,12 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from quickar import adjacency  # noqa: E402
-from quickar.corpus import build_corpus  # noqa: E402
+from quickar import corpus as corpus_mod  # noqa: E402
 from quickar.errors import QueryEmptyError  # noqa: E402
 from quickar.evaluate import (  # noqa: E402
     baseline_terms,
@@ -48,7 +51,12 @@ def main() -> None:
     db = adjacency.build(
         adjacency.filter_titles(adjacency.read_title_dump(EVAL_DATA / "dump.tsv"), "java"),
         stops, source="dump.tsv:java")
-    corpus = build_corpus(EVAL_DATA / "src", stops, default_language_keywords())
+    corpus = corpus_mod.build_corpus(EVAL_DATA / "src", stops, default_language_keywords())
+    with tempfile.TemporaryDirectory() as tmp:
+        adjacency.save(db, Path(tmp, "adjacency.db"))
+        corpus_mod.save(corpus, Path(tmp, "index.txt"))
+        db = adjacency.load(Path(tmp, "adjacency.db"))
+        corpus = corpus_mod.load(Path(tmp, "index.txt"))
     queries = parse_queries_tsv(EVAL_DATA / "queries.tsv")
     searcher = searcher_for(corpus)
     for query in queries:

@@ -355,6 +355,19 @@ def test_build_db_matches_a_padded_tag(tmp_path, capsys, tag):
     assert captured.out.startswith("adjacency database: 2 titles, ")
 
 
+# The `#source=` header records the tag as it was matched, so two spellings
+# of one tag write the same database.
+def test_build_db_records_the_tag_as_matched(tmp_path, capsys):
+    dump = tmp_path / "t.tsv"
+    dump.write_text("1\tparse token list\tjava\n", encoding="utf-8")
+    for tag, out in (("java", "plain.db"), (" JAVA", "padded.db")):
+        assert main(["build-db", "--dump", str(dump), "--out", str(tmp_path / out),
+                     "--tag", tag]) == 0
+    plain = (tmp_path / "plain.db").read_bytes()
+    assert b"#source=t.tsv:java\n" in plain
+    assert (tmp_path / "padded.db").read_bytes() == plain
+
+
 @pytest.mark.parametrize("tag", ["", "  "], ids=["empty", "spaces"])
 def test_build_db_blank_tag_is_a_usage_error(tmp_path, capsys, tag):
     dump, db = tmp_path / "dump.tsv", tmp_path / "db.txt"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quickar.corpus import (
@@ -391,3 +391,99 @@ def test_load_shares_the_strings_of_a_repeated_cell(stops, tmp_path):
         assert first.surfaces[term] is second.surfaces[term]
     # A surface that is already lower-case is its own normalized term.
     assert key(first.term_counts, "parse") is first.surfaces["parse"]
+
+
+# -- surfaces decoded on first read --------------------------------------------
+
+# Surfaces whose cells are odd: one holds ":" (the cell `a:b:2`), three
+# change length or letters when lower-cased, and three spell one term.
+ODD_SURFACES = ["a:b", "İ", "ẞ", "ΣΑΣ", "Token", "TOKEN", "token", "parse"]
+READ_ORDERS = ["surfaces", "positions", "loaded == built", "built == loaded", "save"]
+
+
+@st.composite
+def odd_corpora(draw) -> Corpus:
+    """Documents over ODD_SURFACES, each term under the first surface its
+    document drew, and one empty document at a random position."""
+    documents = []
+    for i, drawn in enumerate(draw(st.lists(st.lists(st.sampled_from(ODD_SURFACES), max_size=5),
+                                            max_size=5))):
+        counts, surfaces = {}, {}
+        for surface in drawn:
+            counts[surface.lower()] = draw(st.integers(1, 3))
+            surfaces.setdefault(surface.lower(), surface)
+        documents.append(Document(f"d{i}", counts, surfaces))
+    documents.insert(draw(st.integers(0, len(documents))), Document("empty"))
+    return Corpus(documents)
+
+
+EVERY_ODD_CELL = Corpus([
+    Document("d0", {"a:b": 2, "i\u0307": 1}, {"a:b": "a:b", "i\u0307": "İ"}),
+    Document("d1", {"token": 1, "ß": 1}, {"token": "Token", "ß": "ẞ"}),
+    Document("empty"),
+    Document("d2", {"token": 3, "σας": 1}, {"token": "TOKEN", "σας": "ΣΑΣ"}),
+    Document("d3", {"token": 1, "parse": 2}, {"token": "token", "parse": "parse"}),
+    Document("d4", {"token": 2}, {"token": "Token"}),
+])
+
+
+@pytest.fixture(scope="module")
+def odd_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("odd")
+
+
+@pytest.mark.parametrize("first_read", READ_ORDERS)
+@settings(max_examples=60, deadline=None)
+@example(built=EVERY_ODD_CELL)
+@given(built=odd_corpora())
+def test_a_loaded_index_equals_the_built_one_in_any_read_order(odd_dir, first_read, built):
+    path, again, untouched = (odd_dir / name for name in ("index.txt", "again.txt", "other.txt"))
+    save(built, path)
+    loaded = load(path)
+    if first_read == "surfaces":
+        assert [d.surfaces for d in loaded.documents] == [d.surfaces for d in built.documents]
+    elif first_read == "positions":
+        assert loaded.positions == built.positions
+    elif first_read == "loaded == built":
+        assert loaded == built
+    elif first_read == "built == loaded":
+        assert built == loaded
+    else:
+        save(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+    assert loaded == built and built == loaded
+    assert (loaded.positions, loaded.doc_freq) == (built.positions, built.doc_freq)
+    # Saved again, whether or not its surfaces were read, a loaded index
+    # gives the same bytes.
+    save(loaded, again)
+    save(load(path), untouched)
+    assert again.read_bytes() == untouched.read_bytes() == path.read_bytes()
+    # A lower-case surface is its own term; any other is one string in
+    # every document that holds it.
+    shared: dict[str, str] = {}
+    for doc in loaded.documents:
+        for term, surface in doc.surfaces.items():
+            if surface == term:
+                assert surface is key(doc.term_counts, term)
+            else:
+                assert surface is shared.setdefault(surface, surface)
+
+
+HEADER = "#source=\n#stoplist_sha=\n#keywords_sha=\n"
+
+
+# A hand-made record may hold one term twice; its last cell wins, for the
+# surface as for the count. The saver that wrote such records counted both
+# cells in the checksum, so its files stay refused.
+def test_a_term_held_twice_loads_last_wins(tmp_path):
+    path = tmp_path / "index.txt"
+    path.write_text(HEADER + "d1\tFoo:1,foo:2\n#docs=1,terms=2\n", encoding="utf-8")
+    (doc,) = load(path).documents
+    assert doc.term_counts == {"foo": 2}
+    assert doc.surfaces == {"foo": "foo"}
+    assert doc == Document("d1", {"foo": 2}, {"foo": "foo"})
+    path.write_text(HEADER + "d1\tFoo:1,foo:2\n#docs=1,terms=3\n", encoding="utf-8")
+    with pytest.raises(CorruptFileError) as exc:
+        load(path)
+    assert str(exc.value) == (f"{path}: checksum mismatch, declared {{'docs': 1, 'terms': 3}}, "
+                              f"found {{'docs': 1, 'terms': 2}}")
