@@ -224,10 +224,8 @@ def _cmd_index(args, cfg: Config) -> int:
     if stats.whole_file:
         print(f"warning: {stats.whole_file} file(s) indexed as a single whole-file document",
               file=sys.stderr)
-    # Counted without `built.doc_freq`, which would build the positions.
-    vocabulary = set().union(*(doc.term_counts for doc in built.documents))
     print(f"corpus: {stats.files} files, {built.n_docs} documents, "
-          f"{len(vocabulary)} terms -> {args.out}")
+          f"{len(built.doc_freq)} terms -> {args.out}")
     return 0
 
 

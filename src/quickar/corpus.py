@@ -12,9 +12,11 @@ import logging
 import re
 import string
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import attrgetter
 from pathlib import Path
 
 from . import artifact
@@ -312,14 +314,21 @@ class Corpus:
     """Immutable method-level document collection with frequency statistics.
 
     Construction only stores the documents. The statistics are computed on
-    first read and kept: `positions` maps each term to the ascending
-    positions of the documents holding it, which is what a `Searcher` scores
-    from, and `doc_freq` maps each term to the number of those documents.
+    first read and kept, each from the documents alone. `doc_freq` maps
+    each term to the number of documents holding it, counted in C over
+    their term counts; idf, the keyword reduction and top-n search read it.
+    `positions` maps each term to the ascending positions of the documents
+    holding it; only full scoring, which builds postings, reads it. Both
+    hold the terms in the order the documents first hold them.
     """
 
     def __init__(self, documents: list[Document], meta: CorpusMeta | None = None):
         self.documents = documents
         self.meta = meta if meta is not None else CorpusMeta()
+
+    @cached_property
+    def doc_freq(self) -> Counter[str]:
+        return Counter(chain.from_iterable(map(attrgetter("term_counts"), self.documents)))
 
     @cached_property
     def positions(self) -> dict[str, list[int]]:
@@ -333,10 +342,6 @@ class Corpus:
                     held.append(index)
         return positions
 
-    @cached_property
-    def doc_freq(self) -> dict[str, int]:
-        return {term: len(held) for term, held in self.positions.items()}
-
     @property
     def n_docs(self) -> int:
         return len(self.documents)
@@ -345,7 +350,7 @@ class Corpus:
         """Fraction of documents containing `word`, in [0, 1]."""
         if self.n_docs == 0:
             raise DataError("document frequency is undefined on an empty corpus")
-        return len(self.positions.get(word, ())) / self.n_docs
+        return self.doc_freq[word] / self.n_docs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):

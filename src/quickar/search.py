@@ -9,27 +9,30 @@ Classic log-scaled term frequency with smoothed inverse document frequency:
 Ties break by ascending document id, which makes every ranked list total and
 reproducible; the evaluation harness relies on that.
 
-A `Searcher` takes each term's document positions from its corpus, which
-computes them once on first read and shares them with the corpus's
-document-frequency ratio; a term's df is the length of its position list.
-idf values (by df), `1 + ln count` values (by count), document norms and
-weighted postings are computed the first time a query needs them and
-memoized on the searcher, so a one-shot call weights only the postings it
-scores.
+A `Searcher` takes each term's df from its corpus's `doc_freq`, counted once
+per corpus on first read. idf values (by df), `1 + ln count` values (by
+count), document norms and weighted postings are computed the first time a
+query needs them and memoized on the searcher, so a one-shot call weights
+only what it scores. Postings come from the corpus's `positions`, its
+inverted index, which only full scoring (`rank`, `search` without `top_n`)
+builds.
 
 Every float sum is added left to right in ascending term order
 (`functools.reduce`, not `sum`, which compensates float sums from CPython
 3.12 on), so scores are the same bits on every supported interpreter.
 
 A top-n search (`search(terms, top_n=n)`) scores exactly only the documents
-that can still reach the top n (MaxScore-style safe pruning). A weight
-`(1 + ln count) * idf` is at least 1, because a count is at least 1 and a
-df at most N, so each term of a document that the query does not hold adds
-at least 1 to the document's squared norm:
+that can still reach the top n (MaxScore-style safe pruning), and builds no
+inverted index: it finds each query term's documents by a scan of the
+documents' term counts. A weight `(1 + ln count) * idf` is at least its
+idf, because a count is at least 1, and the terms of a document that the
+query does not hold are distinct terms of the vocabulary. With F[m] the sum
+of the m smallest idf squared over the vocabulary (the idf floor), a
+document with m such terms has
 
-    ||d||^2 >= sum of its matched weights squared + (its terms - matched)
+    ||d||^2 >= sum of its matched weights squared + F[m]
 
-One pass over the query terms' positions gives each hit document its
+One pass over the query terms' documents gives each hit document its
 unnormalized dot product with the query vector; divided by the root of that
 lower bound, it bounds the document's cosine from above. Documents are then
 scored exactly, with the same additions in the same order as a full ranking,
@@ -38,8 +41,8 @@ the next bound, raised by a relative 1e-9 that absorbs float rounding, is
 below the n-th best. A document tying the n-th score is therefore always
 scored, and hits, score floats and the doc-id tie-break are those of the
 full ranking. When the postings of every query term are already memoized,
-or the query's postings number at most n, one memoized addition per posting
-is cheaper than the bound pass, and every hit is scored that way instead.
+one memoized addition per posting is cheaper than the bound pass, and every
+hit is scored that way instead.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, compress, repeat
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .corpus import Corpus, Document
@@ -97,9 +101,10 @@ class _TfMemo(dict):
 class Searcher:
     """Inverted-index retriever bound to one immutable corpus.
 
-    Each term's ascending document positions come from `corpus.positions`,
-    built once per corpus on first read; the searcher computes no weight at
-    construction. The rest is computed on first use and kept on the
+    Each term's df comes from `corpus.doc_freq`, and the documents holding
+    it, for full scoring, from `corpus.positions`; the corpus builds each
+    once, on first read. The searcher reads `doc_freq` at construction and
+    computes no weight. The rest is computed on first use and kept on the
     searcher: a df's idf and a count's `1 + ln count` when a weight needs
     them, a document's L2 norm when a posting of that document is built or
     a top-n search scores it exactly, and a term's postings when a full
@@ -107,13 +112,16 @@ class Searcher:
     only their postings, and every float is the one a fully built index
     gives.
 
-    A top-n search builds no postings. It bounds each hit document's cosine
-    by its dot product with the query over a lower bound of its norm (each
-    unmatched term adds at least 1 to the squared norm, since every weight
-    is at least 1), and computes norms and exact scores in descending bound
-    order until the next bound, raised by a relative 1e-9, is below the
-    n-th exact score. When every query term's postings are memoized, or
-    there are at most n postings, it scores every hit from the postings.
+    A top-n search builds no postings and reads no `positions`: it scans
+    the documents' term counts for each query term. It bounds each hit
+    document's cosine by its dot product with the query over a lower bound
+    of its norm: its matched weights squared, plus the idf floor F[m] for
+    its m unmatched terms, the sum of the m smallest idf squared over the
+    vocabulary (every weight is at least its idf, and the m terms are
+    distinct). It computes norms and exact scores in descending bound order
+    until the next bound, raised by a relative 1e-9, is below the n-th
+    exact score. When every query term's postings are memoized, it scores
+    every hit from the postings.
 
     A term's postings are a pair of lists, the positions and the
     L2-normalized weights of the documents holding the term, with no tuple
@@ -127,17 +135,17 @@ class Searcher:
         self.corpus = corpus
         self._doc_ids = [doc.doc_id for doc in corpus.documents]
         self._by_id = {doc.doc_id: doc for doc in corpus.documents}
-        self._positions = corpus.positions
+        self._doc_freq = corpus.doc_freq
         # Memos, filled on first use.
         self._idf = _IdfMemo(corpus.n_docs)
         self._tf = _TfMemo()
         self._norms: dict[int, float] = {}
         self._postings: dict[str, tuple[list[int], list[float]]] = {}
+        self._floor: list[float] | None = None
 
     def _weights(self, counts: dict[str, int], terms: list[str]):
-        """tf'*idf weight of each of `terms`, in their order; a term's df is
-        the length of its position list."""
-        dfs = map(len, map(self._positions.get, terms, repeat(())))
+        """tf'*idf weight of each of `terms`, in their order."""
+        dfs = map(self._doc_freq.get, terms, repeat(0))
         return map(operator.mul, map(self._tf.__getitem__, map(counts.__getitem__, terms)),
                    map(self._idf.__getitem__, dfs))
 
@@ -162,7 +170,7 @@ class Searcher:
         `term`, built on first use together with any norm they need."""
         postings = self._postings.get(term)
         if postings is None:
-            positions = self._positions.get(term, [])
+            positions = self.corpus.positions.get(term, [])
             idf, tf, norms = self._idf[len(positions)], self._tf, self._norms
             documents = self.corpus.documents
             weights = []
@@ -210,24 +218,33 @@ class Searcher:
         """Exact scores, by document position, of every document that can
         reach the top `top_n` of `_scores(query_terms)`, each the very float
         `_scores` gives; documents that cannot are left out unscored."""
-        positions, postings = self._positions, self._postings
-        known = [term for term in set(query_terms) if term in positions]
-        if (top_n < 1 or all(map(postings.__contains__, known))
-                or sum(map(len, map(positions.__getitem__, known))) <= top_n):
+        doc_freq, postings = self._doc_freq, self._postings
+        known = sorted(term for term in set(query_terms) if term in doc_freq)
+        if top_n < 1 or not known:
+            return {}
+        if all(map(postings.__contains__, known)):
             return self._scores(query_terms)
         qvec = self.query_vector(query_terms)
-        documents, tf, norms = self.corpus.documents, self._tf, self._norms
-        terms = [(term, qvec[term], self._idf[len(positions[term])]) for term in sorted(known)]
+        held = list(map(attrgetter("term_counts"), self.corpus.documents))
+        tf, norms, floor = self._tf, self._norms, self._floor
+        if floor is None:
+            # F[m] for every m up to the longest document's term count.
+            dfs = heapq.nlargest(max(map(len, held)), doc_freq.values())
+            idfs = map(self._idf.__getitem__, dfs)
+            floor = self._floor = list(accumulate((idf * idf for idf in idfs), initial=0.0))
+        terms = [(term, qvec[term], self._idf[doc_freq[term]]) for term in known]
         # Per hit document: its dot product with the unnormalized document
-        # vector, and the sum of w*w - 1 over its matched weights w.
+        # vector, the sum of its matched weights squared, and their number.
         dots: dict[int, float] = {}
-        excess: dict[int, float] = {}
+        squares: dict[int, float] = {}
+        matched: dict[int, int] = {}
         for term, weight, idf in terms:
-            for index in positions[term]:
-                doc_weight = tf[documents[index].term_counts[term]] * idf
+            for index in compress(range(len(held)), map(operator.contains, held, repeat(term))):
+                doc_weight = tf[held[index][term]] * idf
                 dots[index] = dots.get(index, 0.0) + weight * doc_weight
-                excess[index] = excess.get(index, 0.0) + (doc_weight * doc_weight - 1.0)
-        bounds = {index: dot / math.sqrt(len(documents[index].term_counts) + excess[index])
+                squares[index] = squares.get(index, 0.0) + doc_weight * doc_weight
+                matched[index] = matched.get(index, 0) + 1
+        bounds = {index: dot / math.sqrt(squares[index] + floor[len(held[index]) - matched[index]])
                   for index, dot in dots.items()}
         scores: dict[int, float] = {}
         best: list[float] = []  # min-heap of the top_n highest exact scores
@@ -237,7 +254,7 @@ class Searcher:
             norm = norms.get(index)
             if norm is None:
                 norm = self._norm(index)
-            counts = documents[index].term_counts
+            counts = held[index]
             score = 0.0
             for term, weight, idf in terms:
                 count = counts.get(term)

@@ -4,10 +4,12 @@ Builds the `tests/data/evaluate` database and index, saves both to a
 temporary directory and loads them back, so the scores come through the
 load path and the surfaces a loaded index decodes on first read. For every
 query it prints `float.hex` of each search score of the baseline terms, of
-each expansion score of the `all` reformulation and of each Rocchio
-expansion score. It then prints the sha256 of the JSON report and of the
-text report. Only the standard library and quickar are imported, so any
-interpreter can run it from a checkout:
+the top-1, top-5 and top-10 scores of those terms, each from a fresh
+`Searcher` and so through the pruned top-n path, of each expansion score
+of the `all` reformulation and of each Rocchio expansion score. It then
+prints the sha256 of the JSON report and of the text report. Only the
+standard library and quickar are imported, so any interpreter can run it
+from a checkout:
 
     python3.13 tests/determinism_probe.py
 
@@ -36,7 +38,7 @@ from quickar.evaluate import (  # noqa: E402
 from quickar.nouns import default_noun_oracle  # noqa: E402
 from quickar.reformulate import MODE_ALL, reformulations  # noqa: E402
 from quickar.rocchio import rocchio_expand  # noqa: E402
-from quickar.search import searcher_for  # noqa: E402
+from quickar.search import Searcher, searcher_for  # noqa: E402
 from quickar.textprep import default_language_keywords, default_stoplist  # noqa: E402
 
 EVAL_DATA = Path(__file__).resolve().parent / "data" / "evaluate"
@@ -60,8 +62,11 @@ def main() -> None:
     queries = parse_queries_tsv(EVAL_DATA / "queries.tsv")
     searcher = searcher_for(corpus)
     for query in queries:
-        print(query.query_id, "search", _hex(h.score for h in searcher.search(
-            baseline_terms(query.text))))
+        terms = baseline_terms(query.text)
+        print(query.query_id, "search", _hex(h.score for h in searcher.search(terms)))
+        for top_n in (1, 5, 10):
+            print(query.query_id, f"top{top_n}",
+                  _hex(h.score for h in Searcher(corpus).search(terms, top_n=top_n)))
         try:
             refs = reformulations(query, corpus, db, stops=stops, oracle=oracle,
                                   searcher=searcher)

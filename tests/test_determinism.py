@@ -46,6 +46,6 @@ def test_scores_and_reports_are_identical_across_interpreters():
     if not others:
         pytest.skip("no other python3.N interpreter starts")
     expected = probe(sys.executable)
-    assert "report.json " in expected and " search 0x" in expected
+    assert "report.json " in expected and " search 0x" in expected and " top10 0x" in expected
     for python in others:
         assert probe(python) == expected, python

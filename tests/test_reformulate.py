@@ -18,9 +18,9 @@ from oracles import (
 )
 from quickar import adjacency
 from quickar.adjacency import AdjacencyDatabase, build
-from quickar.corpus import build_corpus
+from quickar.corpus import build_corpus, load, save
 from quickar.errors import QueryEmptyError
-from quickar.evaluate import parse_queries_tsv
+from quickar.evaluate import baseline_terms, parse_queries_tsv
 from quickar.reformulate import (
     CandidateScore,
     MODE_ALL,
@@ -44,7 +44,8 @@ from quickar.reformulate import (
     select_and_combine,
     shortlist,
 )
-from quickar.search import searcher_for
+from quickar.rocchio import rocchio_expand
+from quickar.search import Searcher, searcher_for
 from quickar.textprep import (
     SPLIT_AND_KEEP_WHOLE,
     default_language_keywords,
@@ -522,6 +523,30 @@ def test_one_pass_matches_the_mode_by_mode_reference(eval_fixture, stops, oracle
     # Not vacuous: a budget of 1 leaves every query nothing to expand
     # (need == 0), and every other setting expands some query.
     assert (expanded == 0) == (params.budget == 1)
+
+
+def test_one_shot_calls_on_a_loaded_index_build_no_inverted_index(eval_fixture, stops, oracle,
+                                                                   tmp_path):
+    # Each call gets its own freshly loaded index, as a CLI call does.
+    corpus, db, queries = eval_fixture
+    path = tmp_path / "index.txt"
+    save(corpus, path)
+    expanded = 0
+    for query in queries:
+        terms = baseline_terms(query.text)
+        searched = load(path)
+        assert (Searcher(searched).search(terms, top_n=5)
+                == searcher_for(corpus).search(terms)[:5]), query.query_id
+        reformulated, fed_back = load(path), load(path)
+        try:
+            expanded += bool(reformulate(query, reformulated, db, MODE_ALL, stops=stops,
+                                         oracle=oracle).expansion_terms)
+            expanded += bool(rocchio_expand(query, fed_back, stops=stops).expansion_terms)
+        except QueryEmptyError:
+            pass
+        for index in (searched, reformulated, fed_back):
+            assert "positions" not in index.__dict__, query.query_id
+    assert expanded  # not vacuous
 
 
 def test_scaled_adjacency_counts_keep_selection_order(stops, oracle, working_corpus, working_db):

@@ -395,10 +395,7 @@ def pruning_corpora(draw) -> Corpus:
 PRUNING_TERMS = st.lists(st.sampled_from(PRUNING_VOCAB + ["zzz"]), min_size=1, max_size=6)
 
 
-@settings(max_examples=200, deadline=None)
-@given(corpus=pruning_corpora(), terms=PRUNING_TERMS,
-       warm_up=st.lists(PRUNING_TERMS, min_size=1, max_size=3), loaded=st.booleans())
-def test_top_n_search_is_the_reference_prefix(index_path, corpus, terms, warm_up, loaded):
+def assert_top_n_is_the_reference_prefix(index_path, corpus, terms, warm_up, loaded):
     if loaded:
         save(corpus, index_path)
         corpus = load(index_path)
@@ -411,6 +408,49 @@ def test_top_n_search_is_the_reference_prefix(index_path, corpus, terms, warm_up
     for top_n in range(len(expected) + 3):
         assert Searcher(corpus).search(terms, top_n=top_n) == expected[:top_n]
         assert warmed.search(terms, top_n=top_n) == expected[:top_n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=pruning_corpora(), terms=PRUNING_TERMS,
+       warm_up=st.lists(PRUNING_TERMS, min_size=1, max_size=3), loaded=st.booleans())
+def test_top_n_search_is_the_reference_prefix(index_path, corpus, terms, warm_up, loaded):
+    assert_top_n_is_the_reference_prefix(index_path, corpus, terms, warm_up, loaded)
+
+
+SKEWED_COMMON = WORD_POOL[:3]
+SKEWED_RARE = [f"rare{i:02d}" for i in range(40)]
+
+
+@st.composite
+def skewed_corpora(draw) -> Corpus:
+    """Documents holding some of a few common words and up to eight of many
+    rare ones, some of them copies under other ids. Rare terms have a high
+    idf, so the idf floor F[m] is well above m once m passes the number of
+    common words, and a bound too high or too low shows."""
+    counts = []
+    for _ in range(draw(st.integers(1, 25))):
+        doc = draw(st.dictionaries(st.sampled_from(SKEWED_COMMON), st.integers(1, 4),
+                                   min_size=1))
+        doc.update(draw(st.dictionaries(st.sampled_from(SKEWED_RARE), st.integers(1, 4),
+                                        max_size=8)))
+        counts.append(doc)
+    counts += [dict(counts[i]) for i in draw(st.lists(st.integers(0, len(counts) - 1),
+                                                      max_size=6))]
+    ids = draw(st.permutations([f"d{i:02d}" for i in range(len(counts))]))
+    return Corpus([Document(doc_id=doc_id, term_counts=c, surfaces={w: w for w in c})
+                   for doc_id, c in zip(ids, counts)])
+
+
+SKEWED_TERMS = st.lists(st.sampled_from(SKEWED_COMMON + SKEWED_RARE[:8] + ["zzz"]),
+                        min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=skewed_corpora(), terms=SKEWED_TERMS,
+       warm_up=st.lists(SKEWED_TERMS, min_size=1, max_size=3), loaded=st.booleans())
+def test_top_n_search_over_a_skewed_vocabulary_is_the_reference_prefix(
+        index_path, corpus, terms, warm_up, loaded):
+    assert_top_n_is_the_reference_prefix(index_path, corpus, terms, warm_up, loaded)
 
 
 def test_a_tie_at_the_nth_score_is_scored_exactly():
@@ -432,3 +472,30 @@ def test_a_one_shot_top_n_search_builds_fewer_norms_than_it_has_hits():
     searcher = Searcher(corpus)
     assert searcher.search(terms, top_n=5) == full[:5]
     assert len(searcher._norms) < len(full)
+
+
+def test_the_idf_floor_prunes_more_than_a_weight_of_one_per_unmatched_term():
+    # The same search as above. A bound that gave each unmatched term a
+    # weight of 1 built 52 norms for these 102 hits.
+    corpus = random_corpus(200, seed=12)
+    terms = ["alpha", "kelp", "sonar"]
+    searcher = Searcher(corpus)
+    assert searcher.search(terms, top_n=5) == ReferenceSearcher(corpus).search(terms)[:5]
+    assert len(searcher._norms) < 52
+
+
+# -- the inverted index is built for full scoring only ---------------------------
+
+@pytest.mark.parametrize("first_call", ["search", "rank"])
+def test_only_full_scoring_builds_the_positions(index_path, first_call):
+    save(random_corpus(60, seed=13), index_path)
+    corpus = load(index_path)
+    searcher = Searcher(corpus)
+    terms = ["alpha", "kelp", "zzz"]
+    top = searcher.search(terms, top_n=3)
+    assert len(top) == 3 and "positions" not in corpus.__dict__
+    if first_call == "search":
+        assert searcher.search(terms)[:3] == top
+    else:
+        assert searcher.rank(terms, {top[0].doc_id}) == 1
+    assert "positions" in corpus.__dict__
