@@ -201,31 +201,15 @@ def build(
 # `binary` is always 0 since `build-db --binary` was removed; the line
 # stays so that a database keeps its bytes.
 _HEADER_KEYS = ("window", "stoplist_sha", "source", "binary")
+_NOUNS = ("word", "neighbor")  # what errors call a record and a cell
 
 
-def _bad_cell(word: str, row: dict[str, int]) -> str:
-    """Why `load` would refuse a cell of `word`'s row, for the first such cell."""
-    for nbr in sorted(row):
-        if not nbr:
-            return f"word {word!r} has a neighbor without a name"
-        if "," in nbr:
-            return f"word {word!r} has a neighbor {nbr!r} holding ','"
-        if row[nbr] < 1:
-            return f"neighbor {nbr!r} of {word!r} has count {row[nbr]}, below 1"
-    raise AssertionError(f"no bad cell in the row of {word!r}")
-
-
-def _records(db: AdjacencyDatabase, path):
-    """Each word's `(word, cells)` record. A row that `load` would refuse
-    raises DataError: a neighbor that is empty or holds ",", or a count
-    below 1. Calls in C check each row whole, and only a row they flag is
-    looked at cell by cell."""
+def _records(db: AdjacencyDatabase):
+    """Each word, its neighbors sorted and their counts."""
     for word in sorted(db.entries):
         row = db.entries[word]
-        cells = ",".join([f"{nbr}:{row[nbr]}" for nbr in sorted(row)])
-        if row and (cells.count(",") >= len(row) or "" in row or min(row.values()) < 1):
-            raise DataError(f"cannot write database {path}: {_bad_cell(word, row)}")
-        yield word, cells
+        nbrs = sorted(row)
+        yield word, nbrs, [*map(row.__getitem__, nbrs)]
 
 
 def save(db: AdjacencyDatabase, path) -> None:
@@ -234,38 +218,25 @@ def save(db: AdjacencyDatabase, path) -> None:
     the checksum. A row that `load` would refuse raises DataError, and the
     previous file stays."""
     header = {key: getattr(db.meta, key) for key in _HEADER_KEYS[:-1]} | {"binary": 0}
-    artifact.save(path, "database", header, _records(db, path), {"pairs": db.total_pair_count})
+    artifact.save(path, "database", header, _records(db), {"pairs": db.total_pair_count},
+                  _NOUNS)
 
 
 def load(path) -> AdjacencyDatabase:
     """Read a database that `save` wrote.
 
-    Each distinct cell is decoded and checked once per call, so every row
-    holding the same `neighbor:count` cell shares one neighbor string. An
-    empty neighbor or a count below 1 is refused, naming the first such
-    cell, and so is a `#binary=` header other than 0.
+    A cell that breaks the artifact's cell rule is refused, naming the
+    first such cell, and so are a word with two records and a `#binary=`
+    header other than 0.
     """
-    header, records, declared = artifact.load(path, "database", _HEADER_KEYS, ("pairs",))
-    entries: dict[str, dict[str, int]] = {}
-    decoded: dict[str, tuple[str, int]] = {}
+    header, records, declared = artifact.load(path, "database", _HEADER_KEYS, ("pairs",),
+                                              _NOUNS)
+    entries = {word: nbrs for word, nbrs, _ in records}
     try:
-        for word, cells in records:
-            nbrs: dict[str, int] = {}
-            if cells:
-                for cell in cells.split(","):
-                    entry = decoded.get(cell)
-                    if entry is None:
-                        nbr, _, count = cell.rpartition(":")
-                        count = int(count)
-                        if not nbr:
-                            raise ValueError(f"word {word!r} has a neighbor without a name")
-                        if count < 1:
-                            raise ValueError(f"neighbor {nbr!r} of {word!r} has count {count}, "
-                                             "below 1")
-                        entry = decoded[cell] = (nbr, count)
-                    nbr, count = entry
-                    nbrs[nbr] = count
-            entries[word] = nbrs
+        if len(entries) != len(records):
+            # A later record of the same word replaced this one's row.
+            twice = next(word for word, nbrs, _ in records if entries[word] is not nbrs)
+            raise ValueError(f"word {twice!r} has two records")
         window = int(header["window"])
         if header["binary"] != "0":
             raise ValueError(f"binary must be 0, got {header['binary']!r}: build-db --binary "

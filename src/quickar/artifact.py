@@ -12,15 +12,20 @@ written by `save` and read back by `load`:
     #k=n,k=n            the trailing checksum line
 
 Lines are told apart by position, not by a leading "#", so a name may
-start with "#". A record is split at its last tab, so a name may hold a
-tab; cells never do, and `save` refuses a record whose cells hold one,
-which would load back as another name. A line feed in a header value, a
-name or a cell is refused. The file ends with a line feed, so a cut
-anywhere shows. The owning module encodes and decodes its own cells, which
-pass through here as text: it refuses on save what its `load` would
-refuse, and checks the checksum counts that `load` returns against its
-records. Every refusal on save comes before the previous file is
-replaced.
+start with "#". A record is split at its last tab, so a record's name may
+hold a tab. A line feed in a header value or a name is refused. The file
+ends with a line feed, so a cut anywhere shows.
+
+One cell rule holds for both artifacts. A record's cells are `name:count`
+joined by "," (a word's neighbors and their pair counts, a document's term
+surfaces and their term counts), each split at its last ":". The name is
+not empty and holds no ",", tab or line feed; the count is at least 1. Each
+name appears once per record (in the index, once up to case), and each
+database word has one record. `save` refuses a cell that breaks the rule
+before the previous file is replaced, and `load` refuses one it meets, with
+one message per rule that names the record and the cell in the owner's
+nouns. The owner checks its own rules and the checksum counts. The index's
+`#keywords_sha=` is informational: it is written and never checked.
 
 Files are written through `atomic_write`, so a failed write keeps the
 previous file. A text that cannot be written as UTF-8 (a file name that
@@ -39,7 +44,7 @@ import itertools
 import os
 import stat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CorruptFileError, DataError
 
@@ -116,20 +121,43 @@ def _checksum_line(counts: dict[str, int]) -> str:
     return "#" + ",".join(f"{key}={n}" for key, n in counts.items())
 
 
-def _record_lines(path, what: str, records: Iterable[tuple[str, str]]) -> Iterator[str]:
-    for name, cells in records:
-        if "\t" in cells:
-            raise DataError(f"cannot write {what} {path}: a cell of {name!r} holds a tab")
+def _refusal(nouns: tuple[str, str], name: str, cell_name: str, count: int) -> str:
+    """Why the cell rule refuses the cell `cell_name:count` of the record
+    `name`, in the owner's nouns for a record and a cell; "" if it does not."""
+    record, cell = nouns
+    if not cell_name:
+        return f"{record} {name!r} has a {cell} without a name"
+    for char, shown in ((",", "','"), ("\t", "a tab")):
+        if char in cell_name:
+            return f"{record} {name!r} has a {cell} {cell_name!r} holding {shown}"
+    if count < 1:
+        return f"{cell} {cell_name!r} of {record} {name!r} has count {count}, below 1"
+    return ""
+
+
+def _record_lines(path, what: str, nouns: tuple[str, str],
+                  records: Iterable[tuple[str, Sequence[str], Sequence[int]]]) -> Iterator[str]:
+    """Each record's line. Calls in C check each record whole, and only a
+    record they flag is looked at cell by cell."""
+    for name, names, counts in records:
+        cells = ",".join([f"{cell_name}:{count}" for cell_name, count in zip(names, counts)])
+        if names and (cells.count(",") >= len(names) or "\t" in cells or "" in names
+                      or min(counts) < 1):
+            reason = next(filter(None, (_refusal(nouns, name, cell_name, count)
+                                        for cell_name, count in zip(names, counts))))
+            raise DataError(f"cannot write {what} {path}: {reason}")
         yield f"{name}\t{cells}"
 
 
 def save(path, what: str, header: dict[str, object],
-         records: Iterable[tuple[str, str]], checksum: dict[str, int]) -> None:
-    """Write the header, the `(name, cells)` records and the checksum to
-    `path`; `what` names the artifact in errors. A record whose cells hold
-    a tab raises DataError, as does a line feed anywhere."""
+         records: Iterable[tuple[str, Sequence[str], Sequence[int]]], checksum: dict[str, int],
+         nouns: tuple[str, str]) -> None:
+    """Write the header, the records and the checksum to `path`; `what`
+    names the artifact in errors. Each record is its name, its cells' names
+    in write order and their counts. A cell that breaks the cell rule
+    raises DataError, as does a line feed anywhere."""
     lines = itertools.chain((f"#{key}={value}" for key, value in header.items()),
-                            _record_lines(path, what, records),
+                            _record_lines(path, what, nouns, records),
                             [_checksum_line(checksum)])
     try:
         with atomic_write(path) as fh:
@@ -146,13 +174,22 @@ def save(path, what: str, header: dict[str, object],
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
 
 
-def load(path, what: str, header_keys: tuple[str, ...], checksum_keys: tuple[str, ...]
-         ) -> tuple[dict[str, str], list[tuple[str, str]], dict[str, int]]:
-    """Read back what `save` wrote: the header values by key, the
-    `(name, cells)` records and the checksum counts by key.
+def cell_names(cells: str) -> list[str]:
+    """The names of a record's cells, in file order."""
+    return [cell.rpartition(":")[0] for cell in cells.split(",")] if cells else []
 
-    Raises CorruptFileError when a line is missing or out of place; whether
-    the counts match the records is for the caller to check.
+
+def load(path, what: str, header_keys: tuple[str, ...], checksum_keys: tuple[str, ...],
+         nouns: tuple[str, str], key_of: Callable[[str], str] | None = None
+         ) -> tuple[dict[str, str], list[tuple[str, dict[str, int], str]], dict[str, int]]:
+    """Read back what `save` wrote: the header values by key, the records
+    as `(name, counts by cell key, cells' text)`, and the checksum counts.
+
+    A cell's key is `key_of` its name, or its name, and a key equal to the
+    name is the name itself. Each distinct cell is decoded and checked once
+    per call, so every record holding it shares one key string. A missing
+    or misplaced line, or the first cell that breaks the cell rule, raises
+    CorruptFileError; whether the counts match is for the caller to check.
     """
     lines = list(read_lines(path, what))
     if lines.pop() or len(lines) <= len(header_keys):
@@ -172,10 +209,35 @@ def load(path, what: str, header_keys: tuple[str, ...], checksum_keys: tuple[str
     if tuple(counts) != checksum_keys or _checksum_line(counts) != last:
         raise CorruptFileError(f"{path}: truncated {what}, bad checksum line {last!r}")
 
-    records = []
-    for line in lines[len(header_keys):-1]:
-        name, tab, cells = line.rpartition("\t")
-        if not tab:
-            raise CorruptFileError(f"{path}: record line without a tab: {line!r}")
-        records.append((name, cells))
+    # Each line's split is replaced by its record in place, and the file's
+    # text is not kept while the cells are decoded.
+    records: list = [line.rpartition("\t") for line in lines[len(header_keys):-1]]
+    del lines
+    decoded: dict[str, tuple[str, int]] = {}
+    try:
+        for index, (name, tab, cells) in enumerate(records):
+            if not tab:
+                raise CorruptFileError(f"{path}: record line without a tab: {cells!r}")
+            row: dict[str, int] = {}
+            if cells:
+                split = cells.split(",")
+                for cell in split:
+                    entry = decoded.get(cell)
+                    if entry is None:
+                        cell_name, _, count = cell.rpartition(":")
+                        count = int(count)
+                        if not cell_name or count < 1:
+                            raise ValueError(_refusal(nouns, name, cell_name, count))
+                        if key_of is not None and (key := key_of(cell_name)) != cell_name:
+                            cell_name = key
+                        entry = decoded[cell] = (cell_name, count)
+                    cell_key, count = entry
+                    row[cell_key] = count
+                if len(row) != len(split):
+                    keys = [decoded[cell][0] for cell in split]
+                    twice = next(k for i, k in enumerate(keys) if k in keys[:i])
+                    raise ValueError(f"{nouns[0]} {name!r} holds the {nouns[1]} {twice!r} twice")
+            records[index] = name, row, cells
+    except ValueError as exc:
+        raise CorruptFileError(f"unparseable {what} line in {path}: {exc}") from exc
     return header, records, counts

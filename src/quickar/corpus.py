@@ -255,10 +255,10 @@ class Document:
 
     A document that `load` read has its `term_counts` decoded at load, and
     keeps its record's cells to decode `surfaces` from on first read: the
-    surface of each cell, the last cell of a term winning, as at load. Load
-    has checked every cell, so that decoding never raises. A surface that
-    is already lower-case is its own `term_counts` key; any other is
-    interned, so it is one string in every document that holds it.
+    surface of each cell, in cell order. Load has checked every cell, so
+    that decoding never raises. A surface that is already lower-case is its
+    own `term_counts` key; any other is interned, so it is one string in
+    every document that holds it.
     """
 
     doc_id: str
@@ -279,13 +279,10 @@ class Document:
         # document of `load`, which decodes it here once.
         if name != "surfaces":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        last: dict[str, str] = {}
-        for cell in self._cells.split(",") if self._cells else ():
-            surface = cell.rpartition(":")[0]
-            last[surface.lower()] = surface
-        # Both dicts hold the cells' terms in the order load met them.
+        # Load keyed each cell's term in cell order, and met each term once.
         self.surfaces = {term: term if surface == term else sys.intern(surface)
-                         for term, surface in zip(self.term_counts, last.values())}
+                         for term, surface in zip(self.term_counts,
+                                                  artifact.cell_names(self._cells))}
         self._cells = ""
         return self.surfaces
 
@@ -439,48 +436,35 @@ def build_corpus_presplit(
 # ---------------------------------------------------------------------------
 
 _HEADER_KEYS = ("source", "stoplist_sha", "keywords_sha")
+_NOUNS = ("document", "term")  # what errors call a record and a cell
 
 
-def _bad_cell(doc: Document) -> str:
-    """Why `load` would refuse `doc` or give it back changed: its counts
-    and surfaces are for different terms, or the first bad cell."""
+def _changed(doc: Document) -> str:
+    """How `load` would give `doc` back changed: its counts and surfaces
+    are for different terms, or the first term that is not its surface
+    lower-cased."""
     counts, surfaces = doc.term_counts, doc.surfaces
     if counts.keys() != surfaces.keys():
         return (f"document {doc.doc_id!r} has counts and surfaces for different terms, "
                 f"first {min(counts.keys() ^ surfaces.keys())!r}")
-    for term in sorted(counts):
-        surface, count = surfaces[term], counts[term]
-        if not surface:
-            return f"document {doc.doc_id!r} has a term without a name"
-        if "," in surface:
-            return f"document {doc.doc_id!r} has a term {surface!r} holding ','"
-        if count < 1:
-            return f"term {surface!r} of document {doc.doc_id!r} has count {count}, below 1"
-        if surface.lower() != term:
-            return (f"document {doc.doc_id!r} has a term {term!r} whose surface {surface!r} "
-                    f"lower-cases to {surface.lower()!r}")
-    raise AssertionError(f"no bad cell in document {doc.doc_id!r}")
+    term = next(term for term in sorted(counts) if surfaces[term].lower() != term)
+    return (f"document {doc.doc_id!r} has a term {term!r} whose surface {surfaces[term]!r} "
+            f"lower-cases to {surfaces[term].lower()!r}")
 
 
 def _records(corpus: Corpus, path):
-    """Each document's `(doc_id, cells)` record. A document that `load`
-    would refuse or give back changed raises DataError: counts and surfaces
-    for different terms, a surface that is empty, holds "," or does not
-    lower-case to its term, or a count below 1. Calls in C check each
-    document whole, and only a document they flag is looked at cell by
-    cell."""
+    """Each document's doc id, surfaces and counts, sorted by term. A
+    document that `load` would give back changed raises DataError."""
     for doc in corpus.documents:
         counts, surfaces = doc.term_counts, doc.surfaces
+        terms = sorted(counts)
         try:
-            cells = ",".join([f"{surfaces[term]}:{counts[term]}" for term in sorted(counts)])
+            names = [*map(surfaces.__getitem__, terms)]
         except KeyError:  # a term without a surface
-            cells = None
-        if cells is None or len(surfaces) != len(counts) or counts and (
-                cells.count(",") >= len(counts) or "" in surfaces.values()
-                or min(counts.values()) < 1
-                or [*map(str.lower, surfaces.values())] != [*surfaces]):
-            raise DataError(f"cannot write index {path}: {_bad_cell(doc)}")
-        yield doc.doc_id, cells
+            names = None
+        if names is None or len(surfaces) != len(counts) or [*map(str.lower, names)] != terms:
+            raise DataError(f"cannot write index {path}: {_changed(doc)}")
+        yield doc.doc_id, names, [*map(counts.__getitem__, terms)]
 
 
 def save(corpus: Corpus, path) -> None:
@@ -490,44 +474,20 @@ def save(corpus: Corpus, path) -> None:
     give back changed raises DataError, and the previous file stays."""
     checksum = {"docs": corpus.n_docs, "terms": sum(doc.length for doc in corpus.documents)}
     header = {key: getattr(corpus.meta, key) for key in _HEADER_KEYS}
-    artifact.save(path, "index", header, _records(corpus, path), checksum)
+    artifact.save(path, "index", header, _records(corpus, path), checksum, _NOUNS)
 
 
 def load(path) -> Corpus:
     """Read a corpus that `save` wrote.
 
-    Only each document's `term_counts` is decoded here; its `surfaces` are
-    decoded from its record on first read (see `Document`). Each distinct
-    cell is decoded and checked once per call, so every document holding
-    the same `surface:count` cell shares one normalized-term string; a
-    surface that is already lower-case is its own normalized term. Every
-    refusal happens here, whatever is read later: an empty surface or a
-    count below 1, naming the first such cell, and a checksum mismatch.
+    Only each document's `term_counts` is decoded here, keyed by surface
+    lower-cased; its `surfaces` are decoded from its record on first read
+    (see `Document`). Every refusal happens here, whatever is read later: a
+    cell that breaks the artifact's cell rule, and a checksum mismatch.
     """
-    header, records, declared = artifact.load(path, "index", _HEADER_KEYS, ("docs", "terms"))
-    documents: list[Document] = []
-    decoded: dict[str, tuple[str, int]] = {}
-    try:
-        for doc_id, cells in records:
-            counts: dict[str, int] = {}
-            if cells:
-                for cell in cells.split(","):
-                    entry = decoded.get(cell)
-                    if entry is None:
-                        surface, _, count = cell.rpartition(":")
-                        count = int(count)
-                        if not surface:
-                            raise ValueError(f"document {doc_id!r} has a term without a name")
-                        if count < 1:
-                            raise ValueError(f"term {surface!r} has count {count}, below 1")
-                        norm = surface.lower()
-                        entry = decoded[cell] = (surface if norm == surface else norm, count)
-                    norm, count = entry
-                    counts[norm] = count
-            documents.append(Document._loaded(doc_id, counts, cells))
-    except ValueError as exc:
-        raise CorruptFileError(f"unparseable index line in {path}: {exc}") from exc
-
+    header, records, declared = artifact.load(path, "index", _HEADER_KEYS, ("docs", "terms"),
+                                              _NOUNS, str.lower)
+    documents = [Document._loaded(*record) for record in records]
     found = {"docs": len(documents), "terms": sum(doc.length for doc in documents)}
     if found != declared:
         raise CorruptFileError(f"{path}: checksum mismatch, declared {declared}, found {found}")

@@ -1,8 +1,9 @@
 """Print the score bits and report digests of the evaluate fixture.
 
 Builds the `tests/data/evaluate` database and index, saves both to a
-temporary directory and loads them back, so the scores come through the
-load path and the surfaces a loaded index decodes on first read. For every
+temporary directory, prints the sha256 of each saved file and loads them
+back, so the scores come through the load path and the surfaces a loaded
+index decodes on first read. For every
 query it prints `float.hex` of each search score of the baseline terms, of
 the top-1, top-5 and top-10 scores of those terms, each from a fresh
 `Searcher` and so through the pruned top-n path, of each expansion score
@@ -57,6 +58,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         adjacency.save(db, Path(tmp, "adjacency.db"))
         corpus_mod.save(corpus, Path(tmp, "index.txt"))
+        for name in ("adjacency.db", "index.txt"):
+            print(name, hashlib.sha256(Path(tmp, name).read_bytes()).hexdigest())
         db = adjacency.load(Path(tmp, "adjacency.db"))
         corpus = corpus_mod.load(Path(tmp, "index.txt"))
     queries = parse_queries_tsv(EVAL_DATA / "queries.tsv")

@@ -182,7 +182,7 @@ def test_save_refuses_what_load_refuses_and_keeps_the_previous_file(workdir, mod
     ("", 1, "document 'src/A.java#1:run' has a term without a name"),
     ("b", 0, "term 'b' of document 'src/A.java#1:run' has count 0, below 1"),
     ("b", -2, "term 'b' of document 'src/A.java#1:run' has count -2, below 1"),
-    ("a\tb", 1, "a cell of 'src/A.java#1:run' holds a tab"),
+    ("a\tb", 1, "document 'src/A.java#1:run' has a term 'a\\tb' holding a tab"),
 ], ids=["comma", "unnamed", "zero", "negative", "tab"])
 def test_index_save_names_the_document_load_would_refuse(tmp_path, surface, count, message):
     path = tmp_path / "index.txt"
@@ -222,9 +222,9 @@ def test_index_save_refuses_a_document_load_would_change(tmp_path, counts, surfa
 @pytest.mark.parametrize("neighbor, count, message", [
     ("a,b", 1, "word 'bar' has a neighbor 'a,b' holding ','"),
     ("", 1, "word 'bar' has a neighbor without a name"),
-    ("foo", 0, "neighbor 'foo' of 'bar' has count 0, below 1"),
-    ("foo", -1, "neighbor 'foo' of 'bar' has count -1, below 1"),
-    ("a\tb", 1, "a cell of 'bar' holds a tab"),
+    ("foo", 0, "neighbor 'foo' of word 'bar' has count 0, below 1"),
+    ("foo", -1, "neighbor 'foo' of word 'bar' has count -1, below 1"),
+    ("a\tb", 1, "word 'bar' has a neighbor 'a\\tb' holding a tab"),
 ], ids=["comma", "unnamed", "zero", "negative", "tab"])
 def test_database_save_names_the_word_load_would_refuse(tmp_path, neighbor, count, message):
     path = tmp_path / "db.txt"
@@ -237,20 +237,62 @@ def test_database_save_names_the_word_load_would_refuse(tmp_path, neighbor, coun
     assert path.read_bytes() == before
 
 
+# A name held twice in one record, or a database word with two records,
+# would load with one of them dropped, and the checksum is counted after
+# the drop; `save` writes neither, so `load` refuses both.
 @pytest.mark.parametrize("module, text, message", [
     (corpus, "#source=\n#stoplist_sha=\n#keywords_sha=\n"
              "d1\tbar:1\nd2\tfoo:0,bar:-1\n#docs=2,terms=0\n",
-     "unparseable index line in {path}: term 'foo' has count 0, below 1"),
+     "unparseable index line in {path}: term 'foo' of document 'd2' has count 0, below 1"),
     (corpus, "#source=\n#stoplist_sha=\n#keywords_sha=\n"
              "d1\tbar:-1,:1\nd2\t:1\n#docs=2,terms=0\n",
-     "unparseable index line in {path}: term 'bar' has count -1, below 1"),
+     "unparseable index line in {path}: term 'bar' of document 'd1' has count -1, below 1"),
     (adjacency, "#window=2\n#stoplist_sha=\n#source=\n#binary=0\n"
                 "bar\tqux:2,zed:-1\nqux\tbar:0\n#pairs=0\n",
-     "unparseable database line in {path}: neighbor 'zed' of 'bar' has count -1, below 1"),
-], ids=["index", "index-unnamed-later", "database"])
+     "unparseable database line in {path}: neighbor 'zed' of word 'bar' has count -1, below 1"),
+    (corpus, "#source=\n#stoplist_sha=\n#keywords_sha=\nd1\tFoo:1,foo:2\n#docs=1,terms=2\n",
+     "unparseable index line in {path}: document 'd1' holds the term 'foo' twice"),
+    (corpus, "#source=\n#stoplist_sha=\n#keywords_sha=\nd1\tfoo:1,foo:1\n#docs=1,terms=1\n",
+     "unparseable index line in {path}: document 'd1' holds the term 'foo' twice"),
+    (adjacency, "#window=2\n#stoplist_sha=\n#source=\n#binary=0\n"
+                "bar\tqux:1,qux:1\nqux\tbar:1\n#pairs=1\n",
+     "unparseable database line in {path}: word 'bar' holds the neighbor 'qux' twice"),
+    (adjacency, "#window=2\n#stoplist_sha=\n#source=\n#binary=0\n"
+                "bar\tfoo:1\nbar\tqux:1\nfoo\tbar:1\nqux\tbar:1\n#pairs=1\n",
+     "unparseable database line in {path}: word 'bar' has two records"),
+], ids=["index", "index-unnamed-later", "database", "index-term-twice-up-to-case",
+        "index-cell-twice", "database-neighbor-twice", "database-word-twice"])
 def test_load_names_the_first_bad_cell(tmp_path, module, text, message):
     path = tmp_path / "artifact"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CorruptFileError) as err:
         module.load(path)
     assert str(err.value) == message.format(path=path)
+
+
+# The cell rule words each refusal one way, whether `save` or `load` meets
+# the cell that breaks it.
+@pytest.mark.parametrize("module, obj, text, reason", [
+    (corpus, Corpus([Document("d1", {"": 1}, {"": ""})]),
+     "#source=\n#stoplist_sha=\n#keywords_sha=\nd1\t:1\n#docs=1,terms=1\n",
+     "document 'd1' has a term without a name"),
+    (corpus, Corpus([Document("d1", {"foo": 0}, {"foo": "Foo"})]),
+     "#source=\n#stoplist_sha=\n#keywords_sha=\nd1\tFoo:0\n#docs=1,terms=0\n",
+     "term 'Foo' of document 'd1' has count 0, below 1"),
+    (adjacency, AdjacencyDatabase({"bar": {"": 1}}),
+     "#window=2\n#stoplist_sha=\n#source=\n#binary=0\nbar\t:1\n#pairs=0\n",
+     "word 'bar' has a neighbor without a name"),
+    (adjacency, AdjacencyDatabase({"bar": {"zed": -1}}),
+     "#window=2\n#stoplist_sha=\n#source=\n#binary=0\nbar\tzed:-1\n#pairs=0\n",
+     "neighbor 'zed' of word 'bar' has count -1, below 1"),
+], ids=["index-unnamed", "index-count", "database-unnamed", "database-count"])
+def test_save_and_load_refuse_a_bad_cell_with_one_message(tmp_path, module, obj, text, reason):
+    path = tmp_path / "artifact"
+    what = "index" if module is corpus else "database"
+    with pytest.raises(DataError) as saved:
+        module.save(obj, path)
+    assert str(saved.value) == f"cannot write {what} {path}: {reason}"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorruptFileError) as loaded:
+        module.load(path)
+    assert str(loaded.value) == f"unparseable {what} line in {path}: {reason}"

@@ -567,8 +567,8 @@ def test_smallest_limit_and_top_are_accepted(tmp_path, capsys):
 # counts make up the sum; tf-idf takes its logarithm, so load refuses it.
 # A cell is split at its last ":", so one without a name is refused too.
 @pytest.mark.parametrize("cells, message", [
-    ("bar:1,foo:0", "term 'foo' has count 0, below 1"),
-    ("bar:2,foo:-1", "term 'foo' has count -1, below 1"),
+    ("bar:1,foo:0", "term 'foo' of document 'src/A.java#1:run' has count 0, below 1"),
+    ("bar:2,foo:-1", "term 'foo' of document 'src/A.java#1:run' has count -1, below 1"),
     ("bar:1,1", "document 'src/A.java#1:run' has a term without a name"),
 ], ids=["zero", "negative", "unnamed"])
 @pytest.mark.parametrize("command", ["search", "reformulate"])
@@ -596,9 +596,9 @@ BINARY_REMOVED = "build-db --binary was removed; rebuild the database"
 
 @pytest.mark.parametrize("binary, rows, message", [
     ("0", "bar\tfoo:0,qux:1\nfoo\tbar:0\nqux\tbar:1",
-     "neighbor 'foo' of 'bar' has count 0, below 1"),
+     "neighbor 'foo' of word 'bar' has count 0, below 1"),
     ("0", "bar\tfoo:-1,qux:2\nfoo\tbar:-1\nqux\tbar:2",
-     "neighbor 'foo' of 'bar' has count -1, below 1"),
+     "neighbor 'foo' of word 'bar' has count -1, below 1"),
     ("0", "bar\tqux:1,1\nqux\tbar:1", "word 'bar' has a neighbor without a name"),
     ("yes", "bar\tqux:1\nqux\tbar:1", f"binary must be 0, got 'yes': {BINARY_REMOVED}"),
     ("1", "bar\tqux:1\nqux\tbar:1", f"binary must be 0, got '1': {BINARY_REMOVED}"),

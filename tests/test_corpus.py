@@ -469,22 +469,3 @@ def test_a_loaded_index_equals_the_built_one_in_any_read_order(odd_dir, first_re
             else:
                 assert surface is shared.setdefault(surface, surface)
 
-
-HEADER = "#source=\n#stoplist_sha=\n#keywords_sha=\n"
-
-
-# A hand-made record may hold one term twice; its last cell wins, for the
-# surface as for the count. The saver that wrote such records counted both
-# cells in the checksum, so its files stay refused.
-def test_a_term_held_twice_loads_last_wins(tmp_path):
-    path = tmp_path / "index.txt"
-    path.write_text(HEADER + "d1\tFoo:1,foo:2\n#docs=1,terms=2\n", encoding="utf-8")
-    (doc,) = load(path).documents
-    assert doc.term_counts == {"foo": 2}
-    assert doc.surfaces == {"foo": "foo"}
-    assert doc == Document("d1", {"foo": 2}, {"foo": "foo"})
-    path.write_text(HEADER + "d1\tFoo:1,foo:2\n#docs=1,terms=3\n", encoding="utf-8")
-    with pytest.raises(CorruptFileError) as exc:
-        load(path)
-    assert str(exc.value) == (f"{path}: checksum mismatch, declared {{'docs': 1, 'terms': 3}}, "
-                              f"found {{'docs': 1, 'terms': 2}}")

@@ -1,4 +1,4 @@
-"""Scores and reports are the same bits on every supported interpreter.
+"""Artifacts, scores and reports are the same bits on every supported interpreter.
 
 Runs `determinism_probe.py` under this interpreter and under every other
 `python3.N` (N >= 10) on PATH that starts, and compares what they print.
@@ -47,5 +47,6 @@ def test_scores_and_reports_are_identical_across_interpreters():
         pytest.skip("no other python3.N interpreter starts")
     expected = probe(sys.executable)
     assert "report.json " in expected and " search 0x" in expected and " top10 0x" in expected
+    assert "adjacency.db " in expected and "index.txt " in expected
     for python in others:
         assert probe(python) == expected, python
