@@ -19,8 +19,8 @@ from .reformulate import (
     QueryRecord,
     Reformulation,
     reformulate,
+    rocchio_expand,
 )
-from .rocchio import rocchio_expand
 from .search import SearchHit, Searcher, rank_of_first_relevant
 from .textprep import StopList, TermSequence, Token, default_stoplist, preprocess
 

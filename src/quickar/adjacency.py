@@ -233,10 +233,6 @@ def load(path) -> AdjacencyDatabase:
                                               _NOUNS)
     entries = {word: nbrs for word, nbrs, _ in records}
     try:
-        if len(entries) != len(records):
-            # A later record of the same word replaced this one's row.
-            twice = next(word for word, nbrs, _ in records if entries[word] is not nbrs)
-            raise ValueError(f"word {twice!r} has two records")
         window = int(header["window"])
         if header["binary"] != "0":
             raise ValueError(f"binary must be 0, got {header['binary']!r}: build-db --binary "

@@ -19,12 +19,14 @@ ends with a line feed, so a cut anywhere shows.
 One cell rule holds for both artifacts. A record's cells are `name:count`
 joined by "," (a word's neighbors and their pair counts, a document's term
 surfaces and their term counts), each split at its last ":". The name is
-not empty and holds no ",", tab or line feed; the count is at least 1. Each
-name appears once per record (in the index, once up to case), and each
-database word has one record. `save` refuses a cell that breaks the rule
-before the previous file is replaced, and `load` refuses one it meets, with
-one message per rule that names the record and the cell in the owner's
-nouns. The owner checks its own rules and the checksum counts. The index's
+not empty and holds no ",", tab or line feed; the count is plain ASCII
+digits with no sign and no leading zero, at least 1. Each name appears
+once per record (in the index, once up to case), and each record's name
+once per file: a database word, or an index document, has one record.
+`save` refuses a cell or a record that breaks these rules before the
+previous file is replaced, and `load` refuses one it meets, with one
+message per rule that names the record and the cell in the owner's nouns.
+The owner checks its own rules and the checksum counts. The index's
 `#keywords_sha=` is informational: it is written and never checked.
 
 Files are written through `atomic_write`, so a failed write keeps the
@@ -42,13 +44,17 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import re
 import stat
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CorruptFileError, DataError
 
 _CHUNK = 1 << 16  # characters read at a time
+# A count as `save` writes an int; `load` refuses the other texts `int` reads.
+_COUNT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 @contextlib.contextmanager
@@ -121,10 +127,13 @@ def _checksum_line(counts: dict[str, int]) -> str:
     return "#" + ",".join(f"{key}={n}" for key, n in counts.items())
 
 
-def _refusal(nouns: tuple[str, str], name: str, cell_name: str, count: int) -> str:
+def _refusal(nouns: tuple[str, str], name: str, cell_name: str, count: int | str) -> str:
     """Why the cell rule refuses the cell `cell_name:count` of the record
-    `name`, in the owner's nouns for a record and a cell; "" if it does not."""
+    `name`, in the owner's nouns for a record and a cell; "" if it does not.
+    A str `count` is a count's text that is not as `save` writes an int."""
     record, cell = nouns
+    if isinstance(count, str):
+        return f"{cell} {cell_name!r} of {record} {name!r} has count {count!r}, not plain digits"
     if not cell_name:
         return f"{record} {name!r} has a {cell} without a name"
     for char, shown in ((",", "','"), ("\t", "a tab")):
@@ -139,6 +148,7 @@ def _record_lines(path, what: str, nouns: tuple[str, str],
                   records: Iterable[tuple[str, Sequence[str], Sequence[int]]]) -> Iterator[str]:
     """Each record's line. Calls in C check each record whole, and only a
     record they flag is looked at cell by cell."""
+    written: set[str] = set()
     for name, names, counts in records:
         cells = ",".join([f"{cell_name}:{count}" for cell_name, count in zip(names, counts)])
         if names and (cells.count(",") >= len(names) or "\t" in cells or "" in names
@@ -146,6 +156,9 @@ def _record_lines(path, what: str, nouns: tuple[str, str],
             reason = next(filter(None, (_refusal(nouns, name, cell_name, count)
                                         for cell_name, count in zip(names, counts))))
             raise DataError(f"cannot write {what} {path}: {reason}")
+        if name in written:
+            raise DataError(f"cannot write {what} {path}: {nouns[0]} {name!r} has two records")
+        written.add(name)
         yield f"{name}\t{cells}"
 
 
@@ -155,7 +168,8 @@ def save(path, what: str, header: dict[str, object],
     """Write the header, the records and the checksum to `path`; `what`
     names the artifact in errors. Each record is its name, its cells' names
     in write order and their counts. A cell that breaks the cell rule
-    raises DataError, as does a line feed anywhere."""
+    raises DataError, as do a name with two records and a line feed
+    anywhere."""
     lines = itertools.chain((f"#{key}={value}" for key, value in header.items()),
                             _record_lines(path, what, nouns, records),
                             [_checksum_line(checksum)])
@@ -187,8 +201,9 @@ def load(path, what: str, header_keys: tuple[str, ...], checksum_keys: tuple[str
 
     A cell's key is `key_of` its name, or its name, and a key equal to the
     name is the name itself. Each distinct cell is decoded and checked once
-    per call, so every record holding it shares one key string. A missing
-    or misplaced line, or the first cell that breaks the cell rule, raises
+    per call, so every record holding it shares one key string, and each
+    distinct count text is read once. A missing or misplaced line, the
+    first cell that breaks the cell rule, or a name with two records raises
     CorruptFileError; whether the counts match is for the caller to check.
     """
     lines = list(read_lines(path, what))
@@ -214,6 +229,7 @@ def load(path, what: str, header_keys: tuple[str, ...], checksum_keys: tuple[str
     records: list = [line.rpartition("\t") for line in lines[len(header_keys):-1]]
     del lines
     decoded: dict[str, tuple[str, int]] = {}
+    parsed: dict[str, int] = {}  # each count's text, read as `save` writes it
     try:
         for index, (name, tab, cells) in enumerate(records):
             if not tab:
@@ -224,8 +240,12 @@ def load(path, what: str, header_keys: tuple[str, ...], checksum_keys: tuple[str
                 for cell in split:
                     entry = decoded.get(cell)
                     if entry is None:
-                        cell_name, _, count = cell.rpartition(":")
-                        count = int(count)
+                        cell_name, _, text = cell.rpartition(":")
+                        count = parsed.get(text)
+                        if count is None:
+                            if not _COUNT_TEXT.fullmatch(text):
+                                raise ValueError(_refusal(nouns, name, cell_name, text))
+                            count = parsed[text] = int(text)
                         if not cell_name or count < 1:
                             raise ValueError(_refusal(nouns, name, cell_name, count))
                         if key_of is not None and (key := key_of(cell_name)) != cell_name:
@@ -238,6 +258,10 @@ def load(path, what: str, header_keys: tuple[str, ...], checksum_keys: tuple[str
                     twice = next(k for i, k in enumerate(keys) if k in keys[:i])
                     raise ValueError(f"{nouns[0]} {name!r} holds the {nouns[1]} {twice!r} twice")
             records[index] = name, row, cells
+        names = [record[0] for record in records]
+        if len(set(names)) != len(names):
+            twice = next(name for name, n in Counter(names).items() if n > 1)
+            raise ValueError(f"{nouns[0]} {twice!r} has two records")
     except ValueError as exc:
         raise CorruptFileError(f"unparseable {what} line in {path}: {exc}") from exc
     return header, records, counts

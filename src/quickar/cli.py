@@ -19,8 +19,8 @@ from pathlib import Path
 from . import __version__, adjacency, corpus as corpus_mod, evaluate as eval_mod
 from .errors import CorruptFileError, DataError, QuickarError
 from .nouns import default_noun_oracle
-from .reformulate import MODES, MODE_ALL, MODE_REDUCE, Params, QueryRecord, reformulate
-from .rocchio import rocchio_expand
+from .reformulate import (MODES, MODE_ALL, MODE_REDUCE, MODE_ROCCHIO, Params, QueryRecord,
+                          reformulate, rocchio_expand)
 from .search import searcher_for
 from .textprep import SPLIT_AND_KEEP_WHOLE, load_language_keywords, load_stoplist, preprocess
 
@@ -45,14 +45,6 @@ class Config:
     params: Params = Params()
     mode: str = MODE_ALL
 
-    def validate(self) -> None:
-        if self.window < 2:
-            raise DataError(f"window must be >= 2, got {self.window}")
-        if min(self.params.top_docs, self.params.top_k, self.params.budget) < 1:
-            raise DataError("top_docs, top_k and query_budget must be >= 1")
-        if self.mode not in MODES:
-            raise DataError(f"mode must be one of {MODES}, got {self.mode!r}")
-
 
 def load_config(path: str | None) -> Config:
     cfg = Config()
@@ -69,22 +61,29 @@ def load_config(path: str | None) -> Config:
         if unknown:
             raise DataError(f"{path}: unknown key {unknown[0]!r} in [quickar]")
 
-        def integer(key: str, default: int) -> int:
+        def integer(key: str, default: int, minimum: int) -> int:
             value = section.get(key)
+            if value is None:
+                return default
             try:
-                return default if value is None else int(value)
+                number = int(value)
             except ValueError:
                 raise DataError(f"{path}: {key} must be an integer, got {value!r}") from None
+            if number < minimum:
+                raise DataError(f"{path}: {key} must be at least {minimum}, got {number}")
+            return number
 
         cfg.stoplist_path = section.get("stoplist_path", cfg.stoplist_path)
         cfg.keywords_path = section.get("keywords_path", cfg.keywords_path)
-        cfg.window = integer("window", cfg.window)
+        cfg.window = integer("window", cfg.window, 2)
         cfg.params = Params(
-            top_docs=integer("top_docs", cfg.params.top_docs),
-            top_k=integer("top_k", cfg.params.top_k),
-            budget=integer("query_budget", cfg.params.budget),
+            top_docs=integer("top_docs", cfg.params.top_docs, 1),
+            top_k=integer("top_k", cfg.params.top_k, 1),
+            budget=integer("query_budget", cfg.params.budget, 1),
         )
         cfg.mode = section.get("mode", cfg.mode)
+        if cfg.mode not in MODES:
+            raise DataError(f"{path}: mode must be one of {', '.join(MODES)}, got {cfg.mode!r}")
     except UnicodeDecodeError as exc:
         raise CorruptFileError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
@@ -156,7 +155,7 @@ def build_parser() -> _Parser:
     p.add_argument("--query", required=True, help="change-request title")
     p.add_argument("--mode", choices=MODES, default=None,
                    help="expansion source of the quickar strategy")
-    p.add_argument("--strategy", choices=("quickar", "rocchio"), default="quickar",
+    p.add_argument("--strategy", choices=("quickar", MODE_ROCCHIO), default="quickar",
                    help="rocchio runs the baseline, which reads neither --db nor --mode "
                         "and ignores a config-file mode")
     p.add_argument("--stoplist", default=None, metavar="FILE")
@@ -254,7 +253,7 @@ def _cmd_reformulate(args, cfg: Config) -> int:
     index = corpus_mod.load(args.index)
     query = QueryRecord(query_id="cli", text=args.query)
 
-    if args.strategy == "rocchio":
+    if args.strategy == MODE_ROCCHIO:
         # The baseline reads no crowd knowledge, so --db is not loaded. A
         # config-file mode is the quickar strategy's default, so it is
         # ignored here, as evaluate ignores it.
@@ -324,8 +323,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "reformulate":
-        if args.strategy == "rocchio" and args.mode is not None:
-            parser.error("argument --mode: not allowed with argument --strategy rocchio")
+        if args.strategy == MODE_ROCCHIO and args.mode is not None:
+            parser.error(f"argument --mode: not allowed with argument --strategy {MODE_ROCCHIO}")
         if args.strategy == "quickar" and args.db is None:
             parser.error("argument --db: required by --strategy quickar")
     if args.command == "build-db" and not args.tag.strip():
@@ -337,7 +336,6 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         cfg = load_config(args.config)
-        cfg.validate()
         return _COMMANDS[args.command](args, cfg)
     except QuickarError as exc:
         print(f"quickar {args.command}: error: {exc}", file=sys.stderr)

@@ -483,7 +483,8 @@ def load(path) -> Corpus:
     Only each document's `term_counts` is decoded here, keyed by surface
     lower-cased; its `surfaces` are decoded from its record on first read
     (see `Document`). Every refusal happens here, whatever is read later: a
-    cell that breaks the artifact's cell rule, and a checksum mismatch.
+    cell that breaks the artifact's cell rule, a doc id with two records,
+    and a checksum mismatch.
     """
     header, records, declared = artifact.load(path, "index", _HEADER_KEYS, ("docs", "terms"),
                                               _NOUNS, str.lower)

@@ -24,6 +24,7 @@ from .nouns import NounOracle
 from .reformulate import (
     MODE_ALL,
     MODE_REDUCE,
+    MODE_ROCCHIO,
     MODES,
     Params,
     QueryRecord,
@@ -31,8 +32,8 @@ from .reformulate import (
     collect_keywords,
     reformulations,
     render_terms,
+    rocchio_expand,
 )
-from .rocchio import rocchio_expand
 from .search import Searcher, searcher_for
 from .textprep import StopList, tokenize
 
@@ -47,7 +48,7 @@ RETRIEVED_BUCKETS = (IMPROVED, WORSENED, PRESERVED)
 
 # Evaluation strategies. The first four are reformulation modes, "rocchio"
 # is the feedback baseline, "prep" is the preprocessed title (no expansion).
-STRATEGIES = MODES + ("rocchio", "prep")
+STRATEGIES = MODES + (MODE_ROCCHIO, "prep")
 
 POOR_RANK_THRESHOLD = 10
 
@@ -266,13 +267,11 @@ def evaluate_strategy(
                     reduced_rank = mode_rank(query, MODE_REDUCE)
                     if reduced_rank is not None and reduced_rank < baseline:
                         rank = reduced_rank
+            elif strategy == MODE_ROCCHIO:
+                rank = ranked(query, rocchio_expand(query, corpus, params, stops=stops,
+                                                    searcher=searcher).rendered_query.normalized())
             else:
-                if strategy == "prep":
-                    rendered = render_terms(collect_keywords(query, stops))
-                else:
-                    rendered = rocchio_expand(query, corpus, params, stops=stops,
-                                              searcher=searcher).rendered_query
-                rank = ranked(query, rendered.normalized())
+                rank = ranked(query, render_terms(collect_keywords(query, stops)).normalized())
         except QueryEmptyError as exc:
             rank, reason = None, str(exc)
         else:

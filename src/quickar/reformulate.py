@@ -12,6 +12,9 @@ The pipeline for one change-request title:
    non-nominal ones and min-max normalize what is left, which is all that
    becomes a `CandidateScore`; each mode merges the shortlists it draws on
    and appends up to the 10-term query budget
+
+The Rocchio pseudo-relevance-feedback baseline mines, keeps and renders
+through the same helpers, with no reduction, crowd or nominal filter.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .adjacency import AdjacencyDatabase
-from .corpus import Corpus
+from .corpus import Corpus, Document
 from .errors import QueryEmptyError
 from .nouns import NounOracle
 from .search import Searcher, searcher_for
@@ -44,10 +47,12 @@ MODE_PROJECT = "p"      # project candidates only
 MODE_CROWD = "so"       # crowd candidates only
 MODE_REDUCE = "red"     # reduction only, no expansion
 MODES = (MODE_ALL, MODE_PROJECT, MODE_CROWD, MODE_REDUCE)
+MODE_ROCCHIO = "rocchio"  # the feedback baseline's, not a reformulation mode
 
 # Candidate sources.
 SOURCE_PROJECT = "project"
 SOURCE_CROWD = "crowd"
+SOURCE_FEEDBACK = "feedback"
 
 
 @dataclass(frozen=True)
@@ -95,18 +100,35 @@ class Reformulation:
         return " ".join(render_terms(self.keywords).surfaces())
 
 
-def _is_identifier(token: Token) -> bool:
-    """Camel parts and multi-part camel surfaces came from identifiers."""
-    return token.origin == CAMEL_PART or len(split_camel(token.surface)) > 1
+def _candidate_is_nominal(term: str, surface: str, oracle: NounOracle) -> bool:
+    # Identifier-derived terms name things; only plain words face the oracle.
+    return len(split_camel(surface)) > 1 or oracle.is_noun(term)
 
 
 def _token_is_nominal(token: Token, oracle: NounOracle) -> bool:
-    # Identifier-derived terms name things; only plain words face the oracle.
-    return _is_identifier(token) or oracle.is_noun(token.normalized)
+    # A camel part came from an identifier even when its surface is one word.
+    return token.origin == CAMEL_PART or _candidate_is_nominal(token.normalized, token.surface,
+                                                               oracle)
 
 
-def _candidate_is_nominal(term: str, surface: str, oracle: NounOracle) -> bool:
-    return len(split_camel(surface)) > 1 or oracle.is_noun(term)
+def _top_documents(searcher: Searcher, words: list[str], top_docs: int) -> list[Document]:
+    """The documents of the top `top_docs` hits of `words`, in rank order."""
+    return [searcher.document(hit.doc_id) for hit in searcher.search(words, top_n=top_docs)]
+
+
+def _top_k(scores: dict[str, float], k: int) -> list[tuple[str, float]]:
+    """The `k` highest-scored `(term, score)` pairs, by descending score,
+    ties by ascending term."""
+    return [(term, -neg_score) for neg_score, term
+            in heapq.nsmallest(k, zip(map(operator.neg, scores.values()), scores))]
+
+
+def _render(query: QueryRecord, mode: str, keywords: TermSequence,
+            expansions: list[CandidateScore]) -> Reformulation:
+    """The reformulation of `query` that appends `expansions`, by their
+    surfaces, to `keywords`, rendered camel-dual."""
+    rendered = render_terms(keywords + [Token.from_surface(c.surface, WHOLE) for c in expansions])
+    return Reformulation(query.query_id, mode, keywords, expansions, rendered)
 
 
 def collect_keywords(query: QueryRecord, stops: StopList) -> TermSequence:
@@ -154,11 +176,9 @@ def project_candidates(
     keywords themselves. An empty retrieval yields an empty mapping.
     """
     words = keywords.normalized()
-    hits = searcher.search(words, top_n=top_docs)
     exclude = set(words)
     found: dict[str, str] = {}
-    for hit in hits:
-        doc = searcher.document(hit.doc_id)
+    for doc in _top_documents(searcher, words, top_docs):
         for term in sorted(doc.term_counts):
             if term not in exclude:
                 found.setdefault(term, doc.surfaces[term])
@@ -218,12 +238,11 @@ def shortlist(
     surface is `surfaces[term]`, or the term itself without `surfaces`.
     Only the survivors become `CandidateScore`s.
     """
-    ranked = heapq.nsmallest(top_k, zip(map(operator.neg, scores.values()), scores))
     kept = []
-    for neg_score, term in ranked:
+    for term, score in _top_k(scores, top_k):
         surface = surfaces[term] if surfaces is not None else term
         if _candidate_is_nominal(term, surface, oracle):
-            kept.append((term, surface, -neg_score))
+            kept.append((term, surface, score))
     if len(kept) < 2:
         values = [1.0] * len(kept)
     else:
@@ -304,13 +323,8 @@ def reformulations(
 
     shortlists = {MODE_ALL: (project, crowd), MODE_PROJECT: (project, []),
                   MODE_CROWD: ([], crowd), MODE_REDUCE: ([], [])}
-    out = {}
-    for mode, (from_project, from_crowd) in shortlists.items():
-        expansions = select_and_combine(from_project, from_crowd)[:need]
-        rendered = render_terms(
-            reduced + [Token.from_surface(c.surface, WHOLE) for c in expansions])
-        out[mode] = Reformulation(query.query_id, mode, reduced, expansions, rendered)
-    return out
+    return {mode: _render(query, mode, reduced, select_and_combine(*pair)[:need])
+            for mode, pair in shortlists.items()}
 
 
 def reformulate(
@@ -329,3 +343,39 @@ def reformulate(
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     return reformulations(query, corpus, db, stops=stops, oracle=oracle, params=params,
                           searcher=searcher)[mode]
+
+
+def rocchio_expand(
+    query: QueryRecord,
+    corpus: Corpus,
+    params: Params = Params(),
+    *,
+    stops: StopList,
+    searcher: Searcher | None = None,
+) -> Reformulation:
+    """The Rocchio baseline: expand the unreduced keywords with the strongest
+    terms of their top retrieved documents, up to the query budget.
+
+    Each non-keyword term scores its tf'*idf weight (the retriever's own:
+    tf' = 1 + ln count, smoothed idf) summed over the documents in rank order;
+    the top `budget - len(keywords)` by score, ties by term, become expansions,
+    with no nominal filter. An empty retrieval returns the keyword query
+    unchanged. Raises QueryEmptyError when the title has no usable keywords
+    at all.
+    """
+    if searcher is None:
+        searcher = searcher_for(corpus)
+    keywords = collect_keywords(query, stops)
+    words = keywords.normalized()
+    exclude = set(words)
+    totals: dict[str, float] = {}
+    surfaces: dict[str, str] = {}
+    for doc in _top_documents(searcher, words, params.top_docs):
+        for term, weight in searcher.tf_idf(doc.term_counts).items():
+            if term in exclude:
+                continue
+            totals[term] = totals.get(term, 0.0) + weight
+            surfaces.setdefault(term, doc.surfaces[term])
+    expansions = [CandidateScore(term, surfaces[term], SOURCE_FEEDBACK, score)
+                  for term, score in _top_k(totals, max(0, params.budget - len(keywords)))]
+    return _render(query, MODE_ROCCHIO, keywords, expansions)

@@ -38,7 +38,7 @@ from quickar.evaluate import (  # noqa: E402
 )
 from quickar.nouns import default_noun_oracle  # noqa: E402
 from quickar.reformulate import MODE_ALL, reformulations  # noqa: E402
-from quickar.rocchio import rocchio_expand  # noqa: E402
+from quickar.reformulate import rocchio_expand  # noqa: E402
 from quickar.search import Searcher, searcher_for  # noqa: E402
 from quickar.textprep import default_language_keywords, default_stoplist  # noqa: E402
 

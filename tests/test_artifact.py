@@ -35,7 +35,8 @@ def documents(draw):
                     surfaces={t: s for t, (s, _) in by_term.items()})
 
 
-corpora = st.builds(Corpus, st.lists(documents(), max_size=6),
+# A saved index holds each doc id once.
+corpora = st.builds(Corpus, st.lists(documents(), max_size=6, unique_by=lambda doc: doc.doc_id),
                     st.builds(CorpusMeta, NAME, NAME, NAME))
 
 
@@ -237,9 +238,10 @@ def test_database_save_names_the_word_load_would_refuse(tmp_path, neighbor, coun
     assert path.read_bytes() == before
 
 
-# A name held twice in one record, or a database word with two records,
-# would load with one of them dropped, and the checksum is counted after
-# the drop; `save` writes neither, so `load` refuses both.
+# A name held twice in one record, or a database word or an index document
+# with two records, would load with one of them dropped or shadowed, and the
+# checksum is counted after the drop; `save` writes none, so `load` refuses
+# them all.
 @pytest.mark.parametrize("module, text, message", [
     (corpus, "#source=\n#stoplist_sha=\n#keywords_sha=\n"
              "d1\tbar:1\nd2\tfoo:0,bar:-1\n#docs=2,terms=0\n",
@@ -260,8 +262,11 @@ def test_database_save_names_the_word_load_would_refuse(tmp_path, neighbor, coun
     (adjacency, "#window=2\n#stoplist_sha=\n#source=\n#binary=0\n"
                 "bar\tfoo:1\nbar\tqux:1\nfoo\tbar:1\nqux\tbar:1\n#pairs=1\n",
      "unparseable database line in {path}: word 'bar' has two records"),
+    (corpus, "#source=\n#stoplist_sha=\n#keywords_sha=\nd\talpha:1\nd\tBeta:2\n#docs=2,terms=3\n",
+     "unparseable index line in {path}: document 'd' has two records"),
 ], ids=["index", "index-unnamed-later", "database", "index-term-twice-up-to-case",
-        "index-cell-twice", "database-neighbor-twice", "database-word-twice"])
+        "index-cell-twice", "database-neighbor-twice", "database-word-twice",
+        "index-document-twice"])
 def test_load_names_the_first_bad_cell(tmp_path, module, text, message):
     path = tmp_path / "artifact"
     path.write_text(text, encoding="utf-8")
@@ -285,7 +290,12 @@ def test_load_names_the_first_bad_cell(tmp_path, module, text, message):
     (adjacency, AdjacencyDatabase({"bar": {"zed": -1}}),
      "#window=2\n#stoplist_sha=\n#source=\n#binary=0\nbar\tzed:-1\n#pairs=0\n",
      "neighbor 'zed' of word 'bar' has count -1, below 1"),
-], ids=["index-unnamed", "index-count", "database-unnamed", "database-count"])
+    (corpus, Corpus([Document("d", {"alpha": 1}, {"alpha": "alpha"}),
+                     Document("d", {"beta": 2}, {"beta": "Beta"})]),
+     "#source=\n#stoplist_sha=\n#keywords_sha=\nd\talpha:1\nd\tBeta:2\n#docs=2,terms=3\n",
+     "document 'd' has two records"),
+], ids=["index-unnamed", "index-count", "database-unnamed", "database-count",
+        "index-document-twice"])
 def test_save_and_load_refuse_a_bad_cell_with_one_message(tmp_path, module, obj, text, reason):
     path = tmp_path / "artifact"
     what = "index" if module is corpus else "database"
@@ -296,3 +306,25 @@ def test_save_and_load_refuse_a_bad_cell_with_one_message(tmp_path, module, obj,
     with pytest.raises(CorruptFileError) as loaded:
         module.load(path)
     assert str(loaded.value) == f"unparseable {what} line in {path}: {reason}"
+
+
+# `save` writes a count as the plain ASCII digits of an int; `load` refuses
+# any other text for one, even a text `int` reads, naming the record and
+# the cell.
+@pytest.mark.parametrize("count", ["+1", "\u0663", " 2", "01", "1_0", "-0", "1 ", ""],
+                         ids=["sign", "arabic-indic", "space", "leading-zero", "underscore",
+                              "minus-zero", "trailing-space", "empty"])
+@pytest.mark.parametrize("module, text, reason", [
+    (corpus, "#source=\n#stoplist_sha=\n#keywords_sha=\nd1\tfoo:1,bar:{count}\n#docs=1,terms=2\n",
+     "term 'bar' of document 'd1' has count {count!r}, not plain digits"),
+    (adjacency, "#window=2\n#stoplist_sha=\n#source=\n#binary=0\n"
+                "bar\tqux:{count}\nqux\tbar:1\n#pairs=1\n",
+     "neighbor 'qux' of word 'bar' has count {count!r}, not plain digits"),
+], ids=["index", "database"])
+def test_load_refuses_a_count_save_would_not_write(tmp_path, module, text, reason, count):
+    path = tmp_path / "artifact"
+    path.write_text(text.format(count=count), encoding="utf-8")
+    what = "index" if module is corpus else "database"
+    with pytest.raises(CorruptFileError) as err:
+        module.load(path)
+    assert str(err.value) == f"unparseable {what} line in {path}: {reason.format(count=count)}"

@@ -14,7 +14,7 @@ from quickar import corpus
 from quickar.cli import load_config, main
 from quickar.corpus import build_corpus
 from quickar.reformulate import MODES, Params, QueryRecord
-from quickar.rocchio import rocchio_expand
+from quickar.reformulate import rocchio_expand
 from quickar.textprep import default_language_keywords, default_stoplist
 
 
@@ -462,8 +462,14 @@ def test_config_file_values_are_read(tmp_path):
     (b"[quickar]\nstoplist_path = stop%.txt\n", "config file {}: '%' must be followed by"),
     (b"[quickar]\ntop_doc = 1\nquery_budgte = 2\n", "{}: unknown key 'top_doc' in [quickar]"),
     (b"[DEFAULT]\nwindw = 3\n[quickar]\nwindow = 3\n", "{}: unknown key 'windw' in [quickar]"),
+    (b"[quickar]\nwindow = 1\n", "{}: window must be at least 2, got 1"),
+    (b"[quickar]\ntop_docs = 0\n", "{}: top_docs must be at least 1, got 0"),
+    (b"[quickar]\ntop_k = -1\n", "{}: top_k must be at least 1, got -1"),
+    (b"[quickar]\nquery_budget = 0\n", "{}: query_budget must be at least 1, got 0"),
+    (b"[quickar]\nmode = rocchio\n", "{}: mode must be one of all, p, so, red, got 'rocchio'"),
 ], ids=["not-utf8", "no-section-header", "window", "top_docs", "top_k", "query_budget",
-        "bad-interpolation", "unknown-key", "unknown-default-key"])
+        "bad-interpolation", "unknown-key", "unknown-default-key", "window-range",
+        "top_docs-range", "top_k-range", "query_budget-range", "mode"])
 def test_unreadable_config_is_a_data_error(tmp_path, capsys, content, message):
     config = tmp_path / "quickar.ini"
     config.write_bytes(content)

@@ -1,7 +1,8 @@
 """Artifacts, scores and reports are the same bits on every supported interpreter.
 
 Runs `determinism_probe.py` under this interpreter and under every other
-`python3.N` (N >= 10) on PATH that starts, and compares what they print.
+`python3.N` (N >= 10) on PATH or installed by pyenv that starts, and
+compares what they print.
 Skips when no other interpreter starts.
 """
 
@@ -19,21 +20,36 @@ PROBE = Path(__file__).with_name("determinism_probe.py")
 
 
 def other_interpreters() -> list[str]:
-    """The first `python3.N` of each minor version N >= 10 on PATH, other
-    than this interpreter's, whose `-c pass` exits 0."""
+    """For each minor version N >= 10 other than this interpreter's, the
+    first `python3.N` whose `-c pass` exits 0, looked for on PATH and then
+    in `$PYENV_ROOT/versions/*/bin`. A pyenv shim on PATH that fails to
+    start does not hide the interpreter pyenv installed."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    directories = os.environ.get("PATH", "").split(os.pathsep)
+    directories += sorted(str(bin_dir) for bin_dir in pyenv.glob("*/bin"))
     found: dict[int, str] = {}
-    for directory in os.environ.get("PATH", "").split(os.pathsep):
+    for directory in directories:
         try:
             names = sorted(os.listdir(directory or "."))
         except OSError:
             continue
         for name in names:
             match = re.fullmatch(r"python3\.(\d+)", name)
-            if match and int(match[1]) >= 10 and int(match[1]) != sys.version_info.minor:
-                found.setdefault(int(match[1]), os.path.join(directory, name))
-    return [python for _, python in sorted(found.items())
-            if subprocess.run([python, "-c", "pass"], capture_output=True,
-                              timeout=60).returncode == 0]
+            minor = int(match[1]) if match else 0
+            if minor < 10 or minor == sys.version_info.minor or minor in found:
+                continue
+            python = os.path.join(directory, name)
+            if _starts(python):
+                found[minor] = python
+    return [python for _, python in sorted(found.items())]
+
+
+def _starts(python: str) -> bool:
+    try:
+        return subprocess.run([python, "-c", "pass"], capture_output=True,
+                              timeout=60).returncode == 0
+    except OSError:  # not executable, or a dangling link
+        return False
 
 
 def probe(python: str) -> str:

@@ -44,7 +44,7 @@ from quickar.reformulate import (
     select_and_combine,
     shortlist,
 )
-from quickar.rocchio import rocchio_expand
+from quickar.reformulate import rocchio_expand
 from quickar.search import Searcher, searcher_for
 from quickar.textprep import (
     SPLIT_AND_KEEP_WHOLE,

@@ -9,7 +9,7 @@ import pytest
 from oracles import dense_cosine_ranking, rocchio_term_ranking
 from quickar.errors import QueryEmptyError
 from quickar.reformulate import Params, QueryRecord
-from quickar.rocchio import rocchio_expand
+from quickar.reformulate import rocchio_expand
 
 from conftest import WORD_POOL, make_corpus
 
