@@ -218,8 +218,8 @@ def save(db: AdjacencyDatabase, path) -> None:
     the checksum. A row that `load` would refuse raises DataError, and the
     previous file stays."""
     header = {key: getattr(db.meta, key) for key in _HEADER_KEYS[:-1]} | {"binary": 0}
-    artifact.save(path, "database", header, _records(db), {"pairs": db.total_pair_count},
-                  _NOUNS)
+    artifact.save(path, "database", header, _records(db), _NOUNS,
+                  lambda: {"pairs": db.total_pair_count})
 
 
 def load(path) -> AdjacencyDatabase:

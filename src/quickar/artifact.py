@@ -20,7 +20,8 @@ One cell rule holds for both artifacts. A record's cells are `name:count`
 joined by "," (a word's neighbors and their pair counts, a document's term
 surfaces and their term counts), each split at its last ":". The name is
 not empty and holds no ",", tab or line feed; the count is plain ASCII
-digits with no sign and no leading zero, at least 1. Each name appears
+digits with no sign and no leading zero, at least 1, and `save` takes it
+as an int, not as a bool, a float or a text. Each name appears
 once per record (in the index, once up to case), and each record's name
 once per file: a database word, or an index document, has one record.
 `save` refuses a cell or a record that breaks these rules before the
@@ -127,12 +128,13 @@ def _checksum_line(counts: dict[str, int]) -> str:
     return "#" + ",".join(f"{key}={n}" for key, n in counts.items())
 
 
-def _refusal(nouns: tuple[str, str], name: str, cell_name: str, count: int | str) -> str:
+def _refusal(nouns: tuple[str, str], name: str, cell_name: str, count: object) -> str:
     """Why the cell rule refuses the cell `cell_name:count` of the record
     `name`, in the owner's nouns for a record and a cell; "" if it does not.
-    A str `count` is a count's text that is not as `save` writes an int."""
+    A `count` that is not an int, such as the text `load` met or a bool, is
+    not plain digits."""
     record, cell = nouns
-    if isinstance(count, str):
+    if type(count) is not int:
         return f"{cell} {cell_name!r} of {record} {name!r} has count {count!r}, not plain digits"
     if not cell_name:
         return f"{record} {name!r} has a {cell} without a name"
@@ -145,14 +147,15 @@ def _refusal(nouns: tuple[str, str], name: str, cell_name: str, count: int | str
 
 
 def _record_lines(path, what: str, nouns: tuple[str, str],
-                  records: Iterable[tuple[str, Sequence[str], Sequence[int]]]) -> Iterator[str]:
-    """Each record's line. Calls in C check each record whole, and only a
-    record they flag is looked at cell by cell."""
+                  records: Iterable[tuple[str, Sequence[str], Sequence[int]]],
+                  checksum: Callable[[], dict[str, int]]) -> Iterator[str]:
+    """Each record's line, then the checksum line. Calls in C check each
+    record whole, and only a record they flag is looked at cell by cell."""
     written: set[str] = set()
     for name, names, counts in records:
         cells = ",".join([f"{cell_name}:{count}" for cell_name, count in zip(names, counts)])
         if names and (cells.count(",") >= len(names) or "\t" in cells or "" in names
-                      or min(counts) < 1):
+                      or set(map(type, counts)) != {int} or min(counts) < 1):
             reason = next(filter(None, (_refusal(nouns, name, cell_name, count)
                                         for cell_name, count in zip(names, counts))))
             raise DataError(f"cannot write {what} {path}: {reason}")
@@ -160,19 +163,19 @@ def _record_lines(path, what: str, nouns: tuple[str, str],
             raise DataError(f"cannot write {what} {path}: {nouns[0]} {name!r} has two records")
         written.add(name)
         yield f"{name}\t{cells}"
+    yield _checksum_line(checksum())
 
 
 def save(path, what: str, header: dict[str, object],
-         records: Iterable[tuple[str, Sequence[str], Sequence[int]]], checksum: dict[str, int],
-         nouns: tuple[str, str]) -> None:
+         records: Iterable[tuple[str, Sequence[str], Sequence[int]]], nouns: tuple[str, str],
+         checksum: Callable[[], dict[str, int]]) -> None:
     """Write the header, the records and the checksum to `path`; `what`
     names the artifact in errors. Each record is its name, its cells' names
-    in write order and their counts. A cell that breaks the cell rule
-    raises DataError, as do a name with two records and a line feed
-    anywhere."""
+    in write order and their counts; `checksum` gives the checksum counts
+    once the records are written. A cell that breaks the cell rule raises
+    DataError, as do a name with two records and a line feed anywhere."""
     lines = itertools.chain((f"#{key}={value}" for key, value in header.items()),
-                            _record_lines(path, what, nouns, records),
-                            [_checksum_line(checksum)])
+                            _record_lines(path, what, nouns, records, checksum))
     try:
         with atomic_write(path) as fh:
             for line in lines:

@@ -3,6 +3,9 @@
 Every subcommand is a pure function of its inputs and configuration:
 re-running any of them reproduces byte-identical artifacts. Exit codes:
 0 success, 1 usage error, 2 data error.
+
+`main` resolves each setting that a `--config` key can set, once: a flag
+that was given wins, then the config file, then the built-in default.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import itertools
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, adjacency, corpus as corpus_mod, evaluate as eval_mod
@@ -24,75 +26,14 @@ from .reformulate import (MODES, MODE_ALL, MODE_REDUCE, MODE_ROCCHIO, Params, Qu
 from .search import searcher_for
 from .textprep import SPLIT_AND_KEEP_WHOLE, load_language_keywords, load_stoplist, preprocess
 
-log = logging.getLogger("quickar")
-
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-CONFIG_KEYS = ("stoplist_path", "keywords_path", "window", "top_docs", "top_k", "query_budget",
-               "mode")
-
-
-@dataclass
-class Config:
-    """Shared tool configuration; flags override file values override these
-    defaults. `params` is read from the keys top_docs, top_k and
-    query_budget."""
-
-    stoplist_path: str | None = None
-    keywords_path: str | None = None
-    window: int = adjacency.DEFAULT_WINDOW
-    params: Params = Params()
-    mode: str = MODE_ALL
-
-
-def load_config(path: str | None) -> Config:
-    cfg = Config()
-    if path is None:
-        return cfg
-    parser = configparser.ConfigParser()
-    try:
-        if not parser.read(path, encoding="utf-8"):
-            raise DataError(f"config file not found: {path}")
-        if not parser.has_section("quickar"):
-            raise DataError(f"{path}: missing [quickar] section")
-        section = parser["quickar"]
-        unknown = [key for key in section if key not in CONFIG_KEYS]  # [DEFAULT]'s too
-        if unknown:
-            raise DataError(f"{path}: unknown key {unknown[0]!r} in [quickar]")
-
-        def integer(key: str, default: int, minimum: int) -> int:
-            value = section.get(key)
-            if value is None:
-                return default
-            try:
-                number = int(value)
-            except ValueError:
-                raise DataError(f"{path}: {key} must be an integer, got {value!r}") from None
-            if number < minimum:
-                raise DataError(f"{path}: {key} must be at least {minimum}, got {number}")
-            return number
-
-        cfg.stoplist_path = section.get("stoplist_path", cfg.stoplist_path)
-        cfg.keywords_path = section.get("keywords_path", cfg.keywords_path)
-        cfg.window = integer("window", cfg.window, 2)
-        cfg.params = Params(
-            top_docs=integer("top_docs", cfg.params.top_docs, 1),
-            top_k=integer("top_k", cfg.params.top_k, 1),
-            budget=integer("query_budget", cfg.params.budget, 1),
-        )
-        cfg.mode = section.get("mode", cfg.mode)
-        if cfg.mode not in MODES:
-            raise DataError(f"{path}: mode must be one of {', '.join(MODES)}, got {cfg.mode!r}")
-    except UnicodeDecodeError as exc:
-        raise CorruptFileError(f"config file {path} is not UTF-8 text: {exc}") from exc
-    except configparser.Error as exc:
-        raise DataError(f"config file {path}: {' '.join(str(exc).split())}") from exc
-    return cfg
-
 
 def _at_least(minimum: int):
-    """argparse type: an integer no smaller than `minimum`."""
+    """The rule of a number flag or key: an integer no smaller than `minimum`.
+    A rule returns the value of its text. It raises ValueError for a text that
+    is no integer, and ArgumentTypeError worded to follow the flag's or key's name."""
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
@@ -100,6 +41,68 @@ def _at_least(minimum: int):
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _word_list(text: str) -> str:
+    """A word list's path, not empty: no path at all is the bundled list."""
+    if not text:
+        raise argparse.ArgumentTypeError(f"must name a file, got {text!r}")
+    return text
+
+
+def _mode(text: str) -> str:
+    if text not in MODES:
+        raise argparse.ArgumentTypeError(f"must be one of {', '.join(MODES)}, got {text!r}")
+    return text
+
+
+# Each config key: the setting it sets, named after the argument it
+# defaults or after a field of the one `params` setting, and its rule.
+_KEYS = {
+    "stoplist_path": ("stoplist", _word_list),
+    "keywords_path": ("keywords", _word_list),
+    "window": ("window", _at_least(2)),
+    "top_docs": ("top_docs", _at_least(1)),
+    "top_k": ("top_k", _at_least(1)),
+    "query_budget": ("budget", _at_least(1)),
+    "mode": ("mode", _mode),
+}
+CONFIG_KEYS = tuple(_KEYS)
+# The built-in defaults; a word list that is not given (None) is the bundled one.
+_DEFAULTS = {"window": adjacency.DEFAULT_WINDOW, "mode": MODE_ALL, "params": Params()}
+
+
+def load_config(path: str | None) -> dict:
+    """The settings that the config file `path` sets, by the argument each
+    one defaults, with top_docs, top_k and query_budget as one `params`;
+    none when `path` is None."""
+    if path is None:
+        return {}
+    parser = configparser.ConfigParser()
+    settings: dict = {}
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise DataError(f"config file not found: {path}")
+        if not parser.has_section("quickar"):
+            raise DataError(f"{path}: missing [quickar] section")
+        section = parser["quickar"]
+        unknown = [key for key in section if key not in _KEYS]  # [DEFAULT]'s too
+        if unknown:
+            raise DataError(f"{path}: unknown key {unknown[0]!r} in [quickar]")
+        for key, (name, rule) in _KEYS.items():
+            if (text := section.get(key)) is not None:
+                try:
+                    settings[name] = rule(text)
+                except ValueError:
+                    raise DataError(f"{path}: {key} must be an integer, got {text!r}") from None
+                except argparse.ArgumentTypeError as exc:
+                    raise DataError(f"{path}: {key} {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    except configparser.Error as exc:
+        raise DataError(f"config file {path}: {' '.join(str(exc).split())}") from exc
+    fields = {f: settings.pop(f) for f in ("top_docs", "top_k", "budget") if f in settings}
+    return {**settings, "params": Params(**fields)} if fields else settings
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,47 +124,46 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("build-db", help="build the word adjacency database from a title dump")
+    p.set_defaults(run=_cmd_build_db)
     p.add_argument("--dump", required=True, metavar="TSV",
                    help="title dump: question_id<TAB>title<TAB>tag1;tag2;...")
     p.add_argument("--tag", default="java", help="keep only titles carrying this tag")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--window", type=_at_least(2), default=None,
-                   help="sliding window size (default 2)")
+    p.add_argument("--window", type=_at_least(2), help="sliding window size (default 2)")
     p.add_argument("--limit", type=_at_least(0), default=None, metavar="N",
                    help="use only the first N tag-filtered titles")
-    p.add_argument("--stoplist", default=None, metavar="FILE")
 
     p = sub.add_parser("index", help="index a source tree into a method-level corpus")
+    p.set_defaults(run=_cmd_index)
     p.add_argument("--src", metavar="DIR", help="source tree to split into methods")
     p.add_argument("--pre-split", dest="pre_split", metavar="DIR",
                    help="directory of one-document-per-file text (bypasses the splitter)")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--keywords", default=None, metavar="FILE",
+    p.add_argument("--keywords", type=_word_list, metavar="FILE",
                    help="language keyword list to remove (default: bundled Java list)")
-    p.add_argument("--stoplist", default=None, metavar="FILE")
     p.add_argument("--ext", action="append", default=None, metavar=".java",
                    help="source extension to index (repeatable, default .java)")
     p.add_argument("--strip-comments", action="store_true")
 
     p = sub.add_parser("search", help="run a TF-IDF cosine search against an index")
+    p.set_defaults(run=_cmd_search)
     p.add_argument("--index", required=True, metavar="FILE")
     p.add_argument("--query", required=True)
     p.add_argument("--top", type=_at_least(1), default=10, metavar="N")
-    p.add_argument("--stoplist", default=None, metavar="FILE")
 
     p = sub.add_parser("reformulate", help="suggest reformulations for one query")
+    p.set_defaults(run=_cmd_reformulate)
     p.add_argument("--index", required=True, metavar="FILE")
     p.add_argument("--db", metavar="FILE", help="required by the quickar strategy")
     p.add_argument("--query", required=True, help="change-request title")
-    p.add_argument("--mode", choices=MODES, default=None,
-                   help="expansion source of the quickar strategy")
+    p.add_argument("--mode", choices=MODES, help="expansion source of the quickar strategy")
     p.add_argument("--strategy", choices=("quickar", MODE_ROCCHIO), default="quickar",
                    help="rocchio runs the baseline, which reads neither --db nor --mode "
                         "and ignores a config-file mode")
-    p.add_argument("--stoplist", default=None, metavar="FILE")
     p.add_argument("--json", action="store_true", dest="as_json")
 
     p = sub.add_parser("evaluate", help="run the batch evaluation harness")
+    p.set_defaults(run=_cmd_evaluate)
     p.add_argument("--index", required=True, metavar="FILE")
     p.add_argument("--db", required=True, metavar="FILE")
     p.add_argument("--queries", required=True, metavar="TSV",
@@ -170,8 +172,10 @@ def build_parser() -> _Parser:
                    help="comma-separated subset of: " + ",".join(eval_mod.STRATEGIES))
     p.add_argument("--strict", action="store_true",
                    help="exclude unretrieved queries from bucket percentages")
-    p.add_argument("--stoplist", default=None, metavar="FILE")
     p.add_argument("--out", required=True, metavar="DIR")
+
+    for p in sub.choices.values():  # every command reads a stop list
+        p.add_argument("--stoplist", type=_word_list, metavar="FILE")
     return parser
 
 
@@ -179,15 +183,14 @@ def build_parser() -> _Parser:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_build_db(args, cfg: Config) -> int:
-    stops = load_stoplist(args.stoplist or cfg.stoplist_path)
-    window = args.window if args.window is not None else cfg.window
+def _cmd_build_db(args) -> int:
+    stops = load_stoplist(args.stoplist)
     stats = adjacency.DumpStats()
     tagged = adjacency.filter_titles(adjacency.read_title_dump(args.dump, stats), args.tag)
     titles = list(itertools.islice(tagged, args.limit))
     # The tag as `filter_titles` matches it, so equal filters write equal files.
     source = f"{Path(args.dump).name}:{args.tag.strip().lower()}"
-    db = adjacency.build(titles, stops, window=window, source=source)
+    db = adjacency.build(titles, stops, window=args.window, source=source)
     adjacency.save(db, args.out)
     # `--limit 0` keeps no title by request: warn only when none is tagged.
     if not titles and next(tagged, None) is None:
@@ -199,11 +202,11 @@ def _cmd_build_db(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_index(args, cfg: Config) -> int:
+def _cmd_index(args) -> int:
     if bool(args.src) == bool(args.pre_split):
         raise DataError("exactly one of --src or --pre-split is required")
-    stops = load_stoplist(args.stoplist or cfg.stoplist_path)
-    keywords = load_language_keywords(args.keywords or cfg.keywords_path)
+    stops = load_stoplist(args.stoplist)
+    keywords = load_language_keywords(args.keywords)
     stats = corpus_mod.IngestStats()
     if args.pre_split:
         built = corpus_mod.build_corpus_presplit(args.pre_split, stops, keywords, stats=stats)
@@ -228,8 +231,8 @@ def _cmd_index(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_search(args, cfg: Config) -> int:
-    stops = load_stoplist(args.stoplist or cfg.stoplist_path)
+def _cmd_search(args) -> int:
+    stops = load_stoplist(args.stoplist)
     index = corpus_mod.load(args.index)
     terms = preprocess(args.query, stops, SPLIT_AND_KEEP_WHOLE)
     hits = searcher_for(index).search(terms.normalized(), top_n=args.top)
@@ -248,8 +251,8 @@ def _warn_meta_mismatch(db_meta, corpus_meta, stops) -> None:
               "database was built with", file=sys.stderr)
 
 
-def _cmd_reformulate(args, cfg: Config) -> int:
-    stops = load_stoplist(args.stoplist or cfg.stoplist_path)
+def _cmd_reformulate(args) -> int:
+    stops = load_stoplist(args.stoplist)
     index = corpus_mod.load(args.index)
     query = QueryRecord(query_id="cli", text=args.query)
 
@@ -257,13 +260,12 @@ def _cmd_reformulate(args, cfg: Config) -> int:
         # The baseline reads no crowd knowledge, so --db is not loaded. A
         # config-file mode is the quickar strategy's default, so it is
         # ignored here, as evaluate ignores it.
-        ref = rocchio_expand(query, index, cfg.params, stops=stops)
+        ref = rocchio_expand(query, index, args.params, stops=stops)
     else:
         db = adjacency.load(args.db)
         _warn_meta_mismatch(db.meta, index.meta, stops)
-        mode = args.mode if args.mode is not None else cfg.mode
-        ref = reformulate(query, index, db, mode=mode, stops=stops,
-                          oracle=default_noun_oracle(), params=cfg.params)
+        ref = reformulate(query, index, db, mode=args.mode, stops=stops,
+                          oracle=default_noun_oracle(), params=args.params)
 
     if args.as_json:
         payload = {
@@ -292,8 +294,8 @@ def _cmd_reformulate(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_evaluate(args, cfg: Config) -> int:
-    stops = load_stoplist(args.stoplist or cfg.stoplist_path)
+def _cmd_evaluate(args) -> int:
+    stops = load_stoplist(args.stoplist)
     index = corpus_mod.load(args.index)
     db = adjacency.load(args.db)
     _warn_meta_mismatch(db.meta, index.meta, stops)
@@ -303,20 +305,11 @@ def _cmd_evaluate(args, cfg: Config) -> int:
     queries = eval_mod.parse_queries_tsv(args.queries)
     report = eval_mod.run_evaluation(queries, index, db, strategies,
                                      stops=stops, oracle=default_noun_oracle(),
-                                     params=cfg.params, strict=args.strict)
+                                     params=args.params, strict=args.strict)
     text_path, json_path = eval_mod.emit_report(report, args.out)
     print(eval_mod.render_report_text(report))
     print(f"report written to {text_path} and {json_path}")
     return 0
-
-
-_COMMANDS = {
-    "build-db": _cmd_build_db,
-    "index": _cmd_index,
-    "search": _cmd_search,
-    "reformulate": _cmd_reformulate,
-    "evaluate": _cmd_evaluate,
-}
 
 
 def main(argv=None) -> int:
@@ -335,8 +328,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return USAGE_ERROR
     try:
-        cfg = load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        for name, value in (_DEFAULTS | load_config(args.config)).items():
+            if getattr(args, name, None) is None:
+                setattr(args, name, value)
+        return args.run(args)
     except QuickarError as exc:
         print(f"quickar {args.command}: error: {exc}", file=sys.stderr)
         return DATA_ERROR

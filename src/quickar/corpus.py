@@ -472,9 +472,9 @@ def save(corpus: Corpus, path) -> None:
     cells `surface:count` sorted by normalized term, and the document and
     term counts as the checksum. A document that `load` would refuse or
     give back changed raises DataError, and the previous file stays."""
-    checksum = {"docs": corpus.n_docs, "terms": sum(doc.length for doc in corpus.documents)}
     header = {key: getattr(corpus.meta, key) for key in _HEADER_KEYS}
-    artifact.save(path, "index", header, _records(corpus, path), checksum, _NOUNS)
+    artifact.save(path, "index", header, _records(corpus, path), _NOUNS, lambda: {
+        "docs": corpus.n_docs, "terms": sum(doc.length for doc in corpus.documents)})
 
 
 def load(path) -> Corpus:

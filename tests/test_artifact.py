@@ -238,6 +238,30 @@ def test_database_save_names_the_word_load_would_refuse(tmp_path, neighbor, coun
     assert path.read_bytes() == before
 
 
+# `save` writes a count as the digits of an int. A count of another type,
+# a bool too, would be written as text that `load` refuses or reads back as
+# another value, so `save` refuses it, naming the cell, and the previous
+# file stays. `holding(n)` is an artifact whose cell `x` holds the count n.
+@pytest.mark.parametrize("module, holding, cell", [
+    (corpus, lambda n: Corpus([Document("d", {"a": 1, "x": n}, {"a": "a", "x": "x"})]),
+     "term 'x' of document 'd'"),
+    (adjacency, lambda n: AdjacencyDatabase({"a": {"d": 1}, "d": {"a": 1, "x": n}, "x": {"d": n}}),
+     "neighbor 'x' of word 'd'"),
+], ids=["index", "database"])
+@pytest.mark.parametrize("count", [True, 2.0, 1.5, "1", "two"],
+                         ids=["bool", "float", "fraction", "digits", "text"])
+def test_save_refuses_a_count_that_is_not_an_int(tmp_path, module, holding, cell, count):
+    path = tmp_path / "artifact"
+    module.save(holding(1), path)
+    before = path.read_bytes()
+    with pytest.raises(DataError) as err:
+        module.save(holding(count), path)
+    what = "index" if module is corpus else "database"
+    assert str(err.value) == (f"cannot write {what} {path}: "
+                              f"{cell} has count {count!r}, not plain digits")
+    assert path.read_bytes() == before
+
+
 # A name held twice in one record, or a database word or an index document
 # with two records, would load with one of them dropped or shadowed, and the
 # checksum is counted after the drop; `save` writes none, so `load` refuses

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ from quickar.cli import load_config, main
 from quickar.corpus import build_corpus
 from quickar.reformulate import MODES, Params, QueryRecord
 from quickar.reformulate import rocchio_expand
-from quickar.textprep import default_language_keywords, default_stoplist
+from quickar.textprep import (default_language_keywords, default_stoplist, load_language_keywords,
+                              load_stoplist, words_sha)
 
 
 def write_tree(root, files: dict[str, str]):
@@ -445,9 +448,10 @@ def test_config_file_values_are_read(tmp_path):
     config = tmp_path / "quickar.ini"
     config.write_text("[quickar]\nwindow = 3\ntop_docs = 4\ntop_k = 2\nquery_budget = 7\n"
                       "mode = p\nstoplist_path = stop%%.txt\n", encoding="utf-8")
-    cfg = load_config(str(config))
-    assert (cfg.window, cfg.mode, cfg.stoplist_path) == (3, "p", "stop%.txt")
-    assert (cfg.params.top_docs, cfg.params.top_k, cfg.params.budget) == (4, 2, 7)
+    # Each setting is keyed by the argument it defaults; the three
+    # parameters come as one Params.
+    assert load_config(str(config)) == {"window": 3, "mode": "p", "stoplist": "stop%.txt",
+                                         "params": Params(top_docs=4, top_k=2, budget=7)}
 
 
 # A config file quickar cannot read is a data error (exit 2) naming the
@@ -479,6 +483,110 @@ def test_unreadable_config_is_a_data_error(tmp_path, capsys, content, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"quickar search: error: {message.format(config)}")
+
+
+# An empty word-list path names no file, whether a flag or a config key
+# gives it; only a path that is not given at all means the bundled list.
+@pytest.mark.parametrize("argv", [
+    ["index", "--src", "src", "--out", "index.txt", "--stoplist", ""],
+    ["index", "--src", "src", "--out", "index.txt", "--keywords", ""],
+    ["search", "--index", "index.txt", "--query", "cart", "--stoplist", ""],
+], ids=["index-stoplist", "index-keywords", "search-stoplist"])
+def test_empty_word_list_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: argument {argv[-2]}: must name a file, "
+                                            "got ''\n")
+
+
+@pytest.mark.parametrize("key", ["stoplist_path", "keywords_path"])
+def test_empty_word_list_key_is_a_data_error(tmp_path, capsys, key):
+    config = tmp_path / "quickar.ini"
+    config.write_text(f"[quickar]\n{key} =\n", encoding="utf-8")
+    assert main(["--config", str(config), "search", "--index", str(tmp_path / "index.txt"),
+                 "--query", "cart"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"quickar search: error: {config}: {key} must name a file, got ''\n"
+
+
+def _header(path, key: str) -> str:
+    """The value of an artifact's `#key=` header line."""
+    prefix = f"#{key}="
+    return next(line[len(prefix):] for line in path.read_text(encoding="utf-8").splitlines()
+                if line.startswith(prefix))
+
+
+# Each setting that a flag and a config key share: the command that reads
+# it, its flag and key, the texts that the flag and the file give, how to
+# read back the value the command used, and that value when the flag, the
+# file or the built-in default gave it.
+@pytest.mark.parametrize("setting", ["window", "stoplist", "keywords", "mode"])
+@pytest.mark.parametrize("given", ["flag-and-file", "file", "neither"])
+def test_flag_wins_over_config_file_over_default(eval_artifacts, tmp_path, capsys, setting,
+                                                 given):
+    db, index = eval_artifacts
+    out = tmp_path / "out.txt"
+    small, large = str(tmp_path / "small.txt"), str(tmp_path / "large.txt")
+    Path(small).write_text("the\n", encoding="utf-8")
+    Path(large).write_text("the\nof\nclass\n", encoding="utf-8")
+    stoplist_sha = lambda path: load_stoplist(path).sha
+    keywords_sha = lambda path: words_sha(load_language_keywords(path))
+    build_index = ["index", "--src", str(EVAL_DATA / "src"), "--out", str(out)]
+    argv, flag, key, texts, used, values = {
+        "window": (["build-db", "--dump", str(EVAL_DATA / "dump.tsv"), "--out", str(out)],
+                   "--window", "window", ("3", "4"), lambda: _header(out, "window"),
+                   ("3", "4", "2")),
+        "stoplist": (build_index, "--stoplist", "stoplist_path", (small, large),
+                     lambda: _header(out, "stoplist_sha"),
+                     (stoplist_sha(small), stoplist_sha(large), stoplist_sha(None))),
+        "keywords": (build_index, "--keywords", "keywords_path", (small, large),
+                     lambda: _header(out, "keywords_sha"),
+                     (keywords_sha(small), keywords_sha(large), keywords_sha(None))),
+        "mode": (["reformulate", "--index", str(index), "--db", str(db), "--json",
+                  "--query", ROCCHIO_TITLE], "--mode", "mode", ("p", "so"),
+                 lambda: json.loads(capsys.readouterr().out)["mode"], ("p", "so", "all")),
+    }[setting]
+    config = tmp_path / "quickar.ini"
+    config.write_text(f"[quickar]\n{key} = {texts[1]}\n", encoding="utf-8")
+    given_argv = {"flag-and-file": ["--config", str(config), *argv, flag, texts[0]],
+                  "file": ["--config", str(config), *argv], "neither": argv}[given]
+    capsys.readouterr()
+    assert main(given_argv) == 0
+    assert used() == values[("flag-and-file", "file", "neither").index(given)]
+    assert len(set(values)) == 3  # the three cases are told apart
+
+
+def test_config_file_params_reach_the_report(eval_artifacts, tmp_path, capsys):
+    db, index = eval_artifacts
+    config, out = tmp_path / "quickar.ini", tmp_path / "out"
+    config.write_text("[quickar]\ntop_docs = 3\ntop_k = 2\nquery_budget = 6\n", encoding="utf-8")
+    assert main(["--config", str(config), "evaluate", "--index", str(index), "--db", str(db),
+                 "--queries", str(EVAL_DATA / "queries.tsv"), "--out", str(out)]) == 0
+    params = json.loads((out / "report.json").read_text(encoding="utf-8"))["params"]
+    assert (params["top_docs"], params["top_k"], params["budget"]) == (3, 2, 6)
+
+
+# Every test above calls `main` in-process; users run a process, whose exit
+# code is what `main` returns or what argparse exits with.
+def test_exit_codes_of_a_real_process(tmp_path):
+    config = tmp_path / "quickar.ini"
+    config.write_text("[quickar]\nwindow = 1\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "quickar.cli", *argv], env=env,
+                              capture_output=True, text=True)
+
+    version = run("--version")
+    assert (version.returncode, version.stdout) == (0, "quickar 0.1.0\n")
+    usage = run("search", "--query", "cart")
+    assert usage.returncode == 1
+    assert usage.stderr.endswith("error: the following arguments are required: --index\n")
+    data = run("--config", str(config), "search", "--index", "index.txt", "--query", "cart")
+    assert (data.returncode, data.stderr) == (
+        2, f"quickar search: error: {config}: window must be at least 2, got 1\n")
 
 
 @pytest.mark.parametrize("argv, message", [
