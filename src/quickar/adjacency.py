@@ -206,9 +206,9 @@ _NOUNS = ("word", "neighbor")  # what errors call a record and a cell
 
 def _records(db: AdjacencyDatabase):
     """Each word, its neighbors sorted and their counts."""
-    for word in sorted(db.entries):
+    for word in artifact.ordered(db.entries):
         row = db.entries[word]
-        nbrs = sorted(row)
+        nbrs = artifact.ordered(row)
         yield word, nbrs, [*map(row.__getitem__, nbrs)]
 
 

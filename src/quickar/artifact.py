@@ -131,9 +131,13 @@ def _checksum_line(counts: dict[str, int]) -> str:
 def _refusal(nouns: tuple[str, str], name: str, cell_name: str, count: object) -> str:
     """Why the cell rule refuses the cell `cell_name:count` of the record
     `name`, in the owner's nouns for a record and a cell; "" if it does not.
-    A `count` that is not an int, such as the text `load` met or a bool, is
-    not plain digits."""
+    A `cell_name` that is not a str is refused by its type; a `count` that
+    is not an int, such as the text `load` met or a bool, is not plain
+    digits."""
     record, cell = nouns
+    if type(cell_name) is not str:
+        return (f"{record} {name!r} has a {cell} {cell_name!r} "
+                f"of type {type(cell_name).__name__}, not str")
     if type(count) is not int:
         return f"{cell} {cell_name!r} of {record} {name!r} has count {count!r}, not plain digits"
     if not cell_name:
@@ -146,6 +150,15 @@ def _refusal(nouns: tuple[str, str], name: str, cell_name: str, count: object) -
     return ""
 
 
+def ordered(names: Iterable) -> list:
+    """`names` sorted, or in their own order if they do not sort, as when a
+    str and an int are among them; `save` refuses a name that is not a str."""
+    try:
+        return sorted(names)
+    except TypeError:
+        return list(names)
+
+
 def _record_lines(path, what: str, nouns: tuple[str, str],
                   records: Iterable[tuple[str, Sequence[str], Sequence[int]]],
                   checksum: Callable[[], dict[str, int]]) -> Iterator[str]:
@@ -153,9 +166,13 @@ def _record_lines(path, what: str, nouns: tuple[str, str],
     record whole, and only a record they flag is looked at cell by cell."""
     written: set[str] = set()
     for name, names, counts in records:
+        if type(name) is not str:
+            raise DataError(f"cannot write {what} {path}: {nouns[0]} {name!r} has a name "
+                            f"of type {type(name).__name__}, not str")
         cells = ",".join([f"{cell_name}:{count}" for cell_name, count in zip(names, counts)])
         if names and (cells.count(",") >= len(names) or "\t" in cells or "" in names
-                      or set(map(type, counts)) != {int} or min(counts) < 1):
+                      or set(map(type, names)) != {str} or set(map(type, counts)) != {int}
+                      or min(counts) < 1):
             reason = next(filter(None, (_refusal(nouns, name, cell_name, count)
                                         for cell_name, count in zip(names, counts))))
             raise DataError(f"cannot write {what} {path}: {reason}")
@@ -173,7 +190,8 @@ def save(path, what: str, header: dict[str, object],
     names the artifact in errors. Each record is its name, its cells' names
     in write order and their counts; `checksum` gives the checksum counts
     once the records are written. A cell that breaks the cell rule raises
-    DataError, as do a name with two records and a line feed anywhere."""
+    DataError, as do a record or cell name that is not a str, a name with
+    two records and a line feed anywhere."""
     lines = itertools.chain((f"#{key}={value}" for key, value in header.items()),
                             _record_lines(path, what, nouns, records, checksum))
     try:

@@ -43,8 +43,9 @@ def _at_least(minimum: int):
     return parse
 
 
-def _word_list(text: str) -> str:
-    """A word list's path, not empty: no path at all is the bundled list."""
+def _path(text: str) -> str:
+    """A path, not empty: for a word list no path at all is the bundled
+    list, and an empty source tree would be the working directory."""
     if not text:
         raise argparse.ArgumentTypeError(f"must name a file, got {text!r}")
     return text
@@ -59,8 +60,8 @@ def _mode(text: str) -> str:
 # Each config key: the setting it sets, named after the argument it
 # defaults or after a field of the one `params` setting, and its rule.
 _KEYS = {
-    "stoplist_path": ("stoplist", _word_list),
-    "keywords_path": ("keywords", _word_list),
+    "stoplist_path": ("stoplist", _path),
+    "keywords_path": ("keywords", _path),
     "window": ("window", _at_least(2)),
     "top_docs": ("top_docs", _at_least(1)),
     "top_k": ("top_k", _at_least(1)),
@@ -135,11 +136,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("index", help="index a source tree into a method-level corpus")
     p.set_defaults(run=_cmd_index)
-    p.add_argument("--src", metavar="DIR", help="source tree to split into methods")
-    p.add_argument("--pre-split", dest="pre_split", metavar="DIR",
-                   help="directory of one-document-per-file text (bypasses the splitter)")
+    tree = p.add_mutually_exclusive_group(required=True)
+    tree.add_argument("--src", type=_path, metavar="DIR", help="source tree to split into methods")
+    tree.add_argument("--pre-split", dest="pre_split", type=_path, metavar="DIR",
+                      help="directory of one-document-per-file text (bypasses the splitter)")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--keywords", type=_word_list, metavar="FILE",
+    p.add_argument("--keywords", type=_path, metavar="FILE",
                    help="language keyword list to remove (default: bundled Java list)")
     p.add_argument("--ext", action="append", default=None, metavar=".java",
                    help="source extension to index (repeatable, default .java)")
@@ -175,7 +177,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, metavar="DIR")
 
     for p in sub.choices.values():  # every command reads a stop list
-        p.add_argument("--stoplist", type=_word_list, metavar="FILE")
+        p.add_argument("--stoplist", type=_path, metavar="FILE")
     return parser
 
 
@@ -203,8 +205,6 @@ def _cmd_build_db(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    if bool(args.src) == bool(args.pre_split):
-        raise DataError("exactly one of --src or --pre-split is required")
     stops = load_stoplist(args.stoplist)
     keywords = load_language_keywords(args.keywords)
     stats = corpus_mod.IngestStats()

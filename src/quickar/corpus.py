@@ -45,20 +45,23 @@ _BAD_PRECEDING_WORDS = frozenset({"new", "record"})
 
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
 
-# Where a comment or a literal may start; the masker jumps between these.
-_MASKED_START_RE = re.compile(r"//|/\*|[\"']")
-# A literal's body up to its closing quote; a backslash escapes any
-# character, a newline included.
-_LITERAL_BODY_RE = {
-    quote: re.compile(rf"[^{quote}\\]*(?:\\[\s\S][^{quote}\\]*)*") for quote in "\"'"
-}
+# The masker's one pattern, tried leftmost first. A `//` comment runs to the
+# line feed; a `/*` comment to the first `*/` after its opener, or unclosed
+# to the end of the text. A `"` or `'` literal runs to its closing quote,
+# which sets the group `dq` or `sq`: a backslash escapes the next character,
+# a line feed included, and a final backslash escapes past the end; an
+# unclosed literal runs to the end. The comment bodies are lazy and the
+# groups follow the literal's loop, so that neither takes backtracking
+# memory per character.
+_MASKED_RE = re.compile(r"""//[^\n]*|/\*[\s\S]*?\*/|/\*[\s\S]*"""
+                        r"""|"[^"\\]*(?:\\[\s\S][^"\\]*)*\\?(?:"(?P<dq>))?"""
+                        r"""|'[^'\\]*(?:\\[\s\S][^'\\]*)*\\?(?:'(?P<sq>))?""")
+# A parameter list's tail up to the `{` of a method body: whitespace as
+# `str.isspace` reads it, then an optional throws clause.
+_BODY_OPEN_RE = re.compile(r"\s*(?:throws(?![\w$])[^{;]*)?\{")
 _BRACE_RE = re.compile(r"[{}]")
 _PAREN_RE = re.compile(r"[()]")
 _BRACE_STEP = {"{": 1, "}": -1}
-
-
-class UnbalancedBraces(Exception):
-    """Raised internally when a file's braces do not balance."""
 
 
 @dataclass(frozen=True)
@@ -77,62 +80,37 @@ def _blank(segment: str) -> str:
     return "\n".join(" " * len(line) for line in segment.split("\n"))
 
 
-def _blank_spans(text: str, spans: list[tuple[int, int]]) -> str:
-    """`text` with each of the ordered, disjoint `spans` blanked."""
-    pieces = []
-    last = 0
-    for start, end in spans:
-        pieces.append(text[last:start])
-        pieces.append(_blank(text[start:end]))
-        last = end
-    pieces.append(text[last:])
-    return "".join(pieces)
+def _blank_body(match: re.Match) -> str:
+    """A comment blanked whole, a literal all but its quotes."""
+    whole = match.group()
+    if whole[0] == "/":
+        return _blank(whole)
+    end = len(whole) - 1 if match.lastgroup else len(whole)  # before a closing quote
+    return whole[0] + _blank(whole[1:end]) + whole[end:]
 
 
-def _mask_comments_and_strings(text: str) -> tuple[str, str]:
-    """Return (scan_text, no_comment_text), both the same length as `text`.
-
-    scan_text blanks comments and string/char literals so brace and paren
-    matching cannot be fooled; no_comment_text blanks only comments, for the
-    optional strip-comments extraction mode. Newlines and a literal's quotes
-    stay. In a literal a backslash escapes the next character, a newline
-    included, and a final backslash escapes past the end; an unterminated
-    comment or literal runs to the end of the text.
-    """
-    comments: list[tuple[int, int]] = []
-    masked: list[tuple[int, int]] = []
-    n = len(text)
-    pos = 0
-    while (match := _MASKED_START_RE.search(text, pos)) is not None:
-        start, token = match.start(), match.group()
-        if token == "//":
-            end = text.find("\n", start)
-            pos = n if end < 0 else end
-            comments.append((start, pos))
-            masked.append((start, pos))
-        elif token == "/*":
-            end = text.find("*/", start + 2)
-            pos = n if end < 0 else end + 2
-            comments.append((start, pos))
-            masked.append((start, pos))
-        else:
-            end = _LITERAL_BODY_RE[token].match(text, start + 1).end()
-            if end < n and text[end] == token:
-                pos = end + 1
-            else:  # unterminated, or a final escape that runs past the end
-                end = pos = n
-            masked.append((start + 1, end))
-    return _blank_spans(text, masked), _blank_spans(text, comments)
+def _mask(text: str) -> str:
+    """`text` with its comments and literal bodies blanked, so that brace
+    and paren matching cannot be fooled; newlines and quotes stay."""
+    return _MASKED_RE.sub(_blank_body, text)
 
 
-def _check_braces(scan: str) -> None:
-    """Raise UnbalancedBraces unless every `}` closes an earlier `{` and
-    none is left open."""
+def _strip_comments(text: str) -> str:
+    """`text` with only its comments blanked, for `build_corpus`'s
+    strip-comments mode; newlines stay."""
+    return _MASKED_RE.sub(lambda m: _blank(found) if (found := m.group())[0] == "/" else found,
+                          text)
+
+
+def _check_braces(scan: str) -> str:
+    """Why the braces do not balance ("" if every `}` closes an earlier
+    `{` and none is left open)."""
     depths = list(accumulate(map(_BRACE_STEP.__getitem__, _BRACE_RE.findall(scan))))
     if depths and min(depths) < 0:
-        raise UnbalancedBraces("closing brace without opener")
+        return "closing brace without opener"
     if depths and depths[-1]:
-        raise UnbalancedBraces(f"{depths[-1]} unclosed brace(s)")
+        return f"{depths[-1]} unclosed brace(s)"
+    return ""
 
 
 def _closer(scan: str, open_idx: int, pair_re: re.Pattern) -> int | None:
@@ -158,22 +136,6 @@ def _word_before(scan: str, end: int) -> str:
     return scan[start:end].lstrip(string.digits)
 
 
-def _body_open_after_params(scan: str, close_paren: int) -> int | None:
-    """Index of the `{` opening the body, allowing a throws clause; None if
-    this is not a method declaration."""
-    i = close_paren + 1
-    n = len(scan)
-    while i < n and scan[i].isspace():
-        i += 1
-    if scan[i:i + 6] == "throws" and (i + 6 == n or not (scan[i + 6].isalnum() or scan[i + 6] in "_$")):
-        i += 6
-        while i < n and scan[i] not in "{;":
-            i += 1
-    if i < n and scan[i] == "{":
-        return i
-    return None
-
-
 def split_methods(text: str, fallback_name: str = "file") -> list[MethodUnit]:
     """Split one curly-brace-language source file into method-like units.
 
@@ -196,12 +158,11 @@ def split_methods(text: str, fallback_name: str = "file") -> list[MethodUnit]:
     are ordered, non-overlapping substrings of `text`, stripped of
     surrounding whitespace.
     """
-    scan, _ = _mask_comments_and_strings(text)
+    scan = _mask(text)
     whole_file = [MethodUnit(name=fallback_name, text=text, whole_file=True)]
-    try:
-        _check_braces(scan)
-    except UnbalancedBraces as exc:
-        log.warning("unbalanced braces (%s); indexing whole file", exc)
+    reason = _check_braces(scan)
+    if reason:
+        log.warning("unbalanced braces (%s); indexing whole file", reason)
         return whole_file
 
     units: list[MethodUnit] = []
@@ -229,10 +190,10 @@ def split_methods(text: str, fallback_name: str = "file") -> list[MethodUnit]:
         if close_paren is None:
             log.warning("unbalanced braces (unterminated parameter list); indexing whole file")
             return whole_file
-        body_open = _body_open_after_params(scan, close_paren)
+        body_open = _BODY_OPEN_RE.match(scan, close_paren + 1)
         if body_open is None:
             continue
-        body_close = _closer(scan, body_open, _BRACE_RE)
+        body_close = _closer(scan, body_open.end() - 1, _BRACE_RE)
         # The previous unit's closing brace, at cursor - 1, bounds the search.
         floor = max(cursor - 1, 0)
         sig_start = max(scan.rfind(";", floor, end), scan.rfind("{", floor, end),
@@ -407,7 +368,7 @@ def build_corpus(
 
     def methods(rel: str, text: str):
         if strip_comments:
-            _, text = _mask_comments_and_strings(text)
+            text = _strip_comments(text)
         units = split_methods(text, fallback_name=Path(rel).stem)
         return ([(f"{rel}#{0 if unit.whole_file else ordinal}:{unit.name}", unit.text)
                  for ordinal, unit in enumerate(units, start=1)], units[0].whole_file)
@@ -446,8 +407,8 @@ def _changed(doc: Document) -> str:
     counts, surfaces = doc.term_counts, doc.surfaces
     if counts.keys() != surfaces.keys():
         return (f"document {doc.doc_id!r} has counts and surfaces for different terms, "
-                f"first {min(counts.keys() ^ surfaces.keys())!r}")
-    term = next(term for term in sorted(counts) if surfaces[term].lower() != term)
+                f"first {artifact.ordered(counts.keys() ^ surfaces.keys())[0]!r}")
+    term = next(term for term in artifact.ordered(counts) if surfaces[term].lower() != term)
     return (f"document {doc.doc_id!r} has a term {term!r} whose surface {surfaces[term]!r} "
             f"lower-cases to {surfaces[term].lower()!r}")
 
@@ -457,12 +418,15 @@ def _records(corpus: Corpus, path):
     document that `load` would give back changed raises DataError."""
     for doc in corpus.documents:
         counts, surfaces = doc.term_counts, doc.surfaces
-        terms = sorted(counts)
+        terms = artifact.ordered(counts)
         try:
             names = [*map(surfaces.__getitem__, terms)]
+            changed = len(surfaces) != len(counts) or [*map(str.lower, names)] != terms
         except KeyError:  # a term without a surface
-            names = None
-        if names is None or len(surfaces) != len(counts) or [*map(str.lower, names)] != terms:
+            changed = True
+        except TypeError:  # a surface that is not a str, which `artifact.save` refuses
+            changed = False
+        if changed:
             raise DataError(f"cannot write index {path}: {_changed(doc)}")
         yield doc.doc_id, names, [*map(counts.__getitem__, terms)]
 

@@ -8,7 +8,9 @@ query it prints `float.hex` of each search score of the baseline terms, of
 the top-1, top-5 and top-10 scores of those terms, each from a fresh
 `Searcher` and so through the pruned top-n path, of each expansion score
 of the `all` reformulation and of each Rocchio expansion score. It then
-prints the sha256 of the JSON report and of the text report. Only the
+prints the sha256 of the JSON report and of the text report, and of what
+the method splitter, its masker and its comment stripper return for a
+fixed Java text, so that the regular expressions are compared too. Only the
 standard library and quickar are imported, so any interpreter can run it
 from a checkout:
 
@@ -43,6 +45,21 @@ from quickar.search import Searcher, searcher_for  # noqa: E402
 from quickar.textprep import default_language_keywords, default_stoplist  # noqa: E402
 
 EVAL_DATA = Path(__file__).resolve().parent / "data" / "evaluate"
+
+# Java that reaches every branch of the masker: both comment kinds, an
+# empty and a `/*/` comment, escapes in both literal kinds, an escaped
+# line feed, a `throws` clause, `\xa0` whitespace before a body, and then
+# an unclosed literal or an unclosed comment at the end.
+JAVA = (
+    "class A {\n"
+    "  // a line comment { \"\n"
+    "  /* a block comment { */ /**/ /*/ still a comment } */\n"
+    "  char q = '\\'', b = '\\\\'; String s = \"a \\\" { \\\n still\";\n"
+    "  void f(int x) throws java.io.IOException\xa0{ g(\"}\"); }\n"
+    "  int h() { return 1; }\n"
+    "}\n"
+)
+SPLITTER_TEXTS = (JAVA, JAVA + 'String open = "never closed { ', JAVA + "/* never closed {")
 
 
 def _hex(scores) -> str:
@@ -83,6 +100,9 @@ def main() -> None:
     for name, text in (("report.json", json.dumps(report, indent=2, sort_keys=True)),
                        ("report.txt", render_report_text(report))):
         print(name, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    for split in (corpus_mod.split_methods, corpus_mod._mask, corpus_mod._strip_comments):
+        results = repr([split(text) for text in SPLITTER_TEXTS])
+        print(split.__name__, hashlib.sha256(results.encode("utf-8")).hexdigest())
 
 
 if __name__ == "__main__":

@@ -262,6 +262,38 @@ def test_save_refuses_a_count_that_is_not_an_int(tmp_path, module, holding, cell
     assert path.read_bytes() == before
 
 
+# `save` writes a name as its text, so a name that is not a str would load
+# back as a str, another key; names of mixed types do not even sort. `save`
+# refuses the first such name in the owner's nouns, and the previous file
+# stays.
+@pytest.mark.parametrize("module, bad, message", [
+    (adjacency, AdjacencyDatabase({"a": {5: 1}, "b": {"a": 1}}),
+     "word 'a' has a neighbor 5 of type int, not str"),
+    (adjacency, AdjacencyDatabase({"a": {5: 1, "b": 1}, "b": {"a": 1}}),
+     "word 'a' has a neighbor 5 of type int, not str"),
+    (adjacency, AdjacencyDatabase({5: {"a": 1}, "a": {5: 1}}),
+     "word 5 has a name of type int, not str"),
+    (corpus, Corpus([Document(7, {"x": 1}, {"x": "x"})]),
+     "document 7 has a name of type int, not str"),
+    (corpus, Corpus([Document("d", {"x": 1}, {"x": 5})]),
+     "document 'd' has a term 5 of type int, not str"),
+    (corpus, Corpus([Document("d", {"x": 1, "y": 1}, {"x": "x", "y": b"y"})]),
+     "document 'd' has a term b'y' of type bytes, not str"),
+], ids=["database-neighbor", "database-mixed-neighbors", "database-word", "index-doc-id",
+        "index-surface", "index-bytes-surface"])
+def test_save_refuses_a_name_that_is_not_a_str(tmp_path, module, bad, message):
+    path = tmp_path / "artifact"
+    good = (AdjacencyDatabase({"a": {"b": 1}, "b": {"a": 1}}) if module is adjacency
+            else Corpus([Document("d", {"x": 1}, {"x": "x"})]))
+    module.save(good, path)
+    before = path.read_bytes()
+    with pytest.raises(DataError) as err:
+        module.save(bad, path)
+    what = "index" if module is corpus else "database"
+    assert str(err.value) == f"cannot write {what} {path}: {message}"
+    assert path.read_bytes() == before
+
+
 # A name held twice in one record, or a database word or an index document
 # with two records, would load with one of them dropped or shadowed, and the
 # checksum is counted after the drop; `save` writes none, so `load` refuses

@@ -500,6 +500,23 @@ def test_empty_word_list_flag_is_a_usage_error(capsys, argv):
                                             "got ''\n")
 
 
+# `index` reads exactly one tree: naming neither or both is a usage error,
+# as is an empty tree path, which would name the working directory.
+@pytest.mark.parametrize("tree, message", [
+    ([], "one of the arguments --src --pre-split is required"),
+    (["--src", "src", "--pre-split", "docs"],
+     "argument --pre-split: not allowed with argument --src"),
+    (["--src", ""], "argument --src: must name a file, got ''"),
+], ids=["neither", "both", "empty-src"])
+def test_index_needs_exactly_one_tree(capsys, tree, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["index", *tree, "--out", "index.txt"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quickar index")
+    assert err.endswith(f"quickar index: error: {message}\n")
+
+
 @pytest.mark.parametrize("key", ["stoplist_path", "keywords_path"])
 def test_empty_word_list_key_is_a_data_error(tmp_path, capsys, key):
     config = tmp_path / "quickar.ini"

@@ -1,4 +1,4 @@
-"""Artifacts, scores and reports are the same bits on every supported interpreter.
+"""Artifacts, scores, reports and split methods are the same on every supported interpreter.
 
 Runs `determinism_probe.py` under this interpreter and under every other
 `python3.N` (N >= 10) on PATH or installed by pyenv that starts, and
@@ -64,5 +64,6 @@ def test_scores_and_reports_are_identical_across_interpreters():
     expected = probe(sys.executable)
     assert "report.json " in expected and " search 0x" in expected and " top10 0x" in expected
     assert "adjacency.db " in expected and "index.txt " in expected
+    assert "split_methods " in expected and "_mask " in expected and "_strip_comments " in expected
     for python in others:
         assert probe(python) == expected, python

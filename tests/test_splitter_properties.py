@@ -7,12 +7,14 @@ non-overlapping substrings of the input.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import _CONTROL_WORDS, reference_mask_comments_and_strings, reference_split_methods
-from quickar.corpus import MethodUnit, _mask_comments_and_strings, split_methods
+from quickar.corpus import MethodUnit, _mask, _strip_comments, split_methods
 
 # Java-ish fragments, chosen to hit every branch of the masker and of the
 # candidate checks: brackets, both quote kinds, escapes, comment markers,
@@ -20,8 +22,8 @@ from quickar.corpus import MethodUnit, _mask_comments_and_strings, split_methods
 # that `str.isspace` accepts but ASCII does not.
 FRAGMENTS = [
     "{", "}", "(", ")", '"', "'", "\\", "//", "/*", "*/", ";", ",", ".", "=",
-    "@", "<", ">", "[", "]", "-",
-    "\n", " ", "\t", "\x1c", "\x1f", "\xa0", "\u2003",
+    "@", "<", ">", "[", "]", "-", "*", "/", '"""',
+    "\n", " ", "\t", "\x1c", "\x1f", "\xa0", "\u2003", "\r", "\x85", "\u2028",
     "new", "record", "throws", "if", "for", "while", "return", "catch",
     "void", "int", "f", "run", "$x", "_y", "9", "42", "9new", "1record", "a9new",
 ]
@@ -49,7 +51,7 @@ sources = st.one_of(
 @given(sources)
 def test_matches_reference_splitter(text):
     assert split_methods(text, "A") == reference_split_methods(text, "A")
-    assert _mask_comments_and_strings(text) == reference_mask_comments_and_strings(text)
+    assert (_mask(text), _strip_comments(text)) == reference_mask_comments_and_strings(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -67,17 +69,21 @@ def test_matches_reference_splitter(text):
     "class A { void f( { } }",
     "class A { void f() throws { } void g() throws X; }",
     "class A { record R(int x) { } void f() { } }",
+    "class A { /**/ void f() { } }",        # an empty comment
+    "class A { /*/ void g() { } */ void f() { } }",  # `*/` may not reuse the opener's `*`
+    "class A { char c = '\\\\'; void f() { } }",  # an escaped backslash ends the literal
+    "class A { void f() { } /* never closed *",
 ] + [f"class A {{ {word} (x) {{ }} }}" for word in sorted(_CONTROL_WORDS)])
 def test_equivalence_traps(text):
     assert split_methods(text, "A") == reference_split_methods(text, "A")
-    assert _mask_comments_and_strings(text) == reference_mask_comments_and_strings(text)
+    assert (_mask(text), _strip_comments(text)) == reference_mask_comments_and_strings(text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(sources, st.text(max_size=200)))
 def test_units_are_ordered_disjoint_substrings(text):
     units = split_methods(text, "A")
-    scan, nocom = _mask_comments_and_strings(text)
+    scan, nocom = _mask(text), _strip_comments(text)
     assert len(scan) == len(nocom) == len(text)
     if units[0].whole_file:
         assert units == [MethodUnit(name="A", text=text, whole_file=True)]
@@ -88,3 +94,20 @@ def test_units_are_ordered_disjoint_substrings(text):
         found = text.find(unit.text, pos)
         assert found >= 0
         pos = found + len(unit.text)
+
+
+# A block comment is matched lazily, with no backtracking frame per
+# character: a per-character alternation or an unrolled loop of `*` runs
+# would peak at tens of times the text's size here.
+@pytest.mark.parametrize("close", ["*/", ""], ids=["closed", "unclosed"])
+def test_a_long_comment_is_masked_in_memory_linear_in_its_size(close):
+    text = "/*" + "x*" * 2_000_000 + close
+    for mask in (_mask, _strip_comments):
+        tracemalloc.start()
+        try:
+            masked = mask(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masked == " " * len(text)
+        assert peak < 3 * len(text), (mask.__name__, peak)
