@@ -177,6 +177,18 @@ def count_title_pairs(
             row[a] = row.get(a, 0) + 1
 
 
+def _window_refusal(window: object) -> str:
+    """Why a database cannot record `window`, worded alike by `build`,
+    `save` and `load`; "" if it can. A window is an int of at least 2, and
+    a `#window=` header holds its plain digits as `artifact.read_count`
+    reads them."""
+    if type(window) is not int:
+        return f"window {window!r} is not plain digits"
+    if window < 2:
+        return f"window must be >= 2, got {window}"
+    return ""
+
+
 def build(
     titles: Iterable[TitleRecord],
     stops: StopList,
@@ -184,8 +196,9 @@ def build(
     source: str = "",
 ) -> AdjacencyDatabase:
     """Build an adjacency database from already tag-filtered titles."""
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
+    reason = _window_refusal(window)
+    if reason:
+        raise ValueError(reason)
     entries: dict[str, dict[str, int]] = {}
     for rec in titles:
         tokens = preprocess(rec.title, stops, SPLIT_ONLY).normalized()
@@ -215,8 +228,11 @@ def _records(db: AdjacencyDatabase):
 def save(db: AdjacencyDatabase, path) -> None:
     """Write `db` in the artifact layout: one record per word, its cells
     `neighbor:count` sorted by neighbor, and the unordered pair count as
-    the checksum. A row that `load` would refuse raises DataError, and the
-    previous file stays."""
+    the checksum. A row or a window that `load` would refuse raises
+    DataError, and the previous file stays."""
+    reason = _window_refusal(db.meta.window)
+    if reason:
+        raise DataError(f"cannot write database {path}: {reason}")
     header = {key: getattr(db.meta, key) for key in _HEADER_KEYS[:-1]} | {"binary": 0}
     artifact.save(path, "database", header, _records(db), _NOUNS,
                   lambda: {"pairs": db.total_pair_count})
@@ -226,14 +242,18 @@ def load(path) -> AdjacencyDatabase:
     """Read a database that `save` wrote.
 
     A cell that breaks the artifact's cell rule is refused, naming the
-    first such cell, and so are a word with two records and a `#binary=`
-    header other than 0.
+    first such cell, and so are a word with two records, a `#window=`
+    header that is not the plain digits of a window of at least 2 and a
+    `#binary=` header other than 0.
     """
     header, records, declared = artifact.load(path, "database", _HEADER_KEYS, ("pairs",),
                                               _NOUNS)
     entries = {word: nbrs for word, nbrs, _ in records}
+    window = artifact.read_count(header["window"])
     try:
-        window = int(header["window"])
+        reason = _window_refusal(header["window"] if window is None else window)
+        if reason:
+            raise ValueError(reason)
         if header["binary"] != "0":
             raise ValueError(f"binary must be 0, got {header['binary']!r}: build-db --binary "
                              "was removed; rebuild the database")

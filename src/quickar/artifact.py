@@ -124,6 +124,12 @@ def _line_batches(path, what: str) -> Iterator[list[str]]:
         raise CorruptFileError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
+def read_count(text: str) -> int | None:
+    """The int that `save` writes as `text`, or None for any other text,
+    even one `int` reads ("+2", " 3", "02", "\\u0663")."""
+    return int(text) if _COUNT_TEXT.fullmatch(text) else None
+
+
 def _checksum_line(counts: dict[str, int]) -> str:
     return "#" + ",".join(f"{key}={n}" for key, n in counts.items())
 
@@ -264,9 +270,10 @@ def load(path, what: str, header_keys: tuple[str, ...], checksum_keys: tuple[str
                         cell_name, _, text = cell.rpartition(":")
                         count = parsed.get(text)
                         if count is None:
-                            if not _COUNT_TEXT.fullmatch(text):
+                            count = read_count(text)
+                            if count is None:
                                 raise ValueError(_refusal(nouns, name, cell_name, text))
-                            count = parsed[text] = int(text)
+                            parsed[text] = count
                         if not cell_name or count < 1:
                             raise ValueError(_refusal(nouns, name, cell_name, count))
                         if key_of is not None and (key := key_of(cell_name)) != cell_name:

@@ -18,6 +18,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from operator import attrgetter
 from pathlib import Path
+from typing import Iterator
 
 from . import artifact
 from .errors import CorruptFileError, DataError
@@ -45,17 +46,19 @@ _BAD_PRECEDING_WORDS = frozenset({"new", "record"})
 
 _WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
 
-# The masker's one pattern, tried leftmost first. A `//` comment runs to the
-# line feed; a `/*` comment to the first `*/` after its opener, or unclosed
-# to the end of the text. A `"` or `'` literal runs to its closing quote,
-# which sets the group `dq` or `sq`: a backslash escapes the next character,
-# a line feed included, and a final backslash escapes past the end; an
-# unclosed literal runs to the end. The comment bodies are lazy and the
-# groups follow the literal's loop, so that neither takes backtracking
-# memory per character.
+# The masker's one pattern, tried leftmost first on the text with every
+# `\\` pair made two inert characters, so that each backslash left escapes
+# a character that is not a backslash. A `//` comment runs to the line
+# feed; a `/*` comment to the first `*/` after its opener, or unclosed to
+# the end of the text. A `"` or `'` literal runs to its first quote that no
+# backslash precedes, which sets the group `dq` or `sq`; an escaped line
+# feed stays inside, a final backslash escapes past the end, and an
+# unclosed literal runs to the end. Every body is a scan of single
+# characters, plain or lazy, so that none takes backtracking memory per
+# character or per escape.
 _MASKED_RE = re.compile(r"""//[^\n]*|/\*[\s\S]*?\*/|/\*[\s\S]*"""
-                        r"""|"[^"\\]*(?:\\[\s\S][^"\\]*)*\\?(?:"(?P<dq>))?"""
-                        r"""|'[^'\\]*(?:\\[\s\S][^'\\]*)*\\?(?:'(?P<sq>))?""")
+                        r"""|"[^"\\]*(?:(?=\\)[\s\S]*?)?(?<!\\)(?:"(?P<dq>)|\\?\Z)"""
+                        r"""|'[^'\\]*(?:(?=\\)[\s\S]*?)?(?<!\\)(?:'(?P<sq>)|\\?\Z)""")
 # A parameter list's tail up to the `{` of a method body: whitespace as
 # `str.isspace` reads it, then an optional throws clause.
 _BODY_OPEN_RE = re.compile(r"\s*(?:throws(?![\w$])[^{;]*)?\{")
@@ -73,33 +76,47 @@ class MethodUnit:
     whole_file: bool = False
 
 
-def _blank(segment: str) -> str:
-    """Spaces in place of every character of `segment` but its newlines."""
-    if "\n" not in segment:
-        return " " * len(segment)
-    return "\n".join(" " * len(line) for line in segment.split("\n"))
+def _blank(text: str, start: int, end: int) -> str:
+    """Spaces in place of every character of `text[start:end]` but its
+    newlines."""
+    if text.find("\n", start, end) < 0:
+        return " " * (end - start)
+    return "\n".join(" " * len(line) for line in text[start:end].split("\n"))
 
 
-def _blank_body(match: re.Match) -> str:
-    """A comment blanked whole, a literal all but its quotes."""
-    whole = match.group()
-    if whole[0] == "/":
-        return _blank(whole)
-    end = len(whole) - 1 if match.lastgroup else len(whole)  # before a closing quote
-    return whole[0] + _blank(whole[1:end]) + whole[end:]
+def _masked_pieces(text: str, literals: bool) -> Iterator[str]:
+    """The pieces of `text` with its comments blanked, and its literal
+    bodies too if `literals`; newlines and quotes stay. `_MASKED_RE` runs on
+    a copy whose `\\` pairs are inert, and the pieces are cut from `text`
+    at the same spans. The copy is freed with the generator, before a join
+    of the pieces allocates the output."""
+    pos = 0
+    for match in _MASKED_RE.finditer(text.replace("\\\\", "  ")):
+        start, end = match.span()
+        if text[start] == "/":
+            yield text[pos:start]
+            yield _blank(text, start, end)
+        elif literals:
+            close = end - 1 if match.lastgroup else end  # before a closing quote
+            yield text[pos:start + 1]
+            yield _blank(text, start + 1, close)
+            yield text[close:end]
+        else:
+            continue
+        pos = end
+    yield text[pos:]
 
 
 def _mask(text: str) -> str:
     """`text` with its comments and literal bodies blanked, so that brace
     and paren matching cannot be fooled; newlines and quotes stay."""
-    return _MASKED_RE.sub(_blank_body, text)
+    return "".join(_masked_pieces(text, literals=True))
 
 
 def _strip_comments(text: str) -> str:
     """`text` with only its comments blanked, for `build_corpus`'s
     strip-comments mode; newlines stay."""
-    return _MASKED_RE.sub(lambda m: _blank(found) if (found := m.group())[0] == "/" else found,
-                          text)
+    return "".join(_masked_pieces(text, literals=False))
 
 
 def _check_braces(scan: str) -> str:

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import search
 from .adjacency import AdjacencyDatabase
 from .artifact import read_lines, replace_files
 from .corpus import Corpus
@@ -34,7 +35,6 @@ from .reformulate import (
     render_terms,
     rocchio_expand,
 )
-from .search import Searcher, searcher_for
 from .textprep import StopList, tokenize
 
 # Outcome classifications.
@@ -99,7 +99,7 @@ class FilterResult:
 
 def filter_dataset(
     queries: Sequence[QueryRecord],
-    searcher: Searcher,
+    searcher: search.Searcher,
 ) -> FilterResult:
     """Keep the queries worth reformulating: baseline rank above
     POOR_RANK_THRESHOLD.
@@ -221,7 +221,7 @@ def evaluate_strategy(
     *,
     stops: StopList,
     oracle: NounOracle,
-    searcher: Searcher,
+    searcher: search.Searcher,
     reformulated: dict[QueryRecord, SharedQuery],
     params: Params = Params(),
 ) -> list[dict]:
@@ -325,7 +325,8 @@ def run_evaluation(
         raise DataError(f"unknown strategies: {', '.join(unknown)}")
     if len(set(strategies)) < len(strategies):
         raise DataError(f"a strategy is named more than once: {','.join(strategies)}")
-    searcher = searcher_for(corpus)
+    # search.Searcher is read at the call: bench/spans.py swaps in a timed subclass.
+    searcher = search.Searcher(corpus)
     filtered = filter_dataset(queries, searcher)
     reformulated: dict[QueryRecord, SharedQuery] = {}
     outcomes = {

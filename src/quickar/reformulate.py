@@ -25,11 +25,11 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 
+from . import search
 from .adjacency import AdjacencyDatabase
 from .corpus import Corpus, Document
 from .errors import QueryEmptyError
 from .nouns import NounOracle
-from .search import Searcher, searcher_for
 from .textprep import (
     CAMEL_PART,
     SPLIT_AND_KEEP_WHOLE,
@@ -111,7 +111,7 @@ def _token_is_nominal(token: Token, oracle: NounOracle) -> bool:
                                                                oracle)
 
 
-def _top_documents(searcher: Searcher, words: list[str], top_docs: int) -> list[Document]:
+def _top_documents(searcher: search.Searcher, words: list[str], top_docs: int) -> list[Document]:
     """The documents of the top `top_docs` hits of `words`, in rank order."""
     return [searcher.document(hit.doc_id) for hit in searcher.search(words, top_n=top_docs)]
 
@@ -167,7 +167,7 @@ def reduce_keywords(
 
 def project_candidates(
     keywords: TermSequence,
-    searcher: Searcher,
+    searcher: search.Searcher,
     top_docs: int = Params.top_docs,
 ) -> dict[str, str]:
     """Candidate terms mined from the top retrieved documents.
@@ -301,11 +301,13 @@ def reformulations(
     stops: StopList,
     oracle: NounOracle,
     params: Params = Params(),
-    searcher: Searcher | None = None,
+    searcher: search.Searcher | None = None,
 ) -> dict[str, Reformulation]:
     """One query's reformulation in every mode, keyed by mode: the keywords are
     reduced once, each pool is scored and shortlisted once, and the modes
-    merge different shortlists."""
+    merge different shortlists. Without `searcher`, one is built for the
+    project search, only when the reduced keywords leave room in the
+    budget, and is not kept."""
     keywords = collect_keywords(query, stops)
     reduced = reduce_keywords(keywords, corpus, oracle, max_df_ratio=params.max_df_ratio)
     need = max(0, params.budget - len(reduced))
@@ -314,7 +316,8 @@ def reformulations(
     crowd: list[CandidateScore] = []
     if need > 0:
         if searcher is None:
-            searcher = searcher_for(corpus)
+            # search.Searcher is read at the call: bench/spans.py swaps in a timed subclass.
+            searcher = search.Searcher(corpus)
         candidates = project_candidates(reduced, searcher, top_docs=params.top_docs)
         project = shortlist(score_project_candidates(candidates, reduced, db), SOURCE_PROJECT,
                             oracle, params.top_k, surfaces=candidates)
@@ -336,7 +339,7 @@ def reformulate(
     stops: StopList,
     oracle: NounOracle,
     params: Params = Params(),
-    searcher: Searcher | None = None,
+    searcher: search.Searcher | None = None,
 ) -> Reformulation:
     """Run the reformulation pipeline for one query in the given mode."""
     if mode not in MODES:
@@ -351,7 +354,7 @@ def rocchio_expand(
     params: Params = Params(),
     *,
     stops: StopList,
-    searcher: Searcher | None = None,
+    searcher: search.Searcher | None = None,
 ) -> Reformulation:
     """The Rocchio baseline: expand the unreduced keywords with the strongest
     terms of their top retrieved documents, up to the query budget.
@@ -361,10 +364,11 @@ def rocchio_expand(
     the top `budget - len(keywords)` by score, ties by term, become expansions,
     with no nominal filter. An empty retrieval returns the keyword query
     unchanged. Raises QueryEmptyError when the title has no usable keywords
-    at all.
+    at all. Without `searcher`, one is built for this call and is not kept.
     """
     if searcher is None:
-        searcher = searcher_for(corpus)
+        # search.Searcher is read at the call: bench/spans.py swaps in a timed subclass.
+        searcher = search.Searcher(corpus)
     keywords = collect_keywords(query, stops)
     words = keywords.normalized()
     exclude = set(words)

@@ -304,14 +304,6 @@ class Searcher:
                        if score > best_score or (score == best_score and doc_ids[index] < best_id))
 
 
-def searcher_for(corpus: Corpus) -> Searcher:
-    """Searcher for `corpus`, cached on the corpus object."""
-    cached = getattr(corpus, "_searcher", None)
-    if cached is None:
-        cached = corpus._searcher = Searcher(corpus)
-    return cached
-
-
 def rank_of_first_relevant(hits: Iterable[SearchHit], gold: set[str]) -> int | None:
     """Smallest rank whose doc_id is in `gold`, or None."""
     if not gold:

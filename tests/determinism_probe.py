@@ -41,7 +41,7 @@ from quickar.evaluate import (  # noqa: E402
 from quickar.nouns import default_noun_oracle  # noqa: E402
 from quickar.reformulate import MODE_ALL, reformulations  # noqa: E402
 from quickar.reformulate import rocchio_expand  # noqa: E402
-from quickar.search import Searcher, searcher_for  # noqa: E402
+from quickar.search import Searcher  # noqa: E402
 from quickar.textprep import default_language_keywords, default_stoplist  # noqa: E402
 
 EVAL_DATA = Path(__file__).resolve().parent / "data" / "evaluate"
@@ -80,7 +80,7 @@ def main() -> None:
         db = adjacency.load(Path(tmp, "adjacency.db"))
         corpus = corpus_mod.load(Path(tmp, "index.txt"))
     queries = parse_queries_tsv(EVAL_DATA / "queries.tsv")
-    searcher = searcher_for(corpus)
+    searcher = Searcher(corpus)
     for query in queries:
         terms = baseline_terms(query.text)
         print(query.query_id, "search", _hex(h.score for h in searcher.search(terms)))

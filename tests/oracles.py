@@ -38,7 +38,7 @@ from quickar.reformulate import (
     SOURCE_PROJECT,
     render_terms,
 )
-from quickar.search import SearchHit, searcher_for
+from quickar.search import SearchHit, Searcher
 from quickar.textprep import (
     CAMEL_PART,
     SPLIT_AND_KEEP_WHOLE,
@@ -404,7 +404,7 @@ def reference_reformulate(query, corpus, db, mode=MODE_ALL, *, stops, oracle,
     expansions: list[CandidateScore] = []
     if mode != MODE_REDUCE and need > 0:
         if searcher is None:
-            searcher = searcher_for(corpus)
+            searcher = Searcher(corpus)
         scored_project: list[CandidateScore] = []
         scored_crowd: list[CandidateScore] = []
         if mode in (MODE_ALL, MODE_PROJECT):

@@ -256,6 +256,51 @@ def test_save_is_sorted_and_deterministic(stops, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# A window is an int of at least 2, as `build` takes it, and `#window=`
+# holds its plain digits. `save` refuses any other window before the
+# previous file is replaced, and `load` any other header text, even one
+# `int` reads; each rule has one message.
+PAIR = {"a": {"b": 1}, "b": {"a": 1}}
+
+
+@pytest.mark.parametrize("window, reason", [
+    (1, "window must be >= 2, got 1"),
+    (-4, "window must be >= 2, got -4"),
+    (2.0, "window 2.0 is not plain digits"),
+    (True, "window True is not plain digits"),
+    ("3", "window '3' is not plain digits"),
+], ids=["one", "negative", "float", "bool", "text"])
+def test_save_refuses_a_window_load_would_refuse(tmp_path, window, reason):
+    path = tmp_path / "db.txt"
+    save(AdjacencyDatabase(PAIR, meta=DbMeta(window=3)), path)
+    before = path.read_bytes()
+    with pytest.raises(DataError) as err:
+        save(AdjacencyDatabase(PAIR, meta=DbMeta(window=window)), path)
+    assert str(err.value) == f"cannot write database {path}: {reason}"
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("+2", "window '+2' is not plain digits"),
+    (" 3", "window ' 3' is not plain digits"),
+    ("\u0663", "window '\u0663' is not plain digits"),
+    ("02", "window '02' is not plain digits"),
+    ("", "window '' is not plain digits"),
+    ("1", "window must be >= 2, got 1"),
+    ("-4", "window must be >= 2, got -4"),
+], ids=["sign", "space", "arabic-indic", "leading-zero", "empty", "one", "negative"])
+def test_load_refuses_a_window_header_save_would_not_write(tmp_path, text, reason):
+    path = tmp_path / "db.txt"
+    path.write_text(f"#window={text}\n#stoplist_sha=\n#source=\n#binary=0\n"
+                    "a\tb:1\nb\ta:1\n#pairs=1\n", encoding="utf-8")
+    with pytest.raises(CorruptFileError) as err:
+        load(path)
+    assert str(err.value) == f"unparseable database line in {path}: {reason}"
+    path.write_text(path.read_text(encoding="utf-8").replace(f"#window={text}\n", "#window=3\n"),
+                    encoding="utf-8")
+    assert load(path).meta.window == 3
+
+
 def test_load_shares_the_neighbor_of_a_repeated_cell(tmp_path):
     # The rows of `bar` and `qux` both hold the cell `foo:1`.
     db = AdjacencyDatabase({"foo": {"bar": 1, "qux": 1}, "bar": {"foo": 1}, "qux": {"foo": 1}})

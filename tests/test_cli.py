@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quickar import corpus
+from quickar import corpus, search
 from quickar.cli import load_config, main
 from quickar.corpus import build_corpus
 from quickar.reformulate import MODES, Params, QueryRecord
@@ -185,6 +185,43 @@ def test_reformulate_rocchio_needs_no_database(eval_artifacts, capsys, flags):
                  "--query", ROCCHIO_TITLE, *flags]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (expected, "")
+
+
+# `bench/spans.py` times each searcher build by putting a subclass in place
+# of `quickar.search.Searcher`. So every command builds its one searcher
+# through that module attribute, and a query whose reduced keywords fill
+# the budget builds none.
+@pytest.mark.parametrize("command, built", [
+    ("search", 1), ("reformulate", 1), ("rocchio", 1), ("evaluate", 1), ("budget-filled", 0),
+])
+def test_each_command_builds_one_searcher(eval_artifacts, tmp_path, monkeypatch, capsys,
+                                          command, built):
+    db, index = eval_artifacts
+    builds = []
+
+    class CountingSearcher(search.Searcher):
+        def __init__(self, index):
+            builds.append(index)
+            super().__init__(index)
+
+    monkeypatch.setattr(search, "Searcher", CountingSearcher)
+    config = tmp_path / "quickar.ini"
+    config.write_text("[quickar]\nquery_budget = 1\n", encoding="utf-8")
+    quickar = ["reformulate", "--index", str(index), "--db", str(db), "--json",
+               "--query", ROCCHIO_TITLE]
+    argv = {
+        "search": ["search", "--index", str(index), "--query", ROCCHIO_TITLE],
+        "reformulate": quickar,
+        "rocchio": ["reformulate", "--index", str(index), "--strategy", "rocchio",
+                    "--query", ROCCHIO_TITLE],
+        "evaluate": ["evaluate", "--index", str(index), "--db", str(db),
+                     "--queries", str(EVAL_DATA / "queries.tsv"), "--out", str(tmp_path / "out")],
+        "budget-filled": ["--config", str(config), *quickar],
+    }[command]
+    assert main(argv) == 0
+    assert len(builds) == built
+    if command == "budget-filled":
+        assert json.loads(capsys.readouterr().out)["expansion_terms"] == []
 
 
 @pytest.mark.parametrize("strategy", [[], ["--strategy", "quickar"]], ids=["default", "quickar"])

@@ -34,7 +34,7 @@ from quickar.evaluate import (
 )
 from quickar.errors import DataError
 from quickar.reformulate import MODE_ALL, Params, QueryRecord, reformulate
-from quickar.search import Searcher, rank_of_first_relevant, searcher_for
+from quickar.search import Searcher, rank_of_first_relevant
 from quickar.textprep import default_language_keywords
 
 from conftest import make_corpus
@@ -121,7 +121,7 @@ def test_full_pipeline_keeps_a_better_reduction_only_rank(fixture_run, stops, or
     corpus, db, queries = fixture_run
     report = run_evaluation(queries, corpus, db, ("all", "red"), stops=stops, oracle=oracle)
     red = {o["query_id"]: o for o in report["strategies"]["red"]["outcomes"]}
-    searcher = searcher_for(corpus)
+    searcher = Searcher(corpus)
     applied = 0
     for outcome in report["strategies"]["all"]["outcomes"]:
         query = next(q for q in queries if q.query_id == outcome["query_id"])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from quickar import adjacency
 from quickar.adjacency import AdjacencyDatabase, build
 from quickar.corpus import build_corpus, load, save
 from quickar.errors import QueryEmptyError
-from quickar.evaluate import baseline_terms, parse_queries_tsv
+from quickar.evaluate import baseline_terms, parse_queries_tsv, run_evaluation
 from quickar.reformulate import (
     CandidateScore,
     MODE_ALL,
@@ -45,7 +47,7 @@ from quickar.reformulate import (
     shortlist,
 )
 from quickar.reformulate import rocchio_expand
-from quickar.search import Searcher, searcher_for
+from quickar.search import Searcher
 from quickar.textprep import (
     SPLIT_AND_KEEP_WHOLE,
     default_language_keywords,
@@ -160,14 +162,14 @@ def test_reduce_keeps_identifier_terms_regardless_of_lexicon(stops, oracle):
 def test_project_candidates_single_doc(stops):
     corpus = make_corpus([("only", "alpha beta")], stops)
     keywords = collect_keywords(QueryRecord("q", "alpha"), stops)
-    cands = project_candidates(keywords, searcher_for(corpus))
+    cands = project_candidates(keywords, Searcher(corpus))
     assert cands == {"beta": "beta"}
 
 
 def test_project_candidates_zero_overlap(stops):
     corpus = make_corpus([("only", "alpha beta")], stops)
     keywords = collect_keywords(QueryRecord("q", "zzz"), stops)
-    assert project_candidates(keywords, searcher_for(corpus)) == {}
+    assert project_candidates(keywords, Searcher(corpus)) == {}
 
 
 def test_project_candidates_match_oracle_top5(stops):
@@ -187,7 +189,7 @@ def test_project_candidates_match_oracle_top5(stops):
         expected |= set(doc.term_counts)
     expected -= set(keywords.normalized())
 
-    cands = project_candidates(keywords, searcher_for(corpus), top_docs=5)
+    cands = project_candidates(keywords, Searcher(corpus), top_docs=5)
     assert set(cands) == expected
 
 
@@ -503,7 +505,7 @@ EQUIVALENCE_PARAMS = [
     "defaults", "top_k-1", "top_docs-1", "budget-1", "budget-2", "strict-df", "loose-df"])
 def test_one_pass_matches_the_mode_by_mode_reference(eval_fixture, stops, oracle, params):
     corpus, db, queries = eval_fixture
-    searcher = searcher_for(corpus)
+    searcher = Searcher(corpus)
     expanded = 0
     for query in queries:
         every_mode = reformulations(query, corpus, db, stops=stops, oracle=oracle,
@@ -536,7 +538,7 @@ def test_one_shot_calls_on_a_loaded_index_build_no_inverted_index(eval_fixture, 
         terms = baseline_terms(query.text)
         searched = load(path)
         assert (Searcher(searched).search(terms, top_n=5)
-                == searcher_for(corpus).search(terms)[:5]), query.query_id
+                == Searcher(corpus).search(terms)[:5]), query.query_id
         reformulated, fed_back = load(path), load(path)
         try:
             expanded += bool(reformulate(query, reformulated, db, MODE_ALL, stops=stops,
@@ -547,6 +549,37 @@ def test_one_shot_calls_on_a_loaded_index_build_no_inverted_index(eval_fixture, 
         for index in (searched, reformulated, fed_back):
             assert "positions" not in index.__dict__, query.query_id
     assert expanded  # not vacuous
+
+
+# A loaded index is freed by reference counting alone once its caller
+# drops it: no call leaves a cycle through it that only the cyclic
+# collector would free.
+@pytest.mark.parametrize("call", ["search", "reformulate", "rocchio", "evaluate"])
+def test_a_loaded_index_is_freed_without_the_cyclic_collector(eval_fixture, stops, oracle,
+                                                             tmp_path, call):
+    corpus, db, queries = eval_fixture
+    path = tmp_path / "index.txt"
+    save(corpus, path)
+    query = queries[0]
+    run = {
+        "search": lambda index: Searcher(index).search(baseline_terms(query.text)),
+        "reformulate": lambda index: reformulate(query, index, db, MODE_ALL, stops=stops,
+                                                 oracle=oracle),
+        "rocchio": lambda index: rocchio_expand(query, index, stops=stops),
+        "evaluate": lambda index: run_evaluation(queries, index, db, stops=stops,
+                                                 oracle=oracle),
+    }[call]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        index = load(path)
+        run(index)
+        freed = weakref.ref(index)
+        del index
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_scaled_adjacency_counts_keep_selection_order(stops, oracle, working_corpus, working_db):

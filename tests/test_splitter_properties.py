@@ -96,18 +96,26 @@ def test_units_are_ordered_disjoint_substrings(text):
         pos = found + len(unit.text)
 
 
-# A block comment is matched lazily, with no backtracking frame per
-# character: a per-character alternation or an unrolled loop of `*` runs
-# would peak at tens of times the text's size here.
-@pytest.mark.parametrize("close", ["*/", ""], ids=["closed", "unclosed"])
-def test_a_long_comment_is_masked_in_memory_linear_in_its_size(close):
-    text = "/*" + "x*" * 2_000_000 + close
-    for mask in (_mask, _strip_comments):
+# A block comment is matched lazily, and a literal's body by single
+# characters once every `\\` pair is made inert, with no backtracking frame
+# per character or per escape: a per-character alternation, an unrolled
+# loop of `*` runs or a loop over escapes would peak at tens of times the
+# text's size here.
+@pytest.mark.parametrize("text", [
+    "/*" + "x*" * 2_000_000 + "*/",
+    "/*" + "x*" * 2_000_000,
+    '"' + "\\x" * 2_000_000,
+    '"' + "\\" * 4_000_000,
+], ids=["closed", "unclosed", "escapes", "backslashes"])
+def test_a_long_comment_is_masked_in_memory_linear_in_its_size(text):
+    comment = text[0] == "/"
+    masked = " " * len(text) if comment else text[0] + " " * (len(text) - 1)
+    for mask, expected in ((_mask, masked), (_strip_comments, masked if comment else text)):
         tracemalloc.start()
         try:
-            masked = mask(text)
+            got = mask(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert masked == " " * len(text)
+        assert got == expected
         assert peak < 3 * len(text), (mask.__name__, peak)
