@@ -1,8 +1,11 @@
 """How quickar's files look on disk: one line rule and one artifact layout.
 
 Every text file quickar reads (title dumps, query files, word lists, its
-own artifacts) is UTF-8, and only a line feed ends a line: "\\r", "\\x85",
-"\\u2028" and the other characters `str.splitlines` breaks on are text.
+own artifacts, the config file) is UTF-8, and only a line feed ends a line:
+"\\r", "\\x85", "\\u2028" and the other characters `str.splitlines` breaks on
+are text. `read_lines` and `atomic_write` both open their file with
+`newline="\\n"`, which enforces the rule on both sides: nothing is
+translated on the way in or out.
 
 The adjacency database and the method-level index share one layout,
 written by `save` and read back by `load`:
@@ -53,7 +56,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CorruptFileError, DataError
 
-_CHUNK = 1 << 16  # characters read at a time
 # A count as `save` writes an int; `load` refuses the other texts `int` reads.
 _COUNT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 
@@ -99,25 +101,17 @@ def replace_files(texts: dict) -> None:
 
 def read_lines(path, what: str) -> Iterator[str]:
     """Stream the lines of the UTF-8 file `path` as `text.split("\\n")` gives
-    them: the last is "" when the file ends with a line feed. An unreadable
-    file raises DataError, one not UTF-8 CorruptFileError; `what` names it.
+    them: the last is "" when the file is empty or ends with a line feed. An
+    unreadable file raises DataError, one not UTF-8 CorruptFileError; `what`
+    names it.
     """
-    return itertools.chain.from_iterable(_line_batches(path, what))
-
-
-def _line_batches(path, what: str) -> Iterator[list[str]]:
-    """The lines of `read_lines`, a chunk's worth at a time."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            head: list[str] = []  # the pieces of a line not yet ended
-            while chunk := fh.read(_CHUNK):
-                lines = chunk.split("\n")
-                head.append(lines[0])
-                if len(lines) > 1:
-                    lines[0] = "".join(head)
-                    head = [lines.pop()]
-                    yield lines
-            yield ["".join(head)]
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            line = "\n"
+            for line in fh:
+                yield line.rstrip("\n")  # at most one, at the end
+            if line.endswith("\n"):
+                yield ""
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

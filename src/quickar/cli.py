@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from . import __version__, adjacency, corpus as corpus_mod, evaluate as eval_mod, search
-from .errors import CorruptFileError, DataError, QuickarError
+from .artifact import read_lines
+from .errors import DataError, QuickarError
 from .nouns import default_noun_oracle
 from .reformulate import (MODES, MODE_ALL, MODE_REDUCE, MODE_ROCCHIO, Params, QueryRecord,
                           reformulate, rocchio_expand)
@@ -81,8 +82,7 @@ def load_config(path: str | None) -> dict:
     parser = configparser.ConfigParser()
     settings: dict = {}
     try:
-        if not parser.read(path, encoding="utf-8"):
-            raise DataError(f"config file not found: {path}")
+        parser.read_file(read_lines(path, "config file"), source=path)
         if not parser.has_section("quickar"):
             raise DataError(f"{path}: missing [quickar] section")
         section = parser["quickar"]
@@ -97,8 +97,6 @@ def load_config(path: str | None) -> dict:
                     raise DataError(f"{path}: {key} must be an integer, got {text!r}") from None
                 except argparse.ArgumentTypeError as exc:
                     raise DataError(f"{path}: {key} {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CorruptFileError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise DataError(f"config file {path}: {' '.join(str(exc).split())}") from exc
     fields = {f: settings.pop(f) for f in ("top_docs", "top_k", "budget") if f in settings}

@@ -91,8 +91,8 @@ def baseline_terms(title: str) -> list[str]:
 @dataclass
 class FilterResult:
     kept: list[QueryRecord]
-    dropped_low_rank: list[str]
-    dropped_not_retrieved: list[str]
+    dropped_low_rank: int
+    dropped_not_retrieved: int
     baseline_ranks: dict[str, int]
     total: int = 0
 
@@ -110,14 +110,14 @@ def filter_dataset(
     missing = [q.query_id for q in queries if not q.gold_docs]
     if missing:
         raise DataError(f"queries without gold documents: {', '.join(missing)}")
-    result = FilterResult(kept=[], dropped_low_rank=[], dropped_not_retrieved=[],
+    result = FilterResult(kept=[], dropped_low_rank=0, dropped_not_retrieved=0,
                           baseline_ranks={}, total=len(queries))
     for query in queries:
         rank = searcher.rank(baseline_terms(query.text), query.gold_docs)
         if rank is None:
-            result.dropped_not_retrieved.append(query.query_id)
+            result.dropped_not_retrieved += 1
         elif rank <= POOR_RANK_THRESHOLD:
-            result.dropped_low_rank.append(query.query_id)
+            result.dropped_low_rank += 1
         else:
             result.kept.append(query)
             result.baseline_ranks[query.query_id] = rank
@@ -350,8 +350,8 @@ def run_evaluation(
         "dataset": {
             "total": filtered.total,
             "kept": len(filtered.kept),
-            "dropped_low_rank": len(filtered.dropped_low_rank),
-            "dropped_not_retrieved": len(filtered.dropped_not_retrieved),
+            "dropped_low_rank": filtered.dropped_low_rank,
+            "dropped_not_retrieved": filtered.dropped_not_retrieved,
         },
         "denominator": "retrieved_only" if strict else "all",
         "params": {**asdict(params), "threshold": POOR_RANK_THRESHOLD},

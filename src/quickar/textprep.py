@@ -89,10 +89,6 @@ class StopList:
     def sha(self) -> str:
         return words_sha(self.words)
 
-    @classmethod
-    def from_file(cls, path) -> "StopList":
-        return cls(read_words(path))
-
 
 def read_words(path) -> set[str]:
     """The lower-cased words of a word list: one word per line, `#` starts
@@ -119,7 +115,7 @@ def load_stoplist(path: str | None) -> StopList:
     """Stop list from `path`, or the bundled default when path is None."""
     if path is None:
         return default_stoplist()
-    return StopList.from_file(path)
+    return StopList(read_words(path))
 
 
 def default_language_keywords() -> frozenset[str]:

@@ -4,7 +4,8 @@ Everything here recomputes expected values from first principles on plain
 dicts and lists: no inverted index, no cached norms, no shared code paths
 with the package internals. The four frozen references at the end are
 the exception: earlier versions of package code, kept so that a rewrite must
-return exactly what the code it replaced returned.
+return exactly what the code it replaced returned. The reference evaluation
+at the very end composes the protocol from these oracles alone.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import logging
 import math
 import operator
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Sequence
 
 from quickar.corpus import Corpus, Document, MethodUnit
-from quickar.errors import DataError
+from quickar.errors import DataError, QueryEmptyError
 from quickar.reformulate import (
     MODE_ALL,
     MODE_CROWD,
@@ -693,3 +694,126 @@ class ReferenceSearcher:
         return 1 + sum(1 for index, score in scores.items()
                        if score > best_score or (score == best_score and doc_ids[index] < best_id))
 
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluation
+# ---------------------------------------------------------------------------
+#
+# The paper's protocol, composed of the oracles above and of nothing that the
+# package's `run_evaluation` shares between its steps: every rank is read off
+# a full `ReferenceSearcher` ranking, each mode is reformulated on its own by
+# `reference_reformulate`, the Rocchio baseline ranks its terms with
+# `rocchio_term_ranking`, the summaries take `interpolated_quartiles`, and p
+# is scipy's asymptotic two-sided Mann-Whitney test. It returns the report
+# dict `run_evaluation` returns.
+
+_OUTCOME_BUCKETS = ("improved", "worsened", "preserved", "excluded")
+
+
+def reference_run_evaluation(queries, corpus, db, strategies, *, stops, oracle,
+                             params=Params(), strict=False) -> dict:
+    from scipy.stats import mannwhitneyu
+
+    searcher = ReferenceSearcher(corpus)
+
+    def first_gold_rank(terms, gold) -> int | None:
+        return next((hit.rank for hit in searcher.search(terms) if hit.doc_id in gold), None)
+
+    def rocchio_tokens(query) -> list[Token]:
+        keywords = collect_keywords(query, stops)
+        words = [tok.normalized for tok in keywords]
+        top = [searcher.document(hit.doc_id) for hit in searcher.search(words)[:params.top_docs]]
+        ranking = rocchio_term_ranking([doc.term_counts for doc in top], corpus.doc_freq,
+                                       corpus.n_docs, exclude=set(words))
+        room = max(0, params.budget - len(keywords))
+        surfaces = [next(doc.surfaces[term] for doc in top if term in doc.term_counts)
+                    for term, _ in ranking[:room]]
+        return list(keywords) + [Token.from_surface(surface, WHOLE) for surface in surfaces]
+
+    def strategy_rank(query, strategy: str, baseline: int) -> int | None:
+        if strategy in MODES:
+            ref = reference_reformulate(query, corpus, db, strategy, stops=stops, oracle=oracle,
+                                        params=params, searcher=searcher)
+            rank = first_gold_rank(ref.rendered_query.normalized(), query.gold_docs)
+            if strategy == MODE_ALL:
+                reduced = reference_reformulate(query, corpus, db, MODE_REDUCE, stops=stops,
+                                                oracle=oracle, params=params, searcher=searcher)
+                reduced_rank = first_gold_rank(reduced.rendered_query.normalized(),
+                                               query.gold_docs)
+                if reduced_rank is not None and reduced_rank < baseline:
+                    rank = reduced_rank
+            return rank
+        tokens = rocchio_tokens(query) if strategy == "rocchio" else collect_keywords(query, stops)
+        return first_gold_rank(render_terms(tokens).normalized(), query.gold_docs)
+
+    kept, baselines, low, unretrieved = [], {}, 0, 0
+    for query in queries:
+        rank = first_gold_rank([tok.lower() for tok in tokenize(query.text)], query.gold_docs)
+        if rank is None:
+            unretrieved += 1
+        elif rank <= 10:
+            low += 1
+        else:
+            kept.append(query)
+            baselines[query.query_id] = rank
+
+    ranks: dict[str, dict[str, int | None]] = {}
+    entries = {}
+    for strategy in strategies:
+        outcomes = []
+        for query in kept:
+            baseline = baselines[query.query_id]
+            try:
+                rank = strategy_rank(query, strategy, baseline)
+                reason = "gold not retrieved" if rank is None else ""
+            except QueryEmptyError as exc:
+                rank, reason = None, str(exc)
+            bucket = ("excluded" if rank is None else "improved" if rank < baseline
+                      else "worsened" if rank > baseline else "preserved")
+            outcomes.append({"query_id": query.query_id, "baseline_rank": baseline,
+                             "reformulated_rank": rank, "classification": bucket,
+                             "reason": reason})
+        ranks[strategy] = {o["query_id"]: o["reformulated_rank"] for o in outcomes}
+        counts = {b: sum(o["classification"] == b for o in outcomes) for b in _OUTCOME_BUCKETS}
+        total = len(outcomes)
+        retrieved = total - counts["excluded"] if strict else total
+        percentages = {b: 100.0 * counts[b] / retrieved if retrieved else 0.0
+                       for b in _OUTCOME_BUCKETS[:3]}
+        percentages["excluded"] = 100.0 * counts["excluded"] / total if total else 0.0
+        summaries = dict.fromkeys(_OUTCOME_BUCKETS[:3])
+        for b in summaries:
+            values = [o["reformulated_rank"] for o in outcomes if o["classification"] == b]
+            if values:
+                q1, q2, q3 = interpolated_quartiles(values)
+                summaries[b] = {"count": len(values), "mean": sum(values) / len(values),
+                                "q1": q1, "q2": q2, "q3": q3,
+                                "min": min(values), "max": max(values)}
+        entries[strategy] = {"counts": counts, "percentages": percentages,
+                             "summaries": summaries, "outcomes": outcomes}
+
+    mwu = []
+    anchor = MODE_ALL if MODE_ALL in strategies else strategies[0] if strategies else None
+    for other in strategies:
+        if other == anchor:
+            continue
+        both = [query.query_id for query in kept
+                if ranks[anchor][query.query_id] is not None
+                and ranks[other][query.query_id] is not None]
+        if not both:
+            continue
+        sample_a = [ranks[anchor][qid] for qid in both]
+        sample_b = [ranks[other][qid] for qid in both]
+        test = mannwhitneyu(sample_a, sample_b, alternative="two-sided",
+                            method="asymptotic", use_continuity=True)
+        mwu.append({"a": anchor, "b": other, "n_a": len(both), "n_b": len(both),
+                    "u": float(test.statistic), "p": float(test.pvalue),
+                    "mrd": sum(sample_a) / len(both) - sum(sample_b) / len(both)})
+    return {
+        "dataset": {"total": len(queries), "kept": len(kept), "dropped_low_rank": low,
+                    "dropped_not_retrieved": unretrieved},
+        "denominator": "retrieved_only" if strict else "all",
+        "params": {**asdict(params), "threshold": 10},
+        "strategies": entries,
+        "mwu": mwu,
+    }

@@ -3,7 +3,7 @@
 Save then load gives back an equal object and, saved again, the same
 bytes; a cut anywhere in the file, a changed checksum count or a missing
 header line raises CorruptFileError. The line reader splits exactly where
-`str.split("\\n")` does, wherever its chunks end.
+`str.split("\\n")` does.
 """
 
 from __future__ import annotations
@@ -118,15 +118,32 @@ def test_missing_header_line_is_corruption(workdir, module, objects, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=st.text(st.sampled_from("ab\n\r\x0c\x1c\x85\u2028 \t")), chunk=st.integers(1, 5))
-def test_read_lines_splits_at_line_feeds_only(workdir, text, chunk):
+@given(text=st.text(st.sampled_from("ab\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028 \t\U0001f600")))
+def test_read_lines_splits_at_line_feeds_only(workdir, text):
     path = workdir / "lines.txt"
     path.write_text(text, encoding="utf-8", newline="")
-    saved, artifact._CHUNK = artifact._CHUNK, chunk
-    try:
-        assert list(artifact.read_lines(path, "file")) == text.split("\n")
-    finally:
-        artifact._CHUNK = saved
+    assert list(artifact.read_lines(path, "file")) == text.split("\n")
+
+
+# The `io` module decodes 8 KiB at a time, so these texts put multibyte
+# characters, and "\r" before "\n", across its chunk ends, hold a line far
+# longer than a chunk, or end without a line feed.
+@pytest.mark.parametrize("text", [
+    "",
+    "\n",
+    "no final line feed",
+    "two\nlines",
+    "x" * 100_000,
+    "x" * 100_000 + "\n" + "y",
+    "\u00e9" * 5_000 + "\n" + "\u20ac" * 5_000 + "\r\n" + "\U0001f600" * 5_000,
+    *("a" * offset + "\U0001f600\u20ac\r\n\u00e9" * 3_000 for offset in range(4)),
+], ids=["empty", "line-feed", "no-final-line-feed", "two-lines", "long-line",
+        "long-line-then-short", "multibyte-lines",
+        *(f"multibyte-offset-{offset}" for offset in range(4))])
+def test_read_lines_across_decode_chunks(tmp_path, text):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert list(artifact.read_lines(path, "file")) == text.split("\n")
 
 
 # Cells are split at "," and each from its count at its last ":"; a record

@@ -491,9 +491,30 @@ def test_config_file_values_are_read(tmp_path):
                                          "params": Params(top_docs=4, top_k=2, budget=7)}
 
 
+# A config file is read by the one line rule: only a line feed ends a
+# line, so a "\r" inside a value is the value's own, and a CRLF line end
+# still loads, as configparser strips a value's trailing "\r".
+def test_config_value_keeps_a_carriage_return(tmp_path):
+    words = tmp_path / "stop\rwords.txt"
+    words.write_text("the\nof\nclass\n", encoding="utf-8")
+    config, out = tmp_path / "quickar.ini", tmp_path / "index.txt"
+    config.write_bytes(f"[quickar]\nstoplist_path = {words}\nmode = p\n".encode())
+    assert load_config(str(config)) == {"stoplist": str(words), "mode": "p"}
+    assert main(["--config", str(config), "index", "--src", str(EVAL_DATA / "src"),
+                 "--out", str(out)]) == 0
+    assert _header(out, "stoplist_sha") == load_stoplist(str(words)).sha != default_stoplist().sha
+
+
+def test_config_file_with_crlf_line_ends_is_read(tmp_path):
+    config = tmp_path / "quickar.ini"
+    config.write_bytes(b"[quickar]\r\nwindow = 3\r\n# a comment\r\nmode = so\r\n")
+    assert load_config(str(config)) == {"window": 3, "mode": "so"}
+
+
 # A config file quickar cannot read is a data error (exit 2) naming the
 # file, not a traceback.
 @pytest.mark.parametrize("content, message", [
+    (None, "cannot read config file {}: "),
     (b"[quickar]\nmode = p\xe9\n", "config file {} is not UTF-8 text: "),
     (b"window = 3\n", "config file {}: File contains no section headers. "),
     (b"[quickar]\nwindow = two\n", "{}: window must be an integer, got 'two'"),
@@ -508,12 +529,13 @@ def test_config_file_values_are_read(tmp_path):
     (b"[quickar]\ntop_k = -1\n", "{}: top_k must be at least 1, got -1"),
     (b"[quickar]\nquery_budget = 0\n", "{}: query_budget must be at least 1, got 0"),
     (b"[quickar]\nmode = rocchio\n", "{}: mode must be one of all, p, so, red, got 'rocchio'"),
-], ids=["not-utf8", "no-section-header", "window", "top_docs", "top_k", "query_budget",
+], ids=["missing", "not-utf8", "no-section-header", "window", "top_docs", "top_k", "query_budget",
         "bad-interpolation", "unknown-key", "unknown-default-key", "window-range",
         "top_docs-range", "top_k-range", "query_budget-range", "mode"])
 def test_unreadable_config_is_a_data_error(tmp_path, capsys, content, message):
     config = tmp_path / "quickar.ini"
-    config.write_bytes(content)
+    if content is not None:
+        config.write_bytes(content)
     argv = ["--config", str(config), "search", "--index", str(tmp_path / "index.txt"),
             "--query", "cart"]
     assert main(argv) == 2

@@ -21,6 +21,7 @@ from quickar.textprep import (
     Token,
     WHOLE,
     default_stoplist,
+    load_stoplist,
     preprocess,
     split_camel,
     tokenize,
@@ -152,12 +153,12 @@ def test_stoplist_sha_differs_per_content(tmp_path):
     two = tmp_path / "two.txt"
     one.write_text("alpha\nbeta\n")
     two.write_text("alpha\ngamma\n")
-    assert StopList.from_file(one).sha != StopList.from_file(two).sha
+    assert load_stoplist(one).sha != load_stoplist(two).sha
     # Comments and ordering do not change the canonical hash.
     three = tmp_path / "three.txt"
     three.write_text("# comment\nbeta\nalpha\n")
-    assert StopList.from_file(one).sha == StopList.from_file(three).sha
-    assert words_sha({"alpha", "beta"}) == StopList.from_file(one).sha
+    assert load_stoplist(one).sha == load_stoplist(three).sha
+    assert words_sha({"alpha", "beta"}) == load_stoplist(one).sha
 
 
 def test_unknown_mode_rejected(stops):
