@@ -4,6 +4,11 @@ For every word seen in the titles this stores the multiset of words that
 co-occurred with it inside a small sliding window. The database backs both
 relevance signals used during reformulation: cosine similarity between two
 words' adjacency vectors, and direct co-occurrence counts.
+
+A saved database declares its unordered pair count as `#pairs=`, and its
+neighbor counts must sum to exactly twice that: `save` refuses an odd sum,
+and `load` any sum but twice `#pairs=`. One edited count therefore never
+loads, but two edits that cancel out still do.
 """
 
 from __future__ import annotations
@@ -225,17 +230,32 @@ def _records(db: AdjacencyDatabase):
         yield word, nbrs, [*map(row.__getitem__, nbrs)]
 
 
+def _exact_pair_count(db: AdjacencyDatabase) -> int | None:
+    """The number of unordered pairs `db` stores, each in both directions:
+    half the sum of its neighbor counts, or None when that sum is odd, as
+    no symmetric database's is."""
+    pairs, odd = divmod(sum(sum(row.values()) for row in db.entries.values()), 2)
+    return None if odd else pairs
+
+
 def save(db: AdjacencyDatabase, path) -> None:
     """Write `db` in the artifact layout: one record per word, its cells
     `neighbor:count` sorted by neighbor, and the unordered pair count as
-    the checksum. A row or a window that `load` would refuse raises
-    DataError, and the previous file stays."""
+    the checksum. A row or a window that `load` would refuse, or neighbor
+    counts with an odd sum, raise DataError, and the previous file stays."""
     reason = _window_refusal(db.meta.window)
     if reason:
         raise DataError(f"cannot write database {path}: {reason}")
     header = {key: getattr(db.meta, key) for key in _HEADER_KEYS[:-1]} | {"binary": 0}
-    artifact.save(path, "database", header, _records(db), _NOUNS,
-                  lambda: {"pairs": db.total_pair_count})
+
+    def checksum() -> dict[str, int]:
+        pairs = _exact_pair_count(db)
+        if pairs is None:
+            raise DataError(f"cannot write database {path}: its neighbor counts have an odd "
+                            "sum, so some pair is not stored in both directions")
+        return {"pairs": pairs}
+
+    artifact.save(path, "database", header, _records(db), _NOUNS, checksum)
 
 
 def load(path) -> AdjacencyDatabase:
@@ -243,27 +263,26 @@ def load(path) -> AdjacencyDatabase:
 
     A cell that breaks the artifact's cell rule is refused, naming the
     first such cell, and so are a word with two records, a `#window=`
-    header that is not the plain digits of a window of at least 2 and a
-    `#binary=` header other than 0.
+    header that is not the plain digits of a window of at least 2, a
+    `#binary=` header other than 0, and neighbor counts that do not sum to
+    exactly twice `#pairs=`.
     """
     header, records, declared = artifact.load(path, "database", _HEADER_KEYS, ("pairs",),
                                               _NOUNS)
     entries = {word: nbrs for word, nbrs, _ in records}
     window = artifact.read_count(header["window"])
-    try:
-        reason = _window_refusal(header["window"] if window is None else window)
-        if reason:
-            raise ValueError(reason)
-        if header["binary"] != "0":
-            raise ValueError(f"binary must be 0, got {header['binary']!r}: build-db --binary "
-                             "was removed; rebuild the database")
-    except ValueError as exc:
-        raise CorruptFileError(f"unparseable database line in {path}: {exc}") from exc
+    reason = _window_refusal(header["window"] if window is None else window)
+    if reason:
+        raise CorruptFileError(f"unparseable database line in {path}: {reason}")
+    if header["binary"] != "0":
+        raise CorruptFileError(f"unparseable database line in {path}: binary must be 0, got "
+                               f"{header['binary']!r}: build-db --binary was removed; "
+                               "rebuild the database")
 
     meta = DbMeta(window=window, stoplist_sha=header["stoplist_sha"], source=header["source"])
     db = AdjacencyDatabase(entries=entries, meta=meta)
-    if db.total_pair_count != declared["pairs"]:
+    if _exact_pair_count(db) != declared["pairs"]:
         raise CorruptFileError(
-            f"{path}: checksum mismatch, file declares {declared['pairs']} pairs "
-            f"but body sums to {db.total_pair_count}")
+            f"{path}: checksum mismatch, file declares {declared['pairs']} pairs but its "
+            f"neighbor counts do not sum to {2 * declared['pairs']}")
     return db

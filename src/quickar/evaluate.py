@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -90,11 +92,9 @@ def baseline_terms(title: str) -> list[str]:
 
 @dataclass
 class FilterResult:
-    kept: list[QueryRecord]
+    kept: dict[QueryRecord, int]  # each kept query, in file order: its baseline rank
     dropped_low_rank: int
     dropped_not_retrieved: int
-    baseline_ranks: dict[str, int]
-    total: int = 0
 
 
 def filter_dataset(
@@ -105,13 +105,16 @@ def filter_dataset(
     POOR_RANK_THRESHOLD.
 
     Queries whose baseline never retrieves a gold document are dropped and
-    reported separately. Queries without gold documents are an error.
+    reported separately. A query without gold documents, or a query id
+    held twice, is a DataError, raised before any query is ranked.
     """
     missing = [q.query_id for q in queries if not q.gold_docs]
     if missing:
         raise DataError(f"queries without gold documents: {', '.join(missing)}")
-    result = FilterResult(kept=[], dropped_low_rank=0, dropped_not_retrieved=0,
-                          baseline_ranks={}, total=len(queries))
+    repeated = [qid for qid, n in Counter(q.query_id for q in queries).items() if n > 1]
+    if repeated:
+        raise DataError(f"duplicate query ids: {', '.join(repeated)}")
+    result = FilterResult(kept={}, dropped_low_rank=0, dropped_not_retrieved=0)
     for query in queries:
         rank = searcher.rank(baseline_terms(query.text), query.gold_docs)
         if rank is None:
@@ -119,8 +122,7 @@ def filter_dataset(
         elif rank <= POOR_RANK_THRESHOLD:
             result.dropped_low_rank += 1
         else:
-            result.kept.append(query)
-            result.baseline_ranks[query.query_id] = rank
+            result.kept[query] = rank
     return result
 
 
@@ -155,17 +157,14 @@ def _fractional_ranks(values: Sequence[float]) -> tuple[list[float], int]:
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     tie_sum = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        shared = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = shared
-        run = j - i + 1
-        tie_sum += run ** 3 - run
-        i = j + 1
+    first = 0  # the 0-based ordinal rank of the run's first value
+    for _, group in groupby(order, key=values.__getitem__):
+        run = list(group)
+        shared = first + (len(run) - 1) / 2.0 + 1.0
+        for index in run:
+            ranks[index] = shared
+        tie_sum += len(run) ** 3 - len(run)
+        first += len(run)
     return ranks, tie_sum
 
 
@@ -202,8 +201,8 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> dict
 # Strategy evaluation
 # ---------------------------------------------------------------------------
 
-def _classify(baseline: int | None, reformulated: int | None) -> str:
-    if baseline is None or reformulated is None:
+def _classify(baseline: int, reformulated: int | None) -> str:
+    if reformulated is None:
         return EXCLUDED
     if reformulated < baseline:
         return IMPROVED
@@ -213,11 +212,10 @@ def _classify(baseline: int | None, reformulated: int | None) -> str:
 
 
 def evaluate_strategy(
-    queries: Sequence[QueryRecord],
+    kept: dict[QueryRecord, int],
     corpus: Corpus,
     db: AdjacencyDatabase,
     strategy: str,
-    baseline_ranks: dict[str, int],
     *,
     stops: StopList,
     oracle: NounOracle,
@@ -225,8 +223,9 @@ def evaluate_strategy(
     reformulated: dict[QueryRecord, SharedQuery],
     params: Params = Params(),
 ) -> list[dict]:
-    """Evaluate one strategy over an already-filtered dataset; returns one
-    outcome row per query, as the report stores it: `query_id`,
+    """Evaluate one strategy over the kept queries, each mapped to its
+    baseline rank as `filter_dataset` keeps them; returns one outcome row
+    per query, in `kept` order, as the report stores it: `query_id`,
     `baseline_rank`, `reformulated_rank`, `classification` and `reason`.
 
     For the full pipeline, a query whose reduction step alone already
@@ -258,12 +257,11 @@ def evaluate_strategy(
         return ranked(query, refs[mode].rendered_query.normalized())
 
     outcomes = []
-    for query in queries:
-        baseline = baseline_ranks.get(query.query_id)
+    for query, baseline in kept.items():
         try:
             if strategy in MODES:
                 rank = mode_rank(query, strategy)
-                if strategy == MODE_ALL and baseline is not None:
+                if strategy == MODE_ALL:
                     reduced_rank = mode_rank(query, MODE_REDUCE)
                     if reduced_rank is not None and reduced_rank < baseline:
                         rank = reduced_rank
@@ -330,9 +328,9 @@ def run_evaluation(
     filtered = filter_dataset(queries, searcher)
     reformulated: dict[QueryRecord, SharedQuery] = {}
     outcomes = {
-        strategy: evaluate_strategy(filtered.kept, corpus, db, strategy, filtered.baseline_ranks,
-                                    stops=stops, oracle=oracle, params=params,
-                                    searcher=searcher, reformulated=reformulated)
+        strategy: evaluate_strategy(filtered.kept, corpus, db, strategy, stops=stops,
+                                    oracle=oracle, params=params, searcher=searcher,
+                                    reformulated=reformulated)
         for strategy in strategies
     }
 
@@ -348,7 +346,7 @@ def run_evaluation(
                     **mann_whitney_u(sample_a, sample_b)})
     return {
         "dataset": {
-            "total": filtered.total,
+            "total": len(queries),
             "kept": len(filtered.kept),
             "dropped_low_rank": filtered.dropped_low_rank,
             "dropped_not_retrieved": filtered.dropped_not_retrieved,
@@ -361,14 +359,14 @@ def run_evaluation(
 
 
 def _paired_ranks(a: Sequence[dict], b: Sequence[dict]) -> tuple[list[int], list[int]]:
-    """Reformulated ranks of the queries both strategies retrieved."""
-    ranks_b = {o["query_id"]: o["reformulated_rank"] for o in b}
+    """Reformulated ranks of the queries both strategies retrieved; row i
+    of `a` and of `b` is the same kept query, as rows follow `kept`."""
     sample_a, sample_b = [], []
-    for outcome in a:
-        rank, other = outcome["reformulated_rank"], ranks_b.get(outcome["query_id"])
-        if rank is not None and other is not None:
+    for outcome, other in zip(a, b, strict=True):
+        rank, other_rank = outcome["reformulated_rank"], other["reformulated_rank"]
+        if rank is not None and other_rank is not None:
             sample_a.append(rank)
-            sample_b.append(other)
+            sample_b.append(other_rank)
     return sample_a, sample_b
 
 

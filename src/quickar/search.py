@@ -10,12 +10,18 @@ Ties break by ascending document id, which makes every ranked list total and
 reproducible; the evaluation harness relies on that.
 
 A `Searcher` takes each term's df from its corpus's `doc_freq`, counted once
-per corpus on first read. idf values (by df), `1 + ln count` values (by
-count), document norms and weighted postings are computed the first time a
-query needs them and memoized on the searcher, so a one-shot call weights
-only what it scores. Postings come from the corpus's `positions`, its
-inverted index, which only full scoring (`rank`, `search` without `top_n`)
-builds.
+per corpus on first read, and computes no weight when it is built. The rest
+is computed the first time a query needs it and memoized on the searcher: a
+df's idf and a count's `1 + ln count` when a weight needs them, a
+document's L2 norm when a posting of that document is built or a top-n
+search scores it exactly, and a term's postings when a full scoring
+(`rank`, `search` without `top_n`) first reads it. A one-shot call
+therefore weights only what it scores, and every float is the one a fully
+built index gives. Postings come from the corpus's `positions`, its
+inverted index, which only full scoring builds. A term's postings are a
+pair of lists, the positions and the L2-normalized weights of the
+documents holding the term, with no tuple per posting, keyed by the
+corpus's own term strings.
 
 Every float sum is added left to right in ascending term order
 (`functools.reduce`, not `sum`, which compensates float sums from CPython
@@ -99,35 +105,11 @@ class _TfMemo(dict):
 
 
 class Searcher:
-    """Inverted-index retriever bound to one immutable corpus.
-
-    Each term's df comes from `corpus.doc_freq`, and the documents holding
-    it, for full scoring, from `corpus.positions`; the corpus builds each
-    once, on first read. The searcher reads `doc_freq` at construction and
-    computes no weight. The rest is computed on first use and kept on the
-    searcher: a df's idf and a count's `1 + ln count` when a weight needs
-    them, a document's L2 norm when a posting of that document is built or
-    a top-n search scores it exactly, and a term's postings when a full
-    scoring first reads it. A call that scores ten terms therefore weights
-    only their postings, and every float is the one a fully built index
-    gives.
-
-    A top-n search builds no postings and reads no `positions`: it scans
-    the documents' term counts for each query term. It bounds each hit
-    document's cosine by its dot product with the query over a lower bound
-    of its norm: its matched weights squared, plus the idf floor F[m] for
-    its m unmatched terms, the sum of the m smallest idf squared over the
-    vocabulary (every weight is at least its idf, and the m terms are
-    distinct). It computes norms and exact scores in descending bound order
-    until the next bound, raised by a relative 1e-9, is below the n-th
-    exact score. When every query term's postings are memoized, it scores
-    every hit from the postings.
-
-    A term's postings are a pair of lists, the positions and the
-    L2-normalized weights of the documents holding the term, with no tuple
-    per posting. They are keyed by the corpus's own term strings, which
-    `corpus.load` shares between the documents holding the same cell.
-    """
+    """TF-IDF retriever bound to one immutable corpus: the corpus, its
+    `doc_freq`, each document's id by position and the document by id,
+    and the memos that the module docstring describes (idf by df,
+    `1 + ln count` by count, norms by position, postings by term, and the
+    idf floor of top-n pruning)."""
 
     def __init__(self, corpus: Corpus):
         if corpus.n_docs == 0:
@@ -193,8 +175,6 @@ class Searcher:
             counts[term] = counts.get(term, 0) + 1
         weights = self.tf_idf(counts)
         norm = math.sqrt(functools.reduce(operator.add, (w * w for w in weights.values()), 0.0))
-        if norm == 0.0:
-            return {}
         return {term: w / norm for term, w in weights.items()}
 
     def document(self, doc_id: str) -> Document:

@@ -8,7 +8,9 @@ query it prints `float.hex` of each search score of the baseline terms, of
 the top-1, top-5 and top-10 scores of those terms, each from a fresh
 `Searcher` and so through the pruned top-n path, of each expansion score
 of the `all` reformulation and of each Rocchio expansion score. It then
-prints the sha256 of the JSON report and of the text report, and of what
+prints the sha256 of the JSON report and of the text report, for all six
+strategies and for `so`, `prep` and `red` with `strict`, whose
+Mann-Whitney tests pair each strategy with `so` for want of `all`, and of what
 the method splitter, its masker and its comment stripper return for a
 fixed Java text, so that the regular expressions are compared too. Only the
 standard library and quickar are imported, so any interpreter can run it
@@ -96,10 +98,13 @@ def main() -> None:
             continue
         print(query.query_id, "all", _hex(c.score for c in refs[MODE_ALL].expansion_terms))
         print(query.query_id, "rocchio", _hex(c.score for c in rocchio.expansion_terms))
-    report = run_evaluation(queries, corpus, db, stops=stops, oracle=oracle)
-    for name, text in (("report.json", json.dumps(report, indent=2, sort_keys=True)),
-                       ("report.txt", render_report_text(report))):
-        print(name, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    for label, report in (
+            ("", run_evaluation(queries, corpus, db, stops=stops, oracle=oracle)),
+            ("so,prep,red strict ", run_evaluation(queries, corpus, db, ("so", "prep", "red"),
+                                                   stops=stops, oracle=oracle, strict=True))):
+        for name, text in (("report.json", json.dumps(report, indent=2, sort_keys=True)),
+                           ("report.txt", render_report_text(report))):
+            print(f"{label}{name}", hashlib.sha256(text.encode("utf-8")).hexdigest())
     for split in (corpus_mod.split_methods, corpus_mod._mask, corpus_mod._strip_comments):
         results = repr([split(text) for text in SPLITTER_TEXTS])
         print(split.__name__, hashlib.sha256(results.encode("utf-8")).hexdigest())

@@ -9,7 +9,7 @@ header line raises CorruptFileError. The line reader splits exactly where
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quickar import adjacency, artifact, corpus
@@ -100,6 +100,33 @@ def test_changed_checksum_count_is_corruption(workdir, module, objects, data):
     key, count = parts[which].split("=")
     parts[which] = f"{key}={int(count) + data.draw(st.integers(-3, 3).filter(bool))}"
     path.write_bytes(b"\n".join([*body, ("#" + ",".join(parts)).encode(), b""]))
+    with pytest.raises(CorruptFileError):
+        module.load(path)
+
+
+@ARTIFACTS
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_edited_count_is_corruption(workdir, module, objects, data):
+    # The checksum pins the sum of the counts: an index's term counts sum to
+    # its `terms=`, and a database's neighbor counts to exactly twice its
+    # `pairs=`. The file is read as bytes, since a name may hold a "\r".
+    path = workdir / "artifact"
+    module.save(data.draw(objects), path)
+    lines = path.read_bytes().split(b"\n")
+    records = {i: lines[i].rpartition(b"\t")
+               for i in range(len(module._HEADER_KEYS), len(lines) - 2)}
+    cells = [(i, j) for i, (_, _, text) in records.items() if text
+             for j in range(text.count(b",") + 1)]
+    assume(cells)
+    i, j = data.draw(st.sampled_from(cells))
+    name, tab, text = records[i]
+    split = text.split(b",")
+    cell, _, count = split[j].rpartition(b":")
+    delta = data.draw(st.sampled_from([d for d in range(-3, 4) if d and int(count) + d >= 1]))
+    split[j] = cell + b":" + str(int(count) + delta).encode()
+    lines[i] = name + tab + b",".join(split)
+    path.write_bytes(b"\n".join(lines))
     with pytest.raises(CorruptFileError):
         module.load(path)
 
@@ -252,6 +279,19 @@ def test_database_save_names_the_word_load_would_refuse(tmp_path, neighbor, coun
     with pytest.raises(DataError) as err:
         adjacency.save(bad, path)
     assert str(err.value) == f"cannot write database {path}: {message}"
+    assert path.read_bytes() == before
+
+
+def test_database_save_refuses_an_odd_sum_of_neighbor_counts(tmp_path):
+    # Every pair is stored in both directions, so the neighbor counts sum to
+    # twice the pair count; an odd sum has no `#pairs=` that `load` accepts.
+    path = tmp_path / "db.txt"
+    adjacency.save(AdjacencyDatabase({"bar": {"qux": 1}, "qux": {"bar": 1}}), path)
+    before = path.read_bytes()
+    with pytest.raises(DataError) as err:
+        adjacency.save(AdjacencyDatabase({"bar": {"qux": 2}, "qux": {"bar": 1}}), path)
+    assert str(err.value) == (f"cannot write database {path}: its neighbor counts have an odd "
+                              "sum, so some pair is not stored in both directions")
     assert path.read_bytes() == before
 
 

@@ -684,7 +684,7 @@ def test_out_of_range_number_flag_is_a_usage_error(capsys, argv, message):
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
-# A query id names one query: the baseline ranks are kept by id.
+# A query id names one query, and one row of each strategy in the report.
 def test_evaluate_rejects_a_repeated_query_id(tmp_path, capsys):
     db, index, queries = tmp_path / "db.txt", tmp_path / "index.txt", tmp_path / "queries.tsv"
     rows = [line for line in (EVAL_DATA / "queries.tsv").read_text(encoding="utf-8").split("\n")

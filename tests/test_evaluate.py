@@ -93,17 +93,31 @@ def test_filter_dataset_boundaries(stops):
         QueryRecord("best", "alpha", frozenset({"d11", "d20"})),
         QueryRecord("none", "zeta", frozenset({"d01"})),
     ]
+    at11, best = queries[1:3]
     result = filter_dataset(queries, Searcher(corpus))
-    assert [q.query_id for q in result.kept] == ["at11", "best"]
-    assert result.baseline_ranks == {"at11": 11, "best": 11}
+    assert result.kept == {at11: 11, best: 11}
+    assert list(result.kept) == [at11, best]
     assert (result.dropped_low_rank, result.dropped_not_retrieved) == (1, 1)
-    assert result.total == 4
 
 
 def test_filter_dataset_requires_gold(stops):
     corpus = make_corpus([("d1", "alpha")], stops)
     with pytest.raises(DataError):
         filter_dataset([QueryRecord("q", "alpha")], Searcher(corpus))
+
+
+@pytest.mark.parametrize("gold", [("d11", "d15"), ("d11", "d11")], ids=["different", "same"])
+def test_filter_dataset_refuses_a_repeated_query_id(stops, rank_calls, gold):
+    # Each kept query maps to its own baseline rank and its rows pair up by
+    # position, so two queries held under one id, even two equal records,
+    # are refused before any query is ranked.
+    corpus = make_corpus([(f"d{i:02d}", "alpha beta") for i in range(1, 21)], stops)
+    queries = [QueryRecord("q", "alpha", frozenset({doc})) for doc in gold]
+    with pytest.raises(DataError) as exc:
+        filter_dataset([QueryRecord("p", "beta", frozenset({"d01"})), *queries],
+                       Searcher(corpus))
+    assert str(exc.value) == "duplicate query ids: q"
+    assert rank_calls == []
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +205,8 @@ def test_unknown_strategy_is_a_data_error(fixture_run, stops, oracle, rank_calls
     # checks its list, instead of evaluating the Rocchio baseline.
     corpus, db, queries = fixture_run
     with pytest.raises(DataError) as exc:
-        evaluate_strategy(queries, corpus, db, "bogus", {}, stops=stops, oracle=oracle,
-                          searcher=Searcher(corpus), reformulated={})
+        evaluate_strategy(dict.fromkeys(queries, 11), corpus, db, "bogus", stops=stops,
+                          oracle=oracle, searcher=Searcher(corpus), reformulated={})
     assert str(exc.value) == "unknown strategies: bogus"
     assert rank_calls == []
 

@@ -3,12 +3,14 @@
 `run_evaluation` reformulates each query once for the four modes, keeps
 each rank by the sorted rendered terms, ranks a gold document by counting,
 keeps the reduction-only rank of `all` when that alone improves, and pairs
-the Mann-Whitney samples by query id. `oracles.reference_run_evaluation`
-shares nothing between strategies and reads every rank off a full ranking.
-The two reports must agree exactly, apart from p, which scipy computes
-with its own normal tail. The worlds are the `tests/data/evaluate` fixture,
-three generated by `bench/gen.py` at its tiny scale, and one of equal
-documents, in which the order of equal scores decides every rank.
+the Mann-Whitney samples by row position, every strategy's rows following
+the kept queries' order. `oracles.reference_run_evaluation` shares nothing
+between strategies, reads every rank off a full ranking and pairs the
+samples by query id. The two reports must agree exactly, apart from p,
+which scipy computes with its own normal tail. The worlds are the
+`tests/data/evaluate` fixture, three generated by `bench/gen.py` at its
+tiny scale, one of equal documents, in which the order of equal scores
+decides every rank, and worlds that hypothesis generates.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_run_evaluation
 from quickar import adjacency, corpus
@@ -85,3 +89,48 @@ def test_report_matches_the_reference_evaluation(world, stops, oracle, strategie
     assert report == expected
     for got, want in p_values:
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# Generated worlds: twelve to thirty documents, each one of a few texts of
+# one to five words over twenty words, so that whole groups of documents
+# tie and a gold document often ranks below 10; a database mined from titles
+# over the same words; and queries whose gold documents are drawn from the
+# documents after the first ten. A title takes its words from the text of its first gold
+# document and from two words that no document holds, so some baselines
+# and some reformulations retrieve no gold document.
+VOCAB = WORD_POOL[:20]
+TEXTS = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=5).map(" ".join)
+
+
+@st.composite
+def worlds(draw, stops):
+    texts = draw(st.lists(TEXTS, min_size=1, max_size=4))
+    chosen = draw(st.lists(st.sampled_from(texts), min_size=12, max_size=30))
+    index = make_corpus([(f"d{i:02d}", text) for i, text in enumerate(chosen)], stops)
+    titles = [TitleRecord(n, title, ("java",))
+              for n, title in enumerate(draw(st.lists(TEXTS, min_size=1, max_size=12)), 1)]
+    queries = []
+    for n in range(draw(st.integers(1, 8))):
+        gold = draw(st.lists(st.integers(10, len(chosen) - 1), min_size=1, max_size=2))
+        words = chosen[gold[0]].split() + WORD_POOL[len(VOCAB):len(VOCAB) + 2]
+        title = draw(st.lists(st.sampled_from(words), min_size=1, max_size=3))
+        queries.append(QueryRecord(f"q{n}", " ".join(title),
+                                   frozenset(index.documents[i].doc_id for i in gold)))
+    return queries, index, adjacency.build(titles, stops, source="generated")
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_generated_world_matches_the_reference_evaluation(stops, oracle, data):
+    queries, index, db = data.draw(worlds(stops))
+    strategies = data.draw(st.sampled_from([STRATEGIES, ("red", "prep", "rocchio", "so")]))
+    for strict in (False, True):
+        report = run_evaluation(queries, index, db, strategies, stops=stops, oracle=oracle,
+                                strict=strict)
+        expected = reference_run_evaluation(queries, index, db, strategies, stops=stops,
+                                            oracle=oracle, strict=strict)
+        p_values = [(row.pop("p"), ref.pop("p"))
+                    for row, ref in zip(report["mwu"], expected["mwu"])]
+        assert report == expected
+        for got, want in p_values:
+            assert got == pytest.approx(want, abs=1e-12)
