@@ -23,6 +23,13 @@ pair of lists, the positions and the L2-normalized weights of the
 documents holding the term, with no tuple per posting, keyed by the
 corpus's own term strings.
 
+A full scoring adds each query term's postings, in ascending term order,
+into one list holding a score per document position. A document sharing no
+term with the query keeps exactly 0.0, because every product added is
+positive. Full `search` sorts the nonzero entries. `rank` sorts nothing: it
+counts the documents scoring above the best gold document, and walks the
+doc-id tie-break only when another document has that very score.
+
 Every float sum is added left to right in ascending term order
 (`functools.reduce`, not `sum`, which compensates float sums from CPython
 3.12 on), so scores are the same bits on every supported interpreter.
@@ -106,8 +113,8 @@ class _TfMemo(dict):
 
 class Searcher:
     """TF-IDF retriever bound to one immutable corpus: the corpus, its
-    `doc_freq`, each document's id by position and the document by id,
-    and the memos that the module docstring describes (idf by df,
+    `doc_freq`, each document's id by position and the positions of each
+    id, and the memos that the module docstring describes (idf by df,
     `1 + ln count` by count, norms by position, postings by term, and the
     idf floor of top-n pruning)."""
 
@@ -116,7 +123,9 @@ class Searcher:
             raise DataError("cannot search an empty corpus")
         self.corpus = corpus
         self._doc_ids = [doc.doc_id for doc in corpus.documents]
-        self._by_id = {doc.doc_id: doc for doc in corpus.documents}
+        self._positions_by_id: dict[str, list[int]] = {}
+        for index, doc_id in enumerate(self._doc_ids):
+            self._positions_by_id.setdefault(doc_id, []).append(index)
         self._doc_freq = corpus.doc_freq
         # Memos, filled on first use.
         self._idf = _IdfMemo(corpus.n_docs)
@@ -179,31 +188,35 @@ class Searcher:
 
     def document(self, doc_id: str) -> Document:
         """The corpus document with this id (the last one, should ids repeat)."""
-        return self._by_id[doc_id]
+        return self.corpus.documents[self._positions_by_id[doc_id][-1]]
 
-    def _scores(self, query_terms: Sequence[str]) -> dict[int, float]:
-        """Cosine score of every document sharing a term with the query, by
-        document position. Terms are added in ascending order, so a score is
-        the same float whichever method asks for it."""
+    def _scores(self, query_terms: Sequence[str]) -> list[float]:
+        """Cosine score of every document, by document position: 0.0 for a
+        document sharing no term with the query. Terms are added in
+        ascending order, so a score is the same float whichever method asks
+        for it."""
         qvec = self.query_vector(query_terms)
-        scores: dict[int, float] = {}
+        scores = [0.0] * self.corpus.n_docs
         for term in sorted(qvec):
             weight = qvec[term]
             positions, doc_weights = self._postings_of(term)
             for index, doc_weight in zip(positions, doc_weights):
-                scores[index] = scores.get(index, 0.0) + weight * doc_weight
+                scores[index] += weight * doc_weight
         return scores
 
-    def _top_scores(self, query_terms: Sequence[str], top_n: int) -> dict[int, float]:
-        """Exact scores, by document position, of every document that can
-        reach the top `top_n` of `_scores(query_terms)`, each the very float
-        `_scores` gives; documents that cannot are left out unscored."""
+    def _top_scores(self, query_terms: Sequence[str], top_n: int) -> Iterable[tuple[int, float]]:
+        """(position, exact score) of every document that can reach the top
+        `top_n` of the full ranking, each score the very float `_scores`
+        gives; documents that cannot are left out unscored. Once the
+        postings of every query term are memoized, these are the nonzero
+        entries of `_scores`."""
         doc_freq, postings = self._doc_freq, self._postings
         known = sorted(term for term in set(query_terms) if term in doc_freq)
         if top_n < 1 or not known:
-            return {}
+            return ()
         if all(map(postings.__contains__, known)):
-            return self._scores(query_terms)
+            scores = self._scores(query_terms)
+            return compress(enumerate(scores), scores)
         qvec = self.query_vector(query_terms)
         held = list(map(attrgetter("term_counts"), self.corpus.documents))
         tf, norms, floor = self._tf, self._norms, self._floor
@@ -245,7 +258,7 @@ class Searcher:
                 heapq.heappush(best, score)
             else:
                 heapq.heappushpop(best, score)
-        return scores
+        return scores.items()
 
     def search(self, query_terms: Sequence[str], top_n: int | None = None) -> list[SearchHit]:
         """Ranked documents for a query of normalized terms; zero-overlap
@@ -259,9 +272,10 @@ class Searcher:
             return -item[1], doc_ids[item[0]]
 
         if top_n is None:
-            order = sorted(self._scores(query_terms).items(), key=key)
+            scores = self._scores(query_terms)
+            order = sorted(compress(enumerate(scores), scores), key=key)
         else:
-            order = heapq.nsmallest(top_n, self._top_scores(query_terms, top_n).items(), key=key)
+            order = heapq.nsmallest(top_n, self._top_scores(query_terms, top_n), key=key)
         return [
             SearchHit(doc_id=doc_ids[index], score=score, rank=rank)
             for rank, (index, score) in enumerate(order, start=1)
@@ -269,25 +283,38 @@ class Searcher:
 
     def rank(self, query_terms: Sequence[str], gold: set[str] | frozenset[str]) -> int | None:
         """Rank of the first `gold` document in `search(query_terms)`, or
-        None: 1 + the number of scored documents that sort before
-        the best gold one, counted without building or sorting the hits."""
-        if not gold:
-            raise ValueError("gold document set must not be empty")
+        None when no gold document scores: 1 + the number of documents
+        whose score is above the best gold score, plus those tying it with
+        a smaller doc id than the best gold one's. Every document whose id
+        is in `gold` counts as gold, repeated ids included. Nothing is
+        sorted and no hit is built."""
+        _check_gold(gold)
         scores = self._scores(query_terms)
         doc_ids = self._doc_ids
-        best = min(((-score, doc_ids[index]) for index, score in scores.items()
-                    if doc_ids[index] in gold), default=None)
-        if best is None:
+        by_id = self._positions_by_id
+        gold_positions = [index for doc_id in gold for index in by_id.get(doc_id, ())]
+        best = max(map(scores.__getitem__, gold_positions), default=0.0)
+        if not best:
             return None
-        best_score, best_id = -best[0], best[1]
-        return 1 + sum(1 for index, score in scores.items()
-                       if score > best_score or (score == best_score and doc_ids[index] < best_id))
+        before = sum(1 for score in scores if score > best)
+        if scores.count(best) > 1:
+            best_id = min(doc_ids[index] for index in gold_positions if scores[index] == best)
+            before += sum(1 for index, score in enumerate(scores)
+                          if score == best and doc_ids[index] < best_id)
+        return 1 + before
+
+
+def _check_gold(gold) -> None:
+    """Refuse an empty gold set, and a `str`, whose `in` tests substrings."""
+    if isinstance(gold, str):
+        raise TypeError("gold must be a set of doc ids, not a str")
+    if not gold:
+        raise ValueError("gold document set must not be empty")
 
 
 def rank_of_first_relevant(hits: Iterable[SearchHit], gold: set[str]) -> int | None:
     """Smallest rank whose doc_id is in `gold`, or None."""
-    if not gold:
-        raise ValueError("gold document set must not be empty")
+    _check_gold(gold)
     best: int | None = None
     for hit in hits:
         if hit.doc_id in gold and (best is None or hit.rank < best):

@@ -215,6 +215,19 @@ def test_first_relevant_empty_gold_is_error():
         Searcher(random_corpus(3, seed=10)).rank(["alpha"], set())
 
 
+def test_first_relevant_refuses_a_str_gold():
+    # "d1" in "d11" is a substring test, not a membership one.
+    hits = hits_for({1: "d1", 2: "d11"})
+    with pytest.raises(TypeError):
+        rank_of_first_relevant(hits, "d11")
+
+
+def test_rank_refuses_a_str_gold(stops):
+    corpus = make_corpus([("d1", "alpha beta"), ("d11", "alpha")], stops)
+    with pytest.raises(TypeError):
+        Searcher(corpus).rank(["alpha"], "d11")
+
+
 # -- rank by counting and the partial top-n sort ------------------------------
 
 VOCAB = ["alpha", "beta", "gamma", "kelp"]
@@ -243,6 +256,34 @@ def test_rank_equals_rank_of_first_relevant(corpus, terms, data):
     ids = [doc.doc_id for doc in corpus.documents]
     gold = data.draw(st.sets(st.sampled_from(ids + ["ghost"]), min_size=1, max_size=3))
     assert searcher.rank(terms, gold) == rank_of_first_relevant(searcher.search(terms), gold)
+
+
+@st.composite
+def corpora_with_repeated_ids(draw) -> Corpus:
+    """small_corpora plus documents that hold only a word no query holds, so
+    they score zero, in random order and under ids drawn from fewer ids than
+    there are documents: at least two documents share an id, with equal
+    scores (the copies) or different ones."""
+    counts = [doc.term_counts for doc in draw(small_corpora()).documents]
+    counts += [{"lull": draw(st.integers(1, 2))} for _ in range(draw(st.integers(0, 3)))]
+    counts = draw(st.permutations(counts))
+    pool = [f"d{i:02d}" for i in range(max(1, len(counts) - 1))]
+    ids = draw(st.lists(st.sampled_from(pool), min_size=len(counts), max_size=len(counts)))
+    return Corpus([Document(doc_id=doc_id, term_counts=c, surfaces={w: w for w in c})
+                   for doc_id, c in zip(ids, counts)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=corpora_with_repeated_ids(), terms=queries, data=st.data())
+def test_rank_counts_every_document_under_a_gold_id(corpus, terms, data):
+    ids = sorted({doc.doc_id for doc in corpus.documents})
+    gold = data.draw(st.sets(st.sampled_from(ids + ["ghost"]), min_size=1, max_size=3))
+    expected = ReferenceSearcher(corpus).rank(terms, gold)
+    assert Searcher(corpus).rank(terms, gold) == expected
+    # Warm: the postings of every query term, and of others, are memoized.
+    warm = Searcher(corpus)
+    warm.search(VOCAB + ["lull"])
+    assert warm.rank(terms, gold) == expected
 
 
 @settings(max_examples=200, deadline=None)
