@@ -46,7 +46,13 @@ class DbMeta:
 
 
 class AdjacencyDatabase:
-    """Symmetric word -> (neighbor -> count) map with build metadata."""
+    """Word -> (neighbor -> count) map with build metadata; symmetric as
+    built, though nothing here relies on it.
+
+    Rows are read-only. Each word's L2 norm is memoized on first use.
+    `cosine_sums` scores many terms against a few words in one loop, and
+    `cosine` is its one-pair case, so there is one dot product.
+    """
 
     def __init__(self, entries: dict[str, dict[str, int]] | None = None,
                  meta: DbMeta | None = None):
@@ -79,16 +85,44 @@ class AdjacencyDatabase:
 
     def cosine(self, a: str, b: str) -> float:
         """Cosine between the adjacency vectors of two words, 0.0 if either
-        is empty; symmetric to the bit."""
-        row_a, row_b = self.entries.get(a), self.entries.get(b)
-        if not row_a or not row_b:
-            return 0.0
-        small, large = (row_a, row_b) if len(row_a) <= len(row_b) else (row_b, row_a)
-        # Counts are integers: their sums are exact in any order.
-        dot = sum(c * large[w] for w, c in small.items() if w in large)
-        if dot == 0:
-            return 0.0
-        return dot / (self.vector_norm(a) * self.vector_norm(b))
+        is empty; symmetric to the bit. The one-pair case of cosine_sums."""
+        return self.cosine_sums([a], [b])[0]
+
+    def cosine_sums(self, terms: Iterable[str], words: Iterable[str]) -> list[float]:
+        """The summed cosine of each of `terms`' adjacency vectors with
+        those of `words`, one float per term in `terms` order. The cosines
+        are added left to right in `words` order, so every interpreter gives
+        the same float; an empty vector on either side adds nothing.
+
+        Each word's row and norm are read once. A dot product is an integer
+        sum over the smaller of the two rows, exact in any order, so each
+        cosine is `dot / (norm(term) * norm(word))` to the bit either way,
+        and a zero dot adds nothing.
+        """
+        entries, vector_norm = self.entries, self.vector_norm
+        rows = []
+        for word in words:
+            row = entries.get(word)
+            if row:
+                rows.append((row, len(row), vector_norm(word)))
+        sums = []
+        for term in terms:
+            total = 0.0
+            row = entries.get(term)
+            if row:
+                size, norm = len(row), None
+                for other, other_size, other_norm in rows:
+                    small, large = (row, other) if size <= other_size else (other, row)
+                    dot = 0
+                    for word, count in small.items():
+                        if word in large:
+                            dot += count * large[word]
+                    if dot:
+                        if norm is None:
+                            norm = vector_norm(term)
+                        total += dot / (norm * other_norm)
+            sums.append(total)
+        return sums
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdjacencyDatabase):

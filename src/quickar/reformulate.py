@@ -19,11 +19,9 @@ through the same helpers, with no reduction, crowd or nominal filter.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import search
 from .adjacency import AdjacencyDatabase
@@ -179,9 +177,10 @@ def project_candidates(
     exclude = set(words)
     found: dict[str, str] = {}
     for doc in _top_documents(searcher, words, top_docs):
+        surfaces = doc.surfaces
         for term in sorted(doc.term_counts):
-            if term not in exclude:
-                found.setdefault(term, doc.surfaces[term])
+            if term not in exclude and term not in found:
+                found[term] = surfaces[term]
     return found
 
 
@@ -201,12 +200,11 @@ def score_project_candidates(
 ) -> dict[str, float]:
     """Accumulated adjacency-vector cosine of each candidate against every
     keyword, by candidate term in ascending order; candidates or keywords
-    without adjacency entries contribute 0. The cosines are added left to
-    right in keyword order, so every interpreter gives the same float."""
-    words = keywords.normalized()
-    cosine = db.cosine
-    return {term: functools.reduce(operator.add, map(cosine, repeat(term), words), 0.0)
-            for term in sorted(candidates)}
+    without adjacency entries contribute 0. `AdjacencyDatabase.cosine_sums`
+    reads each keyword's row once and adds the cosines left to right in
+    keyword order, so every interpreter gives the same float."""
+    terms = sorted(candidates)
+    return dict(zip(terms, db.cosine_sums(terms, keywords.normalized())))
 
 
 def score_crowd_candidates(
@@ -215,11 +213,21 @@ def score_crowd_candidates(
     db: AdjacencyDatabase,
 ) -> dict[str, float]:
     """Accumulated windowed co-occurrence count of each candidate against
-    every keyword, by candidate term in ascending order."""
+    every keyword, by candidate term in ascending order. Each candidate's
+    own row is read, once: a database need not be symmetric, so the
+    keywords' rows would not do."""
     words = keywords.normalized()
-    zeros = [0] * len(words)
-    return {term: float(sum(map(db.neighbors(term).get, words, zeros)))
-            for term in sorted(candidates)}
+    entries = db.entries
+    scores = {}
+    for term in sorted(candidates):
+        total = 0
+        row = entries.get(term)
+        if row:
+            for word in words:
+                if word in row:
+                    total += row[word]
+        scores[term] = float(total)
+    return scores
 
 
 def shortlist(
@@ -378,8 +386,11 @@ def rocchio_expand(
         for term, weight in searcher.tf_idf(doc.term_counts).items():
             if term in exclude:
                 continue
-            totals[term] = totals.get(term, 0.0) + weight
-            surfaces.setdefault(term, doc.surfaces[term])
+            if term in totals:
+                totals[term] += weight
+            else:
+                totals[term] = weight  # 0.0 + weight, to the bit
+                surfaces[term] = doc.surfaces[term]
     expansions = [CandidateScore(term, surfaces[term], SOURCE_FEEDBACK, score)
                   for term, score in _top_k(totals, max(0, params.budget - len(keywords)))]
     return _render(query, MODE_ROCCHIO, keywords, expansions)

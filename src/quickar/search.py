@@ -26,9 +26,19 @@ corpus's own term strings.
 A full scoring adds each query term's postings, in ascending term order,
 into one list holding a score per document position. A document sharing no
 term with the query keeps exactly 0.0, because every product added is
-positive. Full `search` sorts the nonzero entries. `rank` sorts nothing: it
-counts the documents scoring above the best gold document, and walks the
-doc-id tie-break only when another document has that very score.
+positive. `rank` sorts nothing: it counts the documents scoring above the
+best gold document, and walks the doc-id tie-break only when another
+document has that very score.
+
+Hits are picked with no Python key function. The document positions are
+sorted by doc id once per searcher, on first use by a full or a warm top-n
+search, position breaking ties between equal ids. Full `search` sorts the
+positions with a nonzero score, in that order, by descending score, and a
+warm top-n search takes their `heapq.nlargest`, both keyed by the score
+list itself. Both are stable, so equal scores keep the doc-id order. A
+pruned top-n search puts its few exactly scored positions in the same
+order by sorting just them, so a one-shot search never sorts every
+position.
 
 Every float sum is added left to right in ascending term order
 (`functools.reduce`, not `sum`, which compensates float sums from CPython
@@ -115,8 +125,8 @@ class Searcher:
     """TF-IDF retriever bound to one immutable corpus: the corpus, its
     `doc_freq`, each document's id by position and the positions of each
     id, and the memos that the module docstring describes (idf by df,
-    `1 + ln count` by count, norms by position, postings by term, and the
-    idf floor of top-n pruning)."""
+    `1 + ln count` by count, norms by position, postings by term, the idf
+    floor of top-n pruning and the positions in doc-id order)."""
 
     def __init__(self, corpus: Corpus):
         if corpus.n_docs == 0:
@@ -133,6 +143,7 @@ class Searcher:
         self._norms: dict[int, float] = {}
         self._postings: dict[str, tuple[list[int], list[float]]] = {}
         self._floor: list[float] | None = None
+        self._id_order: list[int] | None = None
 
     def _weights(self, counts: dict[str, int], terms: list[str]):
         """tf'*idf weight of each of `terms`, in their order."""
@@ -204,19 +215,31 @@ class Searcher:
                 scores[index] += weight * doc_weight
         return scores
 
-    def _top_scores(self, query_terms: Sequence[str], top_n: int) -> Iterable[tuple[int, float]]:
-        """(position, exact score) of every document that can reach the top
-        `top_n` of the full ranking, each score the very float `_scores`
+    def _in_id_order(self, scores) -> Iterable[int]:
+        """The positions of the documents with a nonzero entry in `scores`,
+        a list by position, in the order that breaks score ties: ascending
+        doc id, then position. That order of every position is sorted on
+        first use."""
+        order = self._id_order
+        if order is None:
+            order = self._id_order = sorted(range(len(scores)), key=self._doc_ids.__getitem__)
+        return compress(order, map(scores.__getitem__, order))
+
+    def _top_scores(self, query_terms: Sequence[str],
+                    top_n: int) -> tuple[Iterable[int], Sequence[float] | dict[int, float]]:
+        """The positions of every document that can reach the top `top_n`
+        of the full ranking, in the tie-break order of `_in_id_order`, and
+        their exact scores by position, each the very float `_scores`
         gives; documents that cannot are left out unscored. Once the
         postings of every query term are memoized, these are the nonzero
         entries of `_scores`."""
         doc_freq, postings = self._doc_freq, self._postings
         known = sorted(term for term in set(query_terms) if term in doc_freq)
         if top_n < 1 or not known:
-            return ()
+            return (), ()
         if all(map(postings.__contains__, known)):
             scores = self._scores(query_terms)
-            return compress(enumerate(scores), scores)
+            return self._in_id_order(scores), scores
         qvec = self.query_vector(query_terms)
         held = list(map(attrgetter("term_counts"), self.corpus.documents))
         tf, norms, floor = self._tf, self._norms, self._floor
@@ -258,7 +281,9 @@ class Searcher:
                 heapq.heappush(best, score)
             else:
                 heapq.heappushpop(best, score)
-        return scores.items()
+        # Sorts only the scored positions: a one-shot search never needs
+        # the order of every position.
+        return sorted(sorted(scores), key=self._doc_ids.__getitem__), scores
 
     def search(self, query_terms: Sequence[str], top_n: int | None = None) -> list[SearchHit]:
         """Ranked documents for a query of normalized terms; zero-overlap
@@ -266,19 +291,16 @@ class Searcher:
         `top_n`, the first `top_n` of that list, picked without sorting the
         rest and scoring exactly only the documents whose score bound can
         reach it."""
-        doc_ids = self._doc_ids
-
-        def key(item):
-            return -item[1], doc_ids[item[0]]
-
         if top_n is None:
             scores = self._scores(query_terms)
-            order = sorted(compress(enumerate(scores), scores), key=key)
+            order = sorted(self._in_id_order(scores), key=scores.__getitem__, reverse=True)
         else:
-            order = heapq.nsmallest(top_n, self._top_scores(query_terms, top_n), key=key)
+            candidates, scores = self._top_scores(query_terms, top_n)
+            order = heapq.nlargest(top_n, candidates, key=scores.__getitem__)
+        doc_ids = self._doc_ids
         return [
-            SearchHit(doc_id=doc_ids[index], score=score, rank=rank)
-            for rank, (index, score) in enumerate(order, start=1)
+            SearchHit(doc_id=doc_ids[index], score=scores[index], rank=rank)
+            for rank, index in enumerate(order, start=1)
         ]
 
     def rank(self, query_terms: Sequence[str], gold: set[str] | frozenset[str]) -> int | None:

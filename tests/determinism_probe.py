@@ -6,8 +6,11 @@ back, so the scores come through the load path and the surfaces a loaded
 index decodes on first read. For every
 query it prints `float.hex` of each search score of the baseline terms, of
 the top-1, top-5 and top-10 scores of those terms, each from a fresh
-`Searcher` and so through the pruned top-n path, of each expansion score
-of the `all` reformulation and of each Rocchio expansion score. It then
+`Searcher` and so through the pruned top-n path, the doc ids and score bits
+of a top-5 search by the searcher that has just ranked them in full (the
+warm path), the raw project and crowd score of each candidate of the
+reduced keywords, each expansion score of the `all` reformulation and of
+each Rocchio expansion score. It then
 prints the sha256 of the JSON report and of the text report, for all six
 strategies and for `so`, `prep` and `red` with `strict`, whose
 Mann-Whitney tests pair each strategy with `so` for want of `all`, and of what
@@ -41,8 +44,17 @@ from quickar.evaluate import (  # noqa: E402
     run_evaluation,
 )
 from quickar.nouns import default_noun_oracle  # noqa: E402
-from quickar.reformulate import MODE_ALL, reformulations  # noqa: E402
-from quickar.reformulate import rocchio_expand  # noqa: E402
+from quickar.reformulate import (  # noqa: E402
+    MODE_ALL,
+    collect_keywords,
+    crowd_candidates,
+    project_candidates,
+    reduce_keywords,
+    reformulations,
+    rocchio_expand,
+    score_crowd_candidates,
+    score_project_candidates,
+)
 from quickar.search import Searcher  # noqa: E402
 from quickar.textprep import default_language_keywords, default_stoplist  # noqa: E402
 
@@ -68,6 +80,10 @@ def _hex(scores) -> str:
     return " ".join(float(score).hex() for score in scores)
 
 
+def _named_hex(scores) -> str:
+    return " ".join(f"{name}={float(score).hex()}" for name, score in scores)
+
+
 def main() -> None:
     stops, oracle = default_stoplist(), default_noun_oracle()
     db = adjacency.build(
@@ -89,13 +105,20 @@ def main() -> None:
         for top_n in (1, 5, 10):
             print(query.query_id, f"top{top_n}",
                   _hex(h.score for h in Searcher(corpus).search(terms, top_n=top_n)))
+        print(query.query_id, "warm-top5",
+              _named_hex((h.doc_id, h.score) for h in searcher.search(terms, top_n=5)))
         try:
+            reduced = reduce_keywords(collect_keywords(query, stops), corpus, oracle)
+            project = score_project_candidates(project_candidates(reduced, searcher), reduced, db)
+            crowd = score_crowd_candidates(crowd_candidates(reduced, db), reduced, db)
             refs = reformulations(query, corpus, db, stops=stops, oracle=oracle,
                                   searcher=searcher)
             rocchio = rocchio_expand(query, corpus, stops=stops, searcher=searcher)
         except QueryEmptyError:
             print(query.query_id, "empty")
             continue
+        print(query.query_id, "project", _named_hex(project.items()))
+        print(query.query_id, "crowd", _named_hex(crowd.items()))
         print(query.query_id, "all", _hex(c.score for c in refs[MODE_ALL].expansion_terms))
         print(query.query_id, "rocchio", _hex(c.score for c in rocchio.expansion_terms))
     for label, report in (

@@ -449,11 +449,15 @@ def reference_score_project_candidates(
     db,
 ) -> list[CandidateScore]:
     """Accumulated adjacency-vector cosine of each candidate against every
-    keyword; candidates or keywords without adjacency entries contribute 0."""
+    keyword, each cosine `sparse_cosine` of the two rows, added left to
+    right; candidates or keywords without adjacency entries contribute 0."""
     words = keywords.normalized()
+    rows = db.entries
     scored = []
     for term in sorted(candidates):
-        score = functools.reduce(operator.add, (db.cosine(term, word) for word in words), 0.0)
+        score = functools.reduce(operator.add, (sparse_cosine(rows.get(term, {}),
+                                                              rows.get(word, {}))
+                                                for word in words), 0.0)
         scored.append(CandidateScore(term=term, surface=candidates[term],
                                      source=SOURCE_PROJECT, score=score))
     return scored

@@ -64,6 +64,8 @@ def test_scores_and_reports_are_identical_across_interpreters():
     expected = probe(sys.executable)
     assert "report.json " in expected and " search 0x" in expected and " top10 0x" in expected
     assert "so,prep,red strict report.json " in expected
+    assert " warm-top5 " in expected and " project " in expected and " crowd " in expected
+    assert "=0x" in expected
     assert "adjacency.db " in expected and "index.txt " in expected
     assert "split_methods " in expected and "_mask " in expected and "_strip_comments " in expected
     for python in others:

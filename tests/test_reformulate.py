@@ -9,11 +9,14 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dense_cosine_ranking,
     reference_reformulate,
     reference_score_crowd_candidates,
+    reference_score_project_candidates,
     reference_select_and_combine,
     sparse_cosine,
     window_pair_counts,
@@ -50,6 +53,8 @@ from quickar.reformulate import rocchio_expand
 from quickar.search import Searcher
 from quickar.textprep import (
     SPLIT_AND_KEEP_WHOLE,
+    TermSequence,
+    Token,
     default_language_keywords,
     preprocess,
     split_camel,
@@ -264,7 +269,8 @@ def test_project_scores_add_cosines_left_to_right(stops):
     scored = score_project_candidates({w: w for w in vocab[13:]}, keywords, db)
     compensated_differs = False
     for term, score in scored.items():
-        cosines = [db.cosine(term, word) for word in words]
+        cosines = [sparse_cosine(db.entries.get(term, {}), db.entries.get(word, {}))
+                   for word in words]
         total = 0.0
         for value in cosines:
             total += value
@@ -297,6 +303,40 @@ def test_crowd_scores_match_summation_oracle(stops):
     for term, score in scored.items():
         expected = sum(pairs.get((term, kw), 0) for kw in keywords.normalized())
         assert score == expected
+
+
+SCORE_WORDS = ["alpha", "beta", "gamma", "kelp", "umbra", "zinc", "quartz"]
+
+
+@st.composite
+def scoring_worlds(draw):
+    """A database whose rows are drawn one by one, so a pair can be counted
+    in one direction only or with two different counts, with rows of 0 to 7
+    neighbours (either row of a pair may be the smaller) and small or large
+    counts, and words without a row; keywords and candidates drawn from the
+    same words plus one that no database holds."""
+    counts = st.integers(1, 3) | st.integers(1, 10**12)
+    rows = st.dictionaries(st.sampled_from(SCORE_WORDS), counts, max_size=7)
+    entries = draw(st.dictionaries(st.sampled_from(SCORE_WORDS), rows, max_size=6))
+    words = SCORE_WORDS + ["nowhere"]
+    keywords = draw(st.lists(st.sampled_from(words), unique=True, max_size=4))
+    candidates = draw(st.sets(st.sampled_from(words), max_size=8))
+    return (AdjacencyDatabase(entries=entries),
+            TermSequence(Token.from_surface(word) for word in keywords), candidates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=scoring_worlds())
+def test_scores_equal_the_reference_scorers_to_the_bit(world):
+    db, keywords, candidates = world
+    surfaces = {term: term for term in candidates}
+    for got, expected in (
+            (score_project_candidates(surfaces, keywords, db),
+             reference_score_project_candidates(surfaces, keywords, db)),
+            (score_crowd_candidates(candidates, keywords, db),
+             reference_score_crowd_candidates(candidates, keywords, db))):
+        assert [(term, score.hex()) for term, score in got.items()] == [
+            (c.term, c.score.hex()) for c in expected]
 
 
 # -- selection -----------------------------------------------------------------
