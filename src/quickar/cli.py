@@ -223,8 +223,9 @@ def _cmd_index(args) -> int:
     if stats.whole_file:
         print(f"warning: {stats.whole_file} file(s) indexed as a single whole-file document",
               file=sys.stderr)
+    terms = set().union(*(doc.term_counts for doc in built.documents))
     print(f"corpus: {stats.files} files, {built.n_docs} documents, "
-          f"{len(built.doc_freq)} terms -> {args.out}")
+          f"{len(terms)} terms -> {args.out}")
     return 0
 
 

@@ -2,13 +2,14 @@
 
 Tokenization, camel-case decomposition, stop-word removal and lower-case
 normalization. No stemming, ever: reformulated queries must contain real
-words, not stems.
+words, not stems. Only ASCII letters and digits form tokens, a run of digits
+alone is never one, and camel boundaries are tried only before an ASCII capital.
 
 Crowd titles and method bodies repeat the same few thousand raw tokens over
-and over, so `preprocess` expands each distinct one only once. Every
-`StopList` keeps a memo for each `(mode, extra_drop)` it is used with: raw
-token -> the tuple of `Token`s that survive splitting and filtering. Each
-memo also keeps every camel part it has seen, kept or dropped, so that
+and over, so `preprocess` expands each distinct one only once, in one pass.
+Every `StopList` keeps a memo for each `(mode, extra_drop)` it is used with:
+raw token -> the tuple of `Token`s that survive splitting and filtering.
+Each memo also keeps every camel part it has seen, kept or dropped, so that
 identifiers sharing a part ("getValue", "setValue") share its `Token`. The
 memo lives exactly as long as its stop list (there is no module-level
 cache), and the shared `Token`s are frozen.
@@ -34,12 +35,14 @@ SPLIT_AND_KEEP_WHOLE = "split_and_keep_whole"
 
 _DATA_DIR = Path(__file__).with_name("data")
 
-_TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
+# A maximal run of ASCII letters and digits with a letter in it. A match starts
+# only where a run does, so a long digit run is scanned in linear time.
+_TOKEN_RE = re.compile(r"(?<![0-9A-Za-z])[0-9]*[A-Za-z][0-9A-Za-z]*")
 
-# Camel boundaries: before an upper that follows a lower/digit ("restClient",
-# "utf8Codec"), and between an upper run and a trailing Upper+lower word
-# ("XMLHttp" -> "XML|Http"). Zero-width, so parts always concatenate back.
-_CAMEL_BOUNDARY_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+# Camel boundaries, each before an upper (tested first): after a lower/digit
+# ("restClient", "utf8Codec"), or between an upper run and a trailing
+# Upper+lower word ("XMLHttp" -> "XML|Http"). Zero-width: parts concatenate back.
+_CAMEL_BOUNDARY_RE = re.compile(r"(?=[A-Z])(?:(?<=[a-z0-9])|(?<=[A-Z])(?=[A-Z][a-z]))")
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,18 +133,20 @@ def load_language_keywords(path: str | None) -> frozenset[str]:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split raw text into alphanumeric fragments.
+    """Split raw text into its maximal runs of ASCII letters and digits.
 
-    Splits on any non-alphanumeric character; empty and pure-digit fragments
-    are discarded, mixed alphanumerics ("utf8") are kept whole. Surfaces keep
-    their original casing.
+    Any other character splits, a non-ASCII letter included; a run of digits
+    alone is never a token, mixed alphanumerics ("utf8") are kept whole.
+    Surfaces keep their original casing.
 
     >>> tokenize("memory leak/garbage-collection issue")
     ['memory', 'leak', 'garbage', 'collection', 'issue']
+    >>> tokenize("naïve 2 utf8")
+    ['na', 've', 'utf8']
     >>> tokenize("")
     []
     """
-    return [frag for frag in _TOKEN_RE.findall(text) if not frag.isdigit()]
+    return _TOKEN_RE.findall(text)
 
 
 def split_camel(token: str) -> list[str]:
@@ -149,8 +154,8 @@ def split_camel(token: str) -> list[str]:
 
     Lower-to-upper transitions and acronym boundaries (an upper-case run
     followed by Upper+lower splits before the last upper) both break the
-    token; single-case tokens come back unchanged. Parts always concatenate
-    to exactly the input.
+    token; a boundary is tried only before an ASCII capital. Single-case
+    tokens come back unchanged. Parts concatenate to exactly the input.
 
     >>> split_camel("GenericContainerInstantiator")
     ['Generic', 'Container', 'Instantiator']
@@ -164,44 +169,36 @@ def split_camel(token: str) -> list[str]:
 
 class _Expansions(dict):
     """Raw token -> the tokens `preprocess` keeps of it, for one stop list
-    and setting; a token is expanded the first time it is looked up. Holds
-    the stop words, not the `StopList`, so that no reference cycle keeps the
-    stop list alive.
+    and setting; a token is expanded in one pass the first time it is looked
+    up. Holds the stop words, not the `StopList`, so that no reference cycle
+    keeps the stop list alive.
 
     Identifiers share their camel parts ("getValue", "setValue"), so a
     second dict maps each part's surface to its kept `CAMEL_PART` token, or
     to None when the part is dropped: a stop or `extra_drop` word, or all
     digits. A multi-part token is expanded from that dict; only its `WHOLE`
-    token is new."""
+    token is new. A lower-case surface is its own normalized string."""
 
     def __init__(self, stop_words: frozenset[str], mode: str, extra_drop: frozenset[str] | None):
         super().__init__()
-        self.mode = mode
+        self.keep_whole = mode == SPLIT_AND_KEEP_WHOLE
         self.dropped = stop_words | extra_drop if extra_drop else stop_words
         self._parts: dict[str, Token | None] = {}
 
-    def _kept(self, surface: str, origin: str) -> Token | None:
-        """The token of `surface`, or None when it is a dropped word."""
-        norm = surface.lower()
-        if norm in self.dropped:
-            return None
-        # A lower-case surface is its own normalized form: keep one string.
-        return Token(surface, surface if norm == surface else norm, origin)
-
     def __missing__(self, raw: str) -> tuple[Token, ...]:
+        dropped, known, kept = self.dropped, self._parts, []
         parts = split_camel(raw)
-        if len(parts) == 1:
-            kept = [self._kept(raw, WHOLE)]
-        else:
-            known = self._parts
-            kept = []
-            for part in parts:
-                if part not in known:
-                    known[part] = None if part.isdigit() else self._kept(part, CAMEL_PART)
-                kept.append(known[part])
-            if self.mode == SPLIT_AND_KEEP_WHOLE:
-                kept.append(self._kept(raw, WHOLE))
-        self[raw] = expansion = tuple(filter(None, kept))
+        for part in parts if len(parts) > 1 else ():
+            # `known` marks a part not seen yet; a dropped part maps to None.
+            if (tok := known.get(part, known)) is known:
+                norm = part.lower()
+                tok = known[part] = (None if part.isdigit() or norm in dropped else
+                                     Token(part, part if norm == part else norm, CAMEL_PART))
+            if tok is not None:
+                kept.append(tok)
+        if (len(parts) == 1 or self.keep_whole) and (norm := raw.lower()) not in dropped:
+            kept.append(Token(raw, raw if norm == raw else norm, WHOLE))
+        self[raw] = expansion = tuple(kept)
         return expansion
 
 

@@ -15,9 +15,10 @@ prints the sha256 of the JSON report and of the text report, for all six
 strategies and for `so`, `prep` and `red` with `strict`, whose
 Mann-Whitney tests pair each strategy with `so` for want of `all`, and of what
 the method splitter, its masker and its comment stripper return for a
-fixed Java text, so that the regular expressions are compared too. Only the
-standard library and quickar are imported, so any interpreter can run it
-from a checkout:
+fixed Java text, and of what the tokenizer and the camel splitter return for
+a fixed mixed-script text, so that the regular expressions are compared too.
+Only the standard library and quickar are imported, so any interpreter can
+run it from a checkout:
 
     python3.13 tests/determinism_probe.py
 
@@ -56,7 +57,12 @@ from quickar.reformulate import (  # noqa: E402
     score_project_candidates,
 )
 from quickar.search import Searcher  # noqa: E402
-from quickar.textprep import default_language_keywords, default_stoplist  # noqa: E402
+from quickar.textprep import (  # noqa: E402
+    default_language_keywords,
+    default_stoplist,
+    split_camel,
+    tokenize,
+)
 
 EVAL_DATA = Path(__file__).resolve().parent / "data" / "evaluate"
 
@@ -74,6 +80,15 @@ JAVA = (
     "}\n"
 )
 SPLITTER_TEXTS = (JAVA, JAVA + 'String open = "never closed { ', JAVA + "/* never closed {")
+
+# Text that reaches every branch of the tokenizer and the camel splitter:
+# acronym and digit boundaries, digit runs alone and glued to letters, `_`
+# and `-`, whitespace, non-ASCII letters (`Σ`, `ς`, `İ`, `é`) and a soft
+# hyphen.
+WORDS_TEXT = (
+    "XMLHttpRequest utf8Codec toUTF8String 007x x007 42 0x7F_getValue-ABc\t"
+    "naïveParser ΣigmaςFinal İstanbulIO café\u00adBar HTTP2Server\nSQLiteOpenHelper"
+)
 
 
 def _hex(scores) -> str:
@@ -131,6 +146,9 @@ def main() -> None:
     for split in (corpus_mod.split_methods, corpus_mod._mask, corpus_mod._strip_comments):
         results = repr([split(text) for text in SPLITTER_TEXTS])
         print(split.__name__, hashlib.sha256(results.encode("utf-8")).hexdigest())
+    words = repr([tokenize(WORDS_TEXT), split_camel(WORDS_TEXT),
+                  [split_camel(raw) for raw in tokenize(WORDS_TEXT)]])
+    print("tokenize+split_camel", hashlib.sha256(words.encode("utf-8")).hexdigest())
 
 
 if __name__ == "__main__":

@@ -48,8 +48,6 @@ from quickar.textprep import (
     StopList,
     TermSequence,
     Token,
-    split_camel,
-    tokenize,
 )
 
 log = logging.getLogger(__name__)
@@ -438,7 +436,7 @@ def reference_reformulate(query, corpus, db, mode=MODE_ALL, *, stops, oracle,
 # builds a `CandidateScore` only for what its shortlist keeps.
 
 def _reference_candidate_is_nominal(cand: CandidateScore, oracle) -> bool:
-    if len(split_camel(cand.surface)) > 1:
+    if len(reference_split_camel(cand.surface)) > 1:
         return True
     return oracle.is_noun(cand.term)
 
@@ -536,7 +534,36 @@ def reference_select_and_combine(
 # splits and filters every occurrence of a raw token afresh. The package's
 # `preprocess` expands each distinct raw token once per stop list and
 # setting, and must return the same tokens. The tokenizer and camel
-# splitter it calls are the package's.
+# splitter it calls are frozen too, apart from their names and doctests: every
+# fragment is matched and digit-only ones filtered out afterwards, and each
+# boundary rule tries its lookbehind at every position. The package's
+# patterns must split every text at the same places.
+
+_REFERENCE_TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
+
+_REFERENCE_CAMEL_BOUNDARY_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Split raw text into alphanumeric fragments.
+
+    Splits on any non-alphanumeric character; empty and pure-digit fragments
+    are discarded, mixed alphanumerics ("utf8") are kept whole. Surfaces keep
+    their original casing.
+    """
+    return [frag for frag in _REFERENCE_TOKEN_RE.findall(text) if not frag.isdigit()]
+
+
+def reference_split_camel(token: str) -> list[str]:
+    """Split one identifier at camel-case boundaries, preserving casing.
+
+    Lower-to-upper transitions and acronym boundaries (an upper-case run
+    followed by Upper+lower splits before the last upper) both break the
+    token; single-case tokens come back unchanged. Parts always concatenate
+    to exactly the input.
+    """
+    return _REFERENCE_CAMEL_BOUNDARY_RE.split(token)
+
 
 def reference_preprocess(
     text: str,
@@ -555,8 +582,8 @@ def reference_preprocess(
     if mode not in (SPLIT_ONLY, SPLIT_AND_KEEP_WHOLE):
         raise ValueError(f"unknown preprocessing mode: {mode!r}")
     tokens: list[Token] = []
-    for raw in tokenize(text):
-        parts = split_camel(raw)
+    for raw in reference_tokenize(text):
+        parts = reference_split_camel(raw)
         if len(parts) == 1:
             candidates = [Token.from_surface(raw, WHOLE)]
         else:
@@ -753,7 +780,8 @@ def reference_run_evaluation(queries, corpus, db, strategies, *, stops, oracle,
 
     kept, baselines, low, unretrieved = [], {}, 0, 0
     for query in queries:
-        rank = first_gold_rank([tok.lower() for tok in tokenize(query.text)], query.gold_docs)
+        rank = first_gold_rank([tok.lower() for tok in reference_tokenize(query.text)],
+                               query.gold_docs)
         if rank is None:
             unretrieved += 1
         elif rank <= 10:

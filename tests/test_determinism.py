@@ -68,5 +68,6 @@ def test_scores_and_reports_are_identical_across_interpreters():
     assert "=0x" in expected
     assert "adjacency.db " in expected and "index.txt " in expected
     assert "split_methods " in expected and "_mask " in expected and "_strip_comments " in expected
+    assert "tokenize+split_camel " in expected
     for python in others:
         assert probe(python) == expected, python

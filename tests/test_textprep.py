@@ -5,14 +5,15 @@ from __future__ import annotations
 import dataclasses
 import doctest
 import random
+import string
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quickar.textprep
-from oracles import reference_preprocess
+from oracles import reference_preprocess, reference_split_camel, reference_tokenize
 from quickar.textprep import (
     CAMEL_PART,
     SPLIT_AND_KEEP_WHOLE,
@@ -84,6 +85,27 @@ def test_split_camel_parts_concatenate():
     for _ in range(300):
         token = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 14)))
         assert "".join(split_camel(token)) == token
+
+
+# Text for the frozen tokenizer and camel splitter: ASCII letters and digits,
+# separators, non-ASCII letters that change length or case when lower-cased
+# (`İ`, final `ς`), and a soft hyphen; plus digit runs glued to letters.
+PATTERN_ALPHABET = string.ascii_letters + string.digits + "_- \t\nΣςİé\u00ad"
+GLUED_DIGITS = ["007x", "x007", "0x7F", "A007B", "utf8Codec", "HTTP2Server", "2", "00"]
+pattern_texts = st.lists(st.one_of(st.text(alphabet=PATTERN_ALPHABET, max_size=12),
+                                   st.sampled_from(GLUED_DIGITS)),
+                         max_size=16).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pattern_texts)
+@example("7" * 10**5)
+@example("x" + "7" * 10**5 + " 007x " + "7" * 10**5 + "Y")
+def test_tokenize_and_split_camel_match_the_frozen_patterns(text):
+    assert tokenize(text) == reference_tokenize(text)
+    assert split_camel(text) == reference_split_camel(text)
+    for raw in tokenize(text):
+        assert split_camel(raw) == reference_split_camel(raw)
 
 
 def test_preprocess_split_only_keeps_down(stops):
