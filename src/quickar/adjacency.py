@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import artifact
 from .errors import CorruptFileError, DataError
@@ -27,8 +26,7 @@ log = logging.getLogger(__name__)
 DEFAULT_WINDOW = 2
 
 
-@dataclass(frozen=True)
-class TitleRecord:
+class TitleRecord(NamedTuple):
     """One question title from a dump: id, raw title, lower-cased tags."""
 
     question_id: int
@@ -36,8 +34,7 @@ class TitleRecord:
     tags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DbMeta:
+class DbMeta(NamedTuple):
     """Build parameters recorded with the database."""
 
     window: int = DEFAULT_WINDOW
@@ -138,12 +135,11 @@ class AdjacencyDatabase:
 # Dump parsing and filtering
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DumpStats:
     """Counters filled while reading a dump; malformed lines never abort."""
 
-    read: int = 0
-    malformed: int = 0
+    def __init__(self, read: int = 0, malformed: int = 0):
+        self.read, self.malformed = read, malformed
 
 
 def parse_title_line(line: str) -> TitleRecord:
@@ -159,7 +155,7 @@ def parse_title_line(line: str) -> TitleRecord:
     if not title:
         raise DataError("empty title")
     tags = tuple(t.strip().lower() for t in tag_field.split(";") if t.strip())
-    return TitleRecord(question_id=qid, title=title, tags=tags)
+    return TitleRecord(qid, title, tags)
 
 
 def read_title_dump(path, stats: DumpStats | None = None) -> Iterator[TitleRecord]:

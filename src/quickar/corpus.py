@@ -13,12 +13,11 @@ import re
 import string
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import artifact
 from .errors import CorruptFileError, DataError
@@ -67,8 +66,7 @@ _PAREN_RE = re.compile(r"[()]")
 _BRACE_STEP = {"{": 1, "}": -1}
 
 
-@dataclass(frozen=True)
-class MethodUnit:
+class MethodUnit(NamedTuple):
     """One extracted unit: signature plus balanced-brace body text."""
 
     name: str
@@ -225,11 +223,11 @@ def split_methods(text: str, fallback_name: str = "file") -> list[MethodUnit]:
 # Documents and the corpus
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
 class Document:
     """One method-level document: normalized term counts plus the first-seen
     surface form of each term (kept for query rendering). Both maps hold the
-    same terms, each its surface lower-cased; `save` refuses any other.
+    same terms, each its surface lower-cased; `save` refuses any other. A
+    plain mutable slots record, equal by value.
 
     A document that `load` read has its `term_counts` decoded at load, and
     keeps its record's cells to decode `surfaces` from on first read: the
@@ -239,11 +237,19 @@ class Document:
     every document that holds it.
     """
 
-    doc_id: str
-    term_counts: dict[str, int] = field(default_factory=dict)
-    surfaces: dict[str, str] = field(default_factory=dict)
-    # A loaded document's cells, until its surfaces are decoded.
-    _cells: str = field(default="", init=False, repr=False, compare=False)
+    __slots__ = ("doc_id", "term_counts", "surfaces", "_cells")
+
+    def __init__(self, doc_id: str, term_counts: dict[str, int] | None = None,
+                 surfaces: dict[str, str] | None = None):
+        self.doc_id, self._cells = doc_id, ""
+        self.term_counts = {} if term_counts is None else term_counts
+        self.surfaces = {} if surfaces is None else surfaces
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.doc_id, self.term_counts, self.surfaces) == (
+            other.doc_id, other.term_counts, other.surfaces)
 
     @classmethod
     def _loaded(cls, doc_id: str, term_counts: dict[str, int], cells: str) -> "Document":
@@ -271,15 +277,14 @@ class Document:
         for tok in terms:
             counts[tok.normalized] = counts.get(tok.normalized, 0) + 1
             surfaces.setdefault(tok.normalized, tok.surface)
-        return cls(doc_id=doc_id, term_counts=counts, surfaces=surfaces)
+        return cls(doc_id, counts, surfaces)
 
     @property
     def length(self) -> int:
         return sum(self.term_counts.values())
 
 
-@dataclass(frozen=True)
-class CorpusMeta:
+class CorpusMeta(NamedTuple):
     source: str = ""
     stoplist_sha: str = ""
     keywords_sha: str = ""
@@ -336,11 +341,11 @@ class Corpus:
         return f"Corpus(n_docs={self.n_docs}, vocab={len(self.doc_freq)}, meta={self.meta})"
 
 
-@dataclass
 class IngestStats:
-    files: int = 0
-    skipped: int = 0
-    whole_file: int = 0  # files indexed as one whole-file document
+    """Indexing counters (`whole_file`: files indexed whole); a plain mutable record."""
+
+    def __init__(self, files: int = 0, skipped: int = 0, whole_file: int = 0):
+        self.files, self.skipped, self.whole_file = files, skipped, whole_file
 
 
 def _ingest(root, stops: StopList, keywords: frozenset[str], stats: IngestStats | None,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -90,11 +89,14 @@ def baseline_terms(title: str) -> list[str]:
     return [t.lower() for t in tokenize(title)]
 
 
-@dataclass
 class FilterResult:
-    kept: dict[QueryRecord, int]  # each kept query, in file order: its baseline rank
-    dropped_low_rank: int
-    dropped_not_retrieved: int
+    """The outcome of `filter_dataset`: `kept` maps each kept query, in file
+    order, to its baseline rank. A plain mutable record."""
+
+    def __init__(self, kept: dict[QueryRecord, int], dropped_low_rank: int,
+                 dropped_not_retrieved: int):
+        self.kept, self.dropped_low_rank = kept, dropped_low_rank
+        self.dropped_not_retrieved = dropped_not_retrieved
 
 
 def filter_dataset(
@@ -352,7 +354,7 @@ def run_evaluation(
             "dropped_not_retrieved": filtered.dropped_not_retrieved,
         },
         "denominator": "retrieved_only" if strict else "all",
-        "params": {**asdict(params), "threshold": POOR_RANK_THRESHOLD},
+        "params": {**params._asdict(), "threshold": POOR_RANK_THRESHOLD},
         "strategies": {name: strategy_report(o, strict) for name, o in outcomes.items()},
         "mwu": mwu,
     }

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import search
 from .adjacency import AdjacencyDatabase
@@ -53,19 +53,40 @@ SOURCE_CROWD = "crowd"
 SOURCE_FEEDBACK = "feedback"
 
 
-@dataclass(frozen=True)
 class Params:
     """The parameters shared by reformulation, the Rocchio baseline and the
-    evaluation; the defaults are the paper's."""
+    evaluation; the defaults are the paper's. A plain immutable record, equal
+    and hashed by value. Not a NamedTuple: the class's attributes are the
+    defaults, which callers read (`Params.top_k`)."""
 
     top_docs: int = 5            # retrieved documents mined for candidates
     top_k: int = 5               # candidates kept per source before merging
     budget: int = 10             # total query term budget, pre-rendering
     max_df_ratio: float = 0.25   # keywords in a larger share of documents are dropped
 
+    def __init__(self, top_docs: int = top_docs, top_k: int = top_k, budget: int = budget,
+                 max_df_ratio: float = max_df_ratio):
+        vars(self).update(top_docs=top_docs, top_k=top_k, budget=budget, max_df_ratio=max_df_ratio)
 
-@dataclass(frozen=True)
-class QueryRecord:
+    def __setattr__(self, name: str, *value):
+        raise AttributeError(f"cannot set or delete field {name!r} of Params")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"Params({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
+
+    def _asdict(self) -> dict:
+        return dict(vars(self))
+
+
+class QueryRecord(NamedTuple):
     """One change request: title text plus (for evaluation) gold documents."""
 
     query_id: str
@@ -73,8 +94,7 @@ class QueryRecord:
     gold_docs: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class CandidateScore:
+class CandidateScore(NamedTuple):
     """A candidate expansion term with its source and accumulated score."""
 
     term: str      # normalized
@@ -83,13 +103,17 @@ class CandidateScore:
     score: float
 
 
-@dataclass
 class Reformulation:
-    query_id: str
-    mode: str
-    keywords: TermSequence  # reduced, except for the Rocchio baseline
-    expansion_terms: list[CandidateScore]
-    rendered_query: TermSequence
+    """One query's reformulation, whose keywords are reduced except for the
+    Rocchio baseline's. A plain mutable record, equal by value."""
+
+    def __init__(self, query_id: str, mode: str, keywords: TermSequence,
+                 expansion_terms: list[CandidateScore], rendered_query: TermSequence):
+        self.query_id, self.mode, self.keywords = query_id, mode, keywords
+        self.expansion_terms, self.rendered_query = expansion_terms, rendered_query
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def query_text(self) -> str:
         return " ".join(self.rendered_query.surfaces())

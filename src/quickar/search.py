@@ -74,10 +74,9 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus, Document
 from .errors import DataError
@@ -87,8 +86,7 @@ from .errors import DataError
 _BOUND_MARGIN = 1.0 + 1e-9
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     doc_id: str
     score: float
     rank: int  # 1-based, consecutive
@@ -299,7 +297,7 @@ class Searcher:
             order = heapq.nlargest(top_n, candidates, key=scores.__getitem__)
         doc_ids = self._doc_ids
         return [
-            SearchHit(doc_id=doc_ids[index], score=scores[index], rank=rank)
+            SearchHit(doc_ids[index], scores[index], rank)
             for rank, index in enumerate(order, start=1)
         ]
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from .artifact import read_lines
@@ -45,17 +45,47 @@ _TOKEN_RE = re.compile(r"(?<![0-9A-Za-z])[0-9]*[A-Za-z][0-9A-Za-z]*")
 _CAMEL_BOUNDARY_RE = re.compile(r"(?=[A-Z])(?:(?<=[a-z0-9])|(?<=[A-Z])(?=[A-Z][a-z]))")
 
 
-@dataclass(frozen=True, slots=True)
 class Token:
-    """One preprocessed token: original surface plus lower-cased form."""
+    """One preprocessed token: original surface plus lower-cased form. A
+    plain immutable slots record: equal and hashed by value, never equal to
+    a tuple, and setting or deleting a field raises AttributeError."""
 
-    surface: str
-    normalized: str
-    origin: str  # WHOLE or CAMEL_PART
+    __slots__ = ("surface", "normalized", "origin")  # origin: WHOLE or CAMEL_PART
+
+    def __init__(self, surface: str, normalized: str, origin: str):
+        _set_surface(self, surface)
+        _set_normalized(self, normalized)
+        _set_origin(self, origin)
+
+    def __setattr__(self, name: str, *value):
+        raise AttributeError(f"cannot set or delete field {name!r} of a Token")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_fields(self))
+
+    def __repr__(self) -> str:
+        return "Token(%r, %r, %r)" % _fields(self)
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through `__init__`, not `__setattr__`.
+        return Token, _fields(self)
 
     @classmethod
     def from_surface(cls, surface: str, origin: str = WHOLE) -> "Token":
-        return cls(surface=surface, normalized=surface.lower(), origin=origin)
+        return cls(surface, surface.lower(), origin)
+
+
+# `_Expansions` builds its tokens inline: the slots' setters get past the
+# refusing `__setattr__`, and skip the call to `Token.__init__`.
+_new, _fields = object.__new__, attrgetter(*Token.__slots__)
+_set_surface, _set_normalized, _set_origin = (getattr(Token, f).__set__ for f in Token.__slots__)
 
 
 class TermSequence(list):
@@ -192,12 +222,18 @@ class _Expansions(dict):
             # `known` marks a part not seen yet; a dropped part maps to None.
             if (tok := known.get(part, known)) is known:
                 norm = part.lower()
-                tok = known[part] = (None if part.isdigit() or norm in dropped else
-                                     Token(part, part if norm == part else norm, CAMEL_PART))
+                tok = known[part] = None if part.isdigit() or norm in dropped else _new(Token)
+                if tok is not None:
+                    _set_surface(tok, part)
+                    _set_normalized(tok, part if norm == part else norm)
+                    _set_origin(tok, CAMEL_PART)
             if tok is not None:
                 kept.append(tok)
         if (len(parts) == 1 or self.keep_whole) and (norm := raw.lower()) not in dropped:
-            kept.append(Token(raw, raw if norm == raw else norm, WHOLE))
+            kept.append(tok := _new(Token))
+            _set_surface(tok, raw)
+            _set_normalized(tok, raw if norm == raw else norm)
+            _set_origin(tok, WHOLE)
         self[raw] = expansion = tuple(kept)
         return expansion
 

@@ -17,7 +17,6 @@ import logging
 import math
 import operator
 import re
-from dataclasses import asdict, replace
 from typing import Sequence
 
 from quickar.corpus import Corpus, Document, MethodUnit
@@ -492,13 +491,13 @@ def reference_top_nominal_normalized(
     if not ranked:
         return []
     if len(ranked) == 1:
-        return [replace(ranked[0], score=1.0)]
+        return [ranked[0]._replace(score=1.0)]
     hi = max(c.score for c in ranked)
     lo = min(c.score for c in ranked)
     if hi == lo:
         value = 1.0 if hi > 0 else 0.0
-        return [replace(c, score=value) for c in ranked]
-    return [replace(c, score=(c.score - lo) / (hi - lo)) for c in ranked]
+        return [c._replace(score=value) for c in ranked]
+    return [c._replace(score=(c.score - lo) / (hi - lo)) for c in ranked]
 
 
 def reference_select_and_combine(
@@ -845,7 +844,7 @@ def reference_run_evaluation(queries, corpus, db, strategies, *, stops, oracle,
         "dataset": {"total": len(queries), "kept": len(kept), "dropped_low_rank": low,
                     "dropped_not_retrieved": unretrieved},
         "denominator": "retrieved_only" if strict else "all",
-        "params": {**asdict(params), "threshold": 10},
+        "params": {**params._asdict(), "threshold": 10},
         "strategies": entries,
         "mwu": mwu,
     }
